@@ -3,8 +3,8 @@
 The image encoder patchifies an H x W x C grid into flattened patches,
 projects them to the model width, adds learned positions, and runs a
 stack of pre-norm blocks. The text encoder does the same from token ids.
-``encode`` returns the output of every requested layer (1-based), which
-is what the neck consumes as multi-layer features.
+Calling either stack returns the output of every requested layer
+(1-based), which is what the neck consumes as multi-layer features.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .nn import Embedding, EncoderBlock, LayerNorm, Linear, Module, ModuleList, 
 from .tensor import Tensor
 
 __all__ = ["EncoderConfig", "ImageEncoder", "TextEncoder", "Vocabulary",
-           "patchify", "unpatchify", "encode"]
+           "patchify"]
 
 UNK_TOKEN = "<unk>"
 MASK_TOKEN = "<mask>"
@@ -55,13 +55,6 @@ def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
     return grid.transpose(0, 2, 1, 3, 4).reshape((h // p) * (w // p), p * p * c)
 
 
-def unpatchify(patches: np.ndarray, h: int, w: int, c: int, patch_size: int) -> np.ndarray:
-    """Inverse of ``patchify``."""
-    p = patch_size
-    grid = np.asarray(patches).reshape(h // p, w // p, p, p, c)
-    return grid.transpose(0, 2, 1, 3, 4).reshape(h, w, c)
-
-
 class _Stack(Module):
     def __init__(self, rng, config: EncoderConfig):
         super().__init__()
@@ -69,6 +62,13 @@ class _Stack(Module):
         self.blocks = ModuleList([EncoderBlock(rng, config.width, config.heads)
                                   for _ in range(config.layers)])
         self.final_norm = LayerNorm(config.width)
+
+    def __call__(self, inputs: np.ndarray, layer_set: set[int] | None = None,
+                 allow: np.ndarray | None = None, **embed_args) -> dict[int, Tensor]:
+        """Embed ``inputs`` (``embed_args`` go to ``embed``) and return the
+        requested layers' outputs; the default is the final layer only."""
+        layer_set = layer_set or {self.config.layers}
+        return self.run_layers(self.embed(inputs, **embed_args), layer_set, allow)
 
     def run_layers(self, x: Tensor, layer_set: set[int],
                    allow: np.ndarray | None = None) -> dict[int, Tensor]:
@@ -101,22 +101,28 @@ class ImageEncoder(_Stack):
         self.patch_proj = Linear(rng, p * p * 3, config.width)  # RGB images
         self.pos = Embedding(rng, config.max_tokens, config.width)
 
-    def embed(self, images: np.ndarray) -> Tensor:
-        """[B, H, W, 3] -> [B, n_patches, width] patch embeddings + positions."""
+    def embed(self, images: np.ndarray,
+              mask: tuple[Tensor, np.ndarray] | None = None) -> Tensor:
+        """[B, H, W, 3] -> [B, n_patches, width] patch embeddings + positions.
+
+        ``mask`` is a ``(token [width], masked [B, n_patches] of 0/1)`` pair:
+        masked patch embeddings are replaced by the token before positions
+        are added, so masked pixels never reach the output.
+        """
         imgs = np.asarray(images, dtype=np.float64)
         if imgs.ndim == 3:
             imgs = imgs[None]
-        b = imgs.shape[0]
         flat = np.stack([patchify(img, self.config.patch_size) for img in imgs])
         x = T.matmul(Tensor(flat), self.patch_proj.weight)
         x = T.add(x, self.patch_proj.bias)
+        if mask is not None:
+            token, masked = mask
+            masked = np.asarray(masked, dtype=np.float64)[..., None]
+            token = T.reshape(token, (1, 1, x.shape[-1]))
+            x = T.add(T.mul(x, Tensor(1.0 - masked)), T.mul(token, Tensor(masked)))
         n = x.shape[1]
         pos = self.pos(np.arange(n))
         return T.add(x, pos)
-
-    def __call__(self, images: np.ndarray, layer_set: set[int] | None = None) -> dict[int, Tensor]:
-        layer_set = layer_set or {self.config.layers}
-        return self.run_layers(self.embed(images), layer_set)
 
 
 class TextEncoder(_Stack):
@@ -138,16 +144,6 @@ class TextEncoder(_Stack):
         n = ids.shape[1]
         scaled = T.scale(self.tok(ids), math.sqrt(self.config.width))
         return T.add(scaled, self.pos(np.arange(n)))
-
-    def __call__(self, ids: np.ndarray, layer_set: set[int] | None = None) -> dict[int, Tensor]:
-        layer_set = layer_set or {self.config.layers}
-        return self.run_layers(self.embed(ids), layer_set)
-
-
-def encode(stack: _Stack, tokens, layer_set: set[int]) -> list[Tensor]:
-    """Run ``stack`` and return requested layers' outputs in ascending order."""
-    by_layer = stack(tokens, set(layer_set))
-    return [by_layer[i] for i in sorted(layer_set)]
 
 
 class Vocabulary:

@@ -83,8 +83,7 @@ class TaskModel(Module):
         if ids.ndim == 1:
             ids = ids[None]
         allow = causal_mask(ids.shape[1]) if causal else None
-        final = self.text_encoder.run_layers(
-            self.text_encoder.embed(ids), {self.cfg.layers}, allow)[self.cfg.layers]
+        final = self.text_encoder(ids, allow=allow)[self.cfg.layers]
         return self.neck.project_text(final)
 
     def class_prompts(self, class_names: list[str]) -> Tensor:

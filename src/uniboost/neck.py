@@ -30,7 +30,7 @@ from .nn import EncoderBlock, LayerNorm, Linear, Module, ModuleList, init_rng
 from .tensor import Tensor
 
 __all__ = ["RouteKind", "NeckConfig", "EmbeddingSequence", "Neck",
-           "attention_mask", "causal_mask", "fuse_concat", "split_by_tags",
+           "attention_mask", "causal_mask", "fuse_concat",
            "seg_logits", "upsample_patch_grid", "lm_generate", "RouteInputError",
            "SEG_TEMPERATURE"]
 
@@ -120,18 +120,6 @@ def fuse_concat(image_seq: EmbeddingSequence, text_seq: EmbeddingSequence) -> Em
     return EmbeddingSequence(data, tags, positions)
 
 
-def split_by_tags(seq: EmbeddingSequence) -> tuple[EmbeddingSequence, EmbeddingSequence]:
-    """Inverse of ``fuse_concat``: contiguous image block, then text block."""
-    n_img = int((seq.tags == TAG_IMAGE).sum())
-    if not (seq.tags[:n_img] == TAG_IMAGE).all() or not (seq.tags[n_img:] == TAG_TEXT).all():
-        raise ValueError("sequence is not an image block followed by a text block")
-    img = EmbeddingSequence(T.slice_(seq.data, (slice(None), slice(0, n_img))),
-                            seq.tags[:n_img], seq.positions[:n_img])
-    txt = EmbeddingSequence(T.slice_(seq.data, (slice(None), slice(n_img, seq.n_tokens))),
-                            seq.tags[n_img:], seq.positions[n_img:])
-    return img, txt
-
-
 def attention_mask(route: RouteKind, n_image: int, n_text: int) -> np.ndarray:
     """Boolean allow-matrix over the fused sequence (True = may attend)."""
     n = n_image + n_text
@@ -184,10 +172,6 @@ class Neck(Module):
             raise ValueError(
                 f"text feature width {final_layer.shape[-1]} != config {self.config.text_width}")
         return text_sequence(self.txt_proj(final_layer))
-
-    def project(self, image_layers: list[Tensor],
-                text_final: Tensor) -> tuple[EmbeddingSequence, EmbeddingSequence]:
-        return self.project_image(image_layers), self.project_text(text_final)
 
     # -- fusion -------------------------------------------------------------
 

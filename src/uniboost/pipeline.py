@@ -26,13 +26,12 @@ from .encoders import Vocabulary
 from .metrics import ConfusionCounts, fb_iou, fold_mean, round_half_up, vqa_accuracy
 from .model import TaskModel
 from .optim import AdamW
-from .pretrain import PretrainMode, PretrainResult, pretrain_run
+from .pretrain import PretrainMode, PretrainResult, pretrain_run, train
 from .scheduler import (DataQueue, RebalancePolicy, TaskDataset, apply_augmentation,
                         rebalance)
 from .shapeworld import (SHAPES, CorpusTriple, Sample, ShapeWorldConfig,
                          build_vocabulary, class_id, gen_shapeworld,
                          gen_single_shape_corpus, ingest_manifest, write_manifest)
-from .tensor import Tape
 from .tensorio import load_checkpoint, save_checkpoint
 
 __all__ = ["LeakageError", "DataError", "RunRecord", "ComparisonRow",
@@ -54,7 +53,6 @@ class RunRecord:
     config_hash: str
     seed: int
     losses: dict[str, list[float]] = field(default_factory=dict)
-    checkpoints: dict[str, str] = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
     wall_time: float = 0.0
 
@@ -160,42 +158,40 @@ def finetune_stage(cfg: ExperimentConfig, seed: int, triple: CorpusTriple,
     queue = DataQueue(datasets, seed=_task_rng_seed(seed, "queue"))
     head_by_task = {spec.task_id: spec.head for spec in cfg.tasks}
 
-    encoder_params = model.encoder_parameters()
     groups = {"rest": (model.head_parameters(), 1.0)}
-    if not cfg.freeze_encoders:
-        groups["encoders"] = (encoder_params, cfg.encoder_lr_ratio)
+    if cfg.freeze_encoders:
+        for p in model.encoder_parameters():
+            p.requires_grad = False
+    else:
+        groups["encoders"] = (model.encoder_parameters(), cfg.encoder_lr_ratio)
     opt = AdamW(groups, peak_lr=cfg.peak_lr, weight_decay=cfg.weight_decay,
                 total_steps=max(cfg.steps, 1),
                 warmup_steps=min(cfg.warmup_steps, max(cfg.steps, 1) // 5),
                 schedule=cfg.schedule)
 
-    losses: dict[str, list[float]] = {spec.task_id: [] for spec in cfg.tasks}
-    for step in range(cfg.steps):
+    def task_loss(step):
         batch = queue.next_batch()
         samples = [store[sid] for sid in batch.sample_ids]
         head = head_by_task[batch.task_id]
-        with Tape() as tape:
-            if head == "seg":
-                loss = model.seg_loss(_stack_images(samples),
-                                      np.stack([s.mask for s in samples]), seg_classes)
-            elif head == "cls":
-                loss = model.cls_loss(_stack_images(samples),
-                                      np.array([_label_of(s) for s in samples]))
-            elif head == "caption":
-                ids = np.array([vocab.encode(s.caption) + [vocab.eos_id] for s in samples])
-                loss = model.caption_loss(_stack_images(samples), ids,
-                                          seed=_task_rng_seed(seed, f"cap{step}"))
-            elif head == "vqa":
-                prefix = len(vocab.encode(samples[0].question))
-                ids = np.array([vocab.encode(s.question) + vocab.encode(s.answer)
-                                + [vocab.eos_id] for s in samples])
-                loss = model.vqa_loss(_stack_images(samples), ids, prefix,
-                                      seed=_task_rng_seed(seed, f"vqa{step}"))
-            else:
-                raise ConfigError(f"task {batch.task_id}: unsupported head {head!r}")
-        tape.backward(loss, params=list(opt.parameters()))
-        losses[batch.task_id].append(loss.item())
-        opt.step()
+        images = _stack_images(samples)
+        if head == "seg":
+            loss = model.seg_loss(images, np.stack([s.mask for s in samples]), seg_classes)
+        elif head == "cls":
+            loss = model.cls_loss(images, np.array([_label_of(s) for s in samples]))
+        elif head == "caption":
+            ids = np.array([vocab.encode(s.caption) + [vocab.eos_id] for s in samples])
+            loss = model.caption_loss(images, ids, seed=_task_rng_seed(seed, f"cap{step}"))
+        elif head == "vqa":
+            prefix = len(vocab.encode(samples[0].question))
+            ids = np.array([vocab.encode(s.question) + vocab.encode(s.answer)
+                            + [vocab.eos_id] for s in samples])
+            loss = model.vqa_loss(images, ids, prefix, seed=_task_rng_seed(seed, f"vqa{step}"))
+        else:
+            raise ConfigError(f"task {batch.task_id}: unsupported head {head!r}")
+        return batch.task_id, loss
+
+    losses: dict[str, list[float]] = {spec.task_id: [] for spec in cfg.tasks}
+    train([(task_loss, opt)], cfg.steps, losses)
 
     trained_ids = {sid for line in queue.trace for sid in line.split("\t")[3].split(",")}
     tokens: set[str] = set()

@@ -5,6 +5,13 @@ for images, masked tokens for text).
 Masked losses are computed over masked positions only; gradients with
 respect to reconstruction targets at unmasked positions are exactly zero
 by construction (the loss never reads them).
+
+``train`` is the one training loop, shared with multitask fine-tuning.
+Each step runs the objectives in list order: each draws its own batch,
+tapes its loss, back-propagates into its optimizer's parameters, appends
+the loss to the trace it names, and steps. ``AdamW.step`` clears the
+gradients it consumed, so every optimized parameter leaves with ``grad``
+None and nothing else zeroes them.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +31,7 @@ from .tensor import Tape, Tensor
 
 __all__ = ["PretrainMode", "MimHead", "MlmHead", "mim_loss", "mlm_loss",
            "info_nce", "contrastive_loss", "supervised_cls_loss",
-           "cross_entropy", "pool_sequence", "pretrain_run", "PretrainResult",
+           "cross_entropy", "pool_sequence", "pretrain_run", "PretrainResult", "train",
            "CorpusMismatchError", "CONTRASTIVE_TEMPERATURE", "MIM_RATIO", "MLM_RATIO"]
 
 CONTRASTIVE_TEMPERATURE = 0.07
@@ -100,32 +108,23 @@ def mim_loss(encoder: ImageEncoder, head: MimHead, images: np.ndarray,
     imgs = np.asarray(images, dtype=np.float64)
     if imgs.ndim == 3:
         imgs = imgs[None]
-    b = imgs.shape[0]
     flat = np.stack([patchify(img, encoder.config.patch_size) for img in imgs])
-    n, patch_dim = flat.shape[1], flat.shape[2]
+    b, n, patch_dim = flat.shape
     rng = np.random.default_rng(seed)
     pos_idx = _mask_positions(rng, b, n, mask_ratio)
     k = pos_idx.shape[1]
-    keep = np.ones((b, n, 1))
+    masked = np.zeros((b, n))
     for i in range(b):
-        keep[i, pos_idx[i], 0] = 0.0
-    masked = 1.0 - keep
+        masked[i, pos_idx[i]] = 1.0
 
-    proj = T.add(T.matmul(Tensor(flat), encoder.patch_proj.weight), encoder.patch_proj.bias)
-    mask_tok = T.reshape(head.mask_token, (1, 1, proj.shape[-1]))
-    x = T.add(T.mul(proj, Tensor(keep)), T.mul(mask_tok, Tensor(masked)))
-    x = T.add(x, encoder.pos(np.arange(n)))
-    hidden = x
-    for block in encoder.blocks:
-        hidden = block(hidden)
-    hidden = encoder.final_norm(hidden)
+    hidden = encoder(imgs, mask=(head.mask_token, masked))[encoder.config.layers]
     recon = head.recon(hidden)
 
     if targets is None:
         targets = Tensor(flat)
     diff = T.add(recon, T.scale(targets, -1.0))
     sq = T.mul(diff, diff)
-    masked_sq = T.mul(sq, Tensor(masked))
+    masked_sq = T.mul(sq, Tensor(masked[..., None]))
     return T.scale(T.sum_(masked_sq), 1.0 / (b * k * patch_dim))
 
 
@@ -149,10 +148,7 @@ def mlm_loss(encoder: TextEncoder, head: MlmHead, ids: np.ndarray,
         corrupted[i, pos_idx[i]] = mask_id
         mask[i, pos_idx[i]] = 1.0
 
-    hidden = encoder.embed(corrupted)
-    for block in encoder.blocks:
-        hidden = block(hidden)
-    hidden = encoder.final_norm(hidden)
+    hidden = encoder(corrupted)[encoder.config.layers]
     logits = head.logits(hidden, encoder.tok.table)
     logp = T.log_softmax(logits)
     picked = T.gather(logp, ids)
@@ -200,11 +196,31 @@ class PretrainResult:
     image_encoder: ImageEncoder
     text_encoder: TextEncoder
     losses: dict[str, list[float]] = field(default_factory=dict)
-    heads: dict[str, Module] = field(default_factory=dict)
+
+
+def train(objectives: list[tuple[Callable[[int], tuple[str, Tensor]], AdamW]],
+          steps: int, losses: dict[str, list[float]]) -> None:
+    """Run ``steps`` steps over ``(loss_fn, optimizer)`` objectives, where
+    ``loss_fn(step)`` returns ``(trace name, scalar loss)``; each loss is
+    appended to ``losses[name]``, which the caller creates in report order."""
+    for step in range(steps):
+        for loss_fn, opt in objectives:
+            with Tape() as tape:
+                name, loss = loss_fn(step)
+            tape.backward(loss, params=list(opt.parameters()))
+            losses[name].append(loss.item())
+            opt.step()
 
 
 def _batch_indices(rng: np.random.Generator, n: int, batch_size: int) -> np.ndarray:
     return rng.choice(n, size=min(batch_size, n), replace=False)
+
+
+_CORPUS_KEYS = {
+    PretrainMode.SUPERVISED: ("images", "labels", "n_classes"),
+    PretrainMode.PAIR_CONTRASTIVE: ("images", "token_ids"),
+    PretrainMode.MASKED_UNIMODAL: ("images", "token_ids"),
+}
 
 
 def pretrain_run(mode: PretrainMode, corpora: dict, config: EncoderConfig,
@@ -217,86 +233,66 @@ def pretrain_run(mode: PretrainMode, corpora: dict, config: EncoderConfig,
       pair-contrastive — images [N,H,W,3], token_ids [N,T] (aligned pairs)
       masked-unimodal  — images [N,H,W,3], token_ids [M,T] (independent)
     """
+    if mode not in _CORPUS_KEYS:
+        raise CorpusMismatchError(f"unknown pretrain mode {mode!r}")
+    for key in _CORPUS_KEYS[mode]:
+        if key not in corpora:
+            raise CorpusMismatchError(f"{mode.value} mode needs {key!r}")
     img_enc = ImageEncoder(config, seed=f"img:{seed}")
     txt_enc = TextEncoder(config, seed=f"txt:{seed}")
     img_enc.rename_parameters("image_encoder.")
     txt_enc.rename_parameters("text_encoder.")
     rng = np.random.default_rng(seed)
-    result = PretrainResult(img_enc, txt_enc)
+    images = corpora["images"]
 
-    def make_opt(params_by_group):
-        return AdamW(params_by_group, peak_lr=peak_lr, total_steps=max(steps, 1),
+    def make_opt(*modules: Module) -> AdamW:
+        params = [p for m in modules for p in m.parameters()]
+        return AdamW({"model": (params, 1.0)}, peak_lr=peak_lr, total_steps=max(steps, 1),
                      warmup_steps=min(50, max(steps // 10, 1)), schedule="cosine")
 
     if mode is PretrainMode.SUPERVISED:
-        for key in ("images", "labels", "n_classes"):
-            if key not in corpora:
-                raise CorpusMismatchError(f"supervised mode needs {key!r}")
-        images, labels = corpora["images"], np.asarray(corpora["labels"])
+        labels = np.asarray(corpora["labels"])
         head = Linear(init_rng(f"cls:{seed}"), config.width, int(corpora["n_classes"]))
-        result.heads["cls"] = head
-        opt = make_opt({"model": (list(img_enc.parameters()) + list(head.parameters()), 1.0)})
-        trace = result.losses.setdefault("supervised", [])
-        for _ in range(steps):
+
+        def supervised(step):
             idx = _batch_indices(rng, len(labels), batch_size)
-            with Tape() as tape:
-                loss = supervised_cls_loss(img_enc, head, images[idx], labels[idx])
-            tape.backward(loss, params=list(opt.parameters()))
-            trace.append(loss.item())
-            opt.step()
+            return "supervised", supervised_cls_loss(img_enc, head, images[idx], labels[idx])
+
+        objectives = [(supervised, make_opt(img_enc, head))]
 
     elif mode is PretrainMode.PAIR_CONTRASTIVE:
-        for key in ("images", "token_ids"):
-            if key not in corpora:
-                raise CorpusMismatchError(f"pair-contrastive mode needs {key!r}")
-        images, token_ids = corpora["images"], np.asarray(corpora["token_ids"])
+        token_ids = np.asarray(corpora["token_ids"])
         if len(images) != len(token_ids):
             raise CorpusMismatchError(
                 f"pair corpus misaligned: {len(images)} images vs {len(token_ids)} texts")
         if len(images) < 2:
             raise CorpusMismatchError("pair corpus needs >= 2 pairs")
-        opt = make_opt({"model": (list(img_enc.parameters()) + list(txt_enc.parameters()), 1.0)})
-        trace = result.losses.setdefault("contrastive", [])
         bs = max(batch_size, 2)
-        for _ in range(steps):
-            idx = _batch_indices(rng, len(images), bs)
-            with Tape() as tape:
-                loss = contrastive_loss(img_enc, txt_enc, images[idx], token_ids[idx])
-            tape.backward(loss, params=list(opt.parameters()))
-            trace.append(loss.item())
-            opt.step()
 
-    elif mode is PretrainMode.MASKED_UNIMODAL:
-        for key in ("images", "token_ids"):
-            if key not in corpora:
-                raise CorpusMismatchError(f"masked-unimodal mode needs {key!r}")
-        images, token_ids = corpora["images"], np.asarray(corpora["token_ids"])
+        def contrastive(step):
+            idx = _batch_indices(rng, len(images), bs)
+            return "contrastive", contrastive_loss(img_enc, txt_enc, images[idx], token_ids[idx])
+
+        objectives = [(contrastive, make_opt(img_enc, txt_enc))]
+
+    else:
+        token_ids = np.asarray(corpora["token_ids"])
         mim_head = MimHead(config, seed=f"mim:{seed}")
         mlm_head = MlmHead(config.vocab_size)
         mim_head.rename_parameters("mim_head.")
         mlm_head.rename_parameters("mlm_head.")
-        result.heads["mim"] = mim_head
-        result.heads["mlm"] = mlm_head
-        opt_img = make_opt({"model": (list(img_enc.parameters()) + list(mim_head.parameters()), 1.0)})
-        opt_txt = make_opt({"model": (list(txt_enc.parameters()) + list(mlm_head.parameters()), 1.0)})
-        mim_trace = result.losses.setdefault("mim", [])
-        mlm_trace = result.losses.setdefault("mlm", [])
-        for step in range(steps):
+
+        def mim(step):
             idx = _batch_indices(rng, len(images), batch_size)
-            with Tape() as tape:
-                loss = mim_loss(img_enc, mim_head, images[idx], seed=seed * 100003 + step)
-            tape.backward(loss, params=list(opt_img.parameters()))
-            mim_trace.append(loss.item())
-            opt_img.step()
+            return "mim", mim_loss(img_enc, mim_head, images[idx], seed=seed * 100003 + step)
 
+        def mlm(step):
             tdx = _batch_indices(rng, len(token_ids), batch_size)
-            with Tape() as tape:
-                loss = mlm_loss(txt_enc, mlm_head, token_ids[tdx], seed=seed * 100019 + step)
-            tape.backward(loss, params=list(opt_txt.parameters()))
-            mlm_trace.append(loss.item())
-            opt_txt.step()
+            return "mlm", mlm_loss(txt_enc, mlm_head, token_ids[tdx], seed=seed * 100019 + step)
 
-    else:
-        raise CorpusMismatchError(f"unknown pretrain mode {mode!r}")
+        objectives = [(mim, make_opt(img_enc, mim_head)), (mlm, make_opt(txt_enc, mlm_head))]
 
+    # each loss function is named after the trace it reports
+    result = PretrainResult(img_enc, txt_enc, {fn.__name__: [] for fn, _ in objectives})
+    train(objectives, steps, result.losses)
     return result

@@ -276,50 +276,23 @@ def gen_shapeworld(config: ShapeWorldConfig) -> CorpusTriple:
 
 
 def gen_single_shape_corpus(config: ShapeWorldConfig, shapes: tuple[str, ...],
-                            count: int, seed: int, prefix: str = "eval",
-                            distractor_shapes: tuple[str, ...] | None = None,
-                            distractor_label: int | None = None) -> list[Sample]:
-    """Evaluation corpus: one target shape per image, position jittered.
-
-    With ``distractor_shapes`` each image also holds a second shape in the
-    opposite half. ``distractor_label`` overrides its mask label (for fold
-    protocols where out-of-fold objects count as background); by default
-    the distractor keeps its own class id. Caption and question always
-    describe the target shape only.
-    """
+                            count: int, seed: int, prefix: str = "eval") -> list[Sample]:
+    """Evaluation corpus: one target shape per image, position jittered."""
     g = config.grid_size
     rng = np.random.default_rng([config.seed, 4, seed])
     lo, hi = _HALF, g - 1 - _HALF
-    hi_half = g // 2 - 1 - _HALF
-    lo_half = g // 2 + _HALF
     out = []
     for i in range(count):
         shape = shapes[rng.integers(len(shapes))]
         color = _pick_color(rng, config, shape)
-        if distractor_shapes is None:
-            pos = (int(rng.integers(lo, hi + 1)), int(rng.integers(lo, hi + 1)))
-            image, mask = _render(config, rng, [(shape, color, *pos)])
-        else:
-            pool = [s for s in distractor_shapes if s != shape]
-            if not pool:
-                raise ValueError("no distractor shapes distinct from the target")
-            other = pool[rng.integers(len(pool))]
-            other_color = _pick_color(rng, config, other, exclude=color)
-            flip = rng.uniform() < 0.5
-            row1 = int(rng.integers(lo, hi_half + 1) if flip else rng.integers(lo_half, hi + 1))
-            row2 = int(rng.integers(lo_half, hi + 1) if flip else rng.integers(lo, hi_half + 1))
-            pos = (row1, int(rng.integers(lo, hi + 1)))
-            other_pos = (row2, int(rng.integers(lo, hi + 1)))
-            image, mask = _render(config, rng, [(shape, color, *pos),
-                                                (other, other_color, *other_pos)])
-            if distractor_label is not None:
-                mask[mask == class_id(other)] = distractor_label
+        pos = (int(rng.integers(lo, hi + 1)), int(rng.integers(lo, hi + 1)))
+        image, mask = _render(config, rng, [(shape, color, *pos)])
         out.append(Sample(f"{prefix}{i:05d}", image, mask, f"{color} {shape}",
                           f"what shape is the {color}", shape))
     return out
 
 
-def build_vocabulary(config: ShapeWorldConfig | None = None) -> Vocabulary:
+def build_vocabulary() -> Vocabulary:
     words = ["background"] + list(COLORS) + list(SHAPES) + list(RELATIONS)
     words += ["what", "color", "shape", "is", "the"]
     return Vocabulary(words)

@@ -207,10 +207,6 @@ class Tape:
                 p.grad = np.zeros_like(p.values)
 
 
-def backward(record: Tape, loss: Tensor, params: Sequence[Tensor] = ()) -> None:
-    record.backward(loss, params)
-
-
 def _emit(op: str, inputs: tuple[Tensor, ...], out_values: np.ndarray,
           grad_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
     tape = active_tape()

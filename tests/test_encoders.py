@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from uniboost.encoders import (EncoderConfig, ImageEncoder, TextEncoder,
-                               Vocabulary, encode, patchify, unpatchify)
+                               Vocabulary, patchify)
 from uniboost.tensor import Tensor
 
 
@@ -47,10 +47,15 @@ def test_patchify_pixel_layout_within_patch():
     assert np.array_equal(row, img.reshape(-1))
 
 
-def test_unpatchify_inverts_patchify():
+def test_patchify_orders_patches_row_major_on_rectangular_image():
     rng = np.random.default_rng(0)
     img = rng.standard_normal((8, 12, 3))
-    assert np.array_equal(unpatchify(patchify(img, 4), 8, 12, 3, 4), img)
+    patches = patchify(img, 4)
+    assert patches.shape == (6, 48)
+    for r in range(2):
+        for c in range(3):
+            block = img[4 * r:4 * r + 4, 4 * c:4 * c + 4]
+            assert np.array_equal(patches[r * 3 + c], block.reshape(-1))
 
 
 def test_patchify_validates_input():
@@ -101,13 +106,44 @@ def test_requesting_subset_matches_full_run():
     assert np.array_equal(both[2].values, only2[2].values)
 
 
-def test_encode_helper_orders_layers():
+def test_encoder_call_returns_each_requested_layer():
     cfg = small_config()
     enc = ImageEncoder(cfg, seed=5)
     images = np.random.default_rng(4).uniform(size=(1, 4, 4, 3))
-    outs = encode(enc, images, {2, 1})
-    assert len(outs) == 2
-    assert np.array_equal(outs[1].values, enc(images, layer_set={2})[2].values)
+    outs = enc(images, {2, 1})
+    assert sorted(outs) == [1, 2]
+    assert np.array_equal(outs[1].values, enc(images, layer_set={1})[1].values)
+    assert np.array_equal(outs[2].values, enc(images, layer_set={2})[2].values)
+    assert np.array_equal(outs[2].values, enc(images)[2].values)
+
+
+def test_image_embed_mask_override_with_nothing_masked_is_identity():
+    cfg = small_config()
+    enc = ImageEncoder(cfg, seed=7)
+    images = np.random.default_rng(5).uniform(size=(2, 4, 4, 3))
+    token = Tensor(np.random.default_rng(6).normal(size=cfg.width))
+    plain = enc.embed(images).values
+    overridden = enc.embed(images, (token, np.zeros((2, 4)))).values
+    assert np.array_equal(plain, overridden)
+
+
+def test_masked_patch_pixels_never_reach_the_encoder_output():
+    cfg = small_config()
+    enc = ImageEncoder(cfg, seed=8)
+    rng = np.random.default_rng(7)
+    images = rng.uniform(size=(2, 4, 4, 3))
+    token = Tensor(rng.normal(size=cfg.width))
+    masked = np.array([[1, 0, 0, 1], [0, 1, 0, 0]])
+    changed = images.copy()
+    changed[0, :2, :2] = rng.uniform(size=(2, 2, 3))   # patch 0 of image 0
+    changed[0, 2:, 2:] = rng.uniform(size=(2, 2, 3))   # patch 3 of image 0
+    changed[1, :2, 2:] = rng.uniform(size=(2, 2, 3))   # patch 1 of image 1
+    before = enc(images, {1, 2}, mask=(token, masked))
+    after = enc(changed, {1, 2}, mask=(token, masked))
+    for layer in (1, 2):
+        assert np.array_equal(before[layer].values, after[layer].values)
+    unmasked = enc(changed, {2})[2].values
+    assert not np.array_equal(unmasked, enc(images, {2})[2].values)
 
 
 def test_token_and_layer_limits():

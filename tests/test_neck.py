@@ -6,7 +6,7 @@ import pytest
 from uniboost.neck import (EmbeddingSequence, Neck, NeckConfig, RouteInputError,
                            RouteKind, SEG_TEMPERATURE, attention_mask,
                            causal_mask, fuse_concat, lm_generate, seg_logits,
-                           split_by_tags, upsample_patch_grid)
+                           upsample_patch_grid)
 from uniboost.neck import TAG_IMAGE, TAG_TEXT, image_sequence, text_sequence
 from uniboost.tensor import Tensor
 
@@ -99,18 +99,9 @@ def test_fuse_then_split_round_trips():
     assert fused.n_tokens == 5
     assert np.array_equal(fused.tags, [TAG_IMAGE] * 3 + [TAG_TEXT] * 2)
     assert np.array_equal(fused.positions, [0, 1, 2, 0, 1])
-    back_img, back_txt = split_by_tags(fused)
-    assert np.array_equal(back_img.data.values, img.data.values)
-    assert np.array_equal(back_txt.data.values, txt.data.values)
-    assert np.array_equal(back_txt.positions, txt.positions)
-
-
-def test_split_rejects_interleaved_tags():
-    data = Tensor(np.zeros((1, 3, 8)))
-    seq = EmbeddingSequence(data, np.array([TAG_TEXT, TAG_IMAGE, TAG_TEXT]),
-                            np.arange(3))
-    with pytest.raises(ValueError, match="image block followed by a text block"):
-        split_by_tags(seq)
+    assert np.array_equal(fused.data.values[:, :3], img.data.values)
+    assert np.array_equal(fused.data.values[:, 3:], txt.data.values)
+    assert np.array_equal(fused.positions[3:], txt.positions)
 
 
 def test_fuse_width_mismatch_and_empty_blocks():

@@ -102,6 +102,19 @@ def test_finetune_stage_trains_and_tracks_tokens(corpus_and_vocab):
     assert novel_ids & fin.training_labels == set()
 
 
+def test_frozen_finetune_never_tapes_the_encoders(corpus_and_vocab):
+    cfg, triple, vocab = corpus_and_vocab
+    frozen = replace(cfg, freeze_encoders=True)
+    model = TaskModel(frozen, vocab, seed=0)
+    before = {name: p.values.copy() for name, p in model.named_parameters()}
+    fin = finetune_stage(frozen, 0, triple, vocab, model)
+    assert len(fin.losses["seg"]) == frozen.steps
+    assert all(p.grad is None for p in model.parameters())
+    moved = {name for name, p in model.named_parameters()
+             if not np.array_equal(p.values, before[name])}
+    assert moved and not moved & {p.name for p in model.encoder_parameters()}
+
+
 def test_finetune_requires_tasks(corpus_and_vocab):
     cfg, triple, vocab = corpus_and_vocab
     bare = replace(cfg, tasks=[])

@@ -10,8 +10,10 @@ from uniboost.pretrain import (CONTRASTIVE_TEMPERATURE, CorpusMismatchError,
                                MimHead, MlmHead, PretrainMode, _mask_positions,
                                contrastive_loss, cross_entropy, info_nce,
                                mim_loss, mlm_loss, pool_sequence,
-                               pretrain_run, supervised_cls_loss)
-from uniboost.nn import Linear, init_rng
+                               pretrain_run, supervised_cls_loss, train)
+from uniboost.nn import Linear, Parameter, init_rng
+from uniboost.optim import AdamW
+from uniboost import tensor as T
 from uniboost.tensor import Tape, Tensor
 
 
@@ -223,7 +225,6 @@ def test_pretrain_supervised_learns():
                        small_config(), steps=200, seed=0)
     trace = res.losses["supervised"]
     assert len(trace) == 200
-    assert "cls" in res.heads
     assert _drop(trace) > 0.3
 
 
@@ -238,11 +239,34 @@ def test_pretrain_contrastive_learns():
 def test_pretrain_masked_learns():
     res = pretrain_run(PretrainMode.MASKED_UNIMODAL, _masked_corpus(),
                        small_config(), steps=200, seed=0)
-    assert set(res.losses) == {"mim", "mlm"}
-    assert {"mim", "mlm"} <= set(res.heads)
+    assert list(res.losses) == ["mim", "mlm"]
+    assert len(res.losses["mim"]) == len(res.losses["mlm"]) == 200
     assert _drop(res.losses["mim"]) > 0.3
     # random tokens over 4 symbols: floor is ln(4), start is ln(32)
     assert _drop(res.losses["mlm"]) > 0.3
+
+
+def test_train_runs_objectives_in_list_order_and_clears_grads():
+    calls = []
+    weights = {name: Parameter(np.full(3, value), name=name)
+               for name, value in (("a", 1.0), ("b", -2.0))}
+
+    def objective(name):
+        def loss_fn(step):
+            calls.append((step, name))
+            w = weights[name]
+            return name, T.sum_(T.mul(w, w))
+        return loss_fn, AdamW({"model": ([weights[name]], 1.0)}, total_steps=3,
+                              warmup_steps=0)
+
+    losses = {"b": [], "a": []}
+    train([objective("a"), objective("b")], 3, losses)
+    assert calls == [(0, "a"), (0, "b"), (1, "a"), (1, "b"), (2, "a"), (2, "b")]
+    assert list(losses) == ["b", "a"]
+    assert losses["a"][0] == 3.0 and losses["b"][0] == 12.0
+    assert len(losses["a"]) == len(losses["b"]) == 3
+    assert all(w.grad is None for w in weights.values())
+    assert losses["a"][-1] < losses["a"][0]
 
 
 def test_pretrain_zero_steps_returns_initialized_encoders():

@@ -176,36 +176,6 @@ def test_single_shape_corpus_masks_one_class():
         assert s.caption.split()[1] == s.answer
 
 
-def test_distractor_corpus_places_two_shapes_in_opposite_halves():
-    cfg = tiny_config()
-    samples = gen_single_shape_corpus(cfg, ("ring",), 10, seed=4,
-                                      distractor_shapes=("square", "circle"))
-    for s in samples:
-        labels = set(np.unique(s.mask).tolist()) - {0}
-        assert class_id("ring") in labels and len(labels) == 2
-        rows = {lab: np.nonzero(s.mask == lab)[0].mean() for lab in labels}
-        g2 = cfg.grid_size / 2
-        sides = {lab: r < g2 for lab, r in rows.items()}
-        assert len(set(sides.values())) == 2  # one per half
-        assert s.answer == "ring"
-
-
-def test_distractor_label_override_flattens_to_background():
-    cfg = tiny_config()
-    samples = gen_single_shape_corpus(cfg, ("ring",), 8, seed=5,
-                                      distractor_shapes=("square",),
-                                      distractor_label=0)
-    for s in samples:
-        assert set(np.unique(s.mask).tolist()) == {0, class_id("ring")}
-
-
-def test_distractor_pool_must_be_nonempty():
-    cfg = tiny_config()
-    with pytest.raises(ValueError, match="no distractor shapes"):
-        gen_single_shape_corpus(cfg, ("ring",), 4, seed=6,
-                                distractor_shapes=("ring",))
-
-
 # ---------------------------------------------------------------- vocabulary
 
 def test_vocabulary_covers_all_generated_text():
