@@ -145,15 +145,16 @@ def cmd_eval(args) -> int:
     out = _out_dir(args, cfg)
     ckpt = Path(args.checkpoint) if args.checkpoint else _model_dir(out, cfg)
     model = pipeline.load_model(cfg, ckpt, cfg.seed)
-    tokens: set[str] = set()
-    labels: set[int] = set()
-    audit_path = ckpt / "training_audit.json"
-    if audit_path.exists():
+    tokens = labels = None
+    if args.split == "novel":
+        audit_path = ckpt / "training_audit.json"
+        if not audit_path.exists():
+            raise LeakageError(f"no training audit at {audit_path}; novel eval refused")
         audit = json.loads(audit_path.read_text())
-        tokens = set(audit.get("tokens", []))
-        labels = set(audit.get("mask_labels", []))
-    report = pipeline.eval_stage(cfg, model, args.split, tokens or None,
-                                 labels or None, eval_vqa=args.vqa)
+        if "tokens" not in audit or "mask_labels" not in audit:
+            raise LeakageError(f"{audit_path} lacks 'tokens' or 'mask_labels'")
+        tokens, labels = set(audit["tokens"]), set(audit["mask_labels"])
+    report = pipeline.eval_stage(cfg, model, args.split, tokens, labels, eval_vqa=args.vqa)
     path = out / f"eval-{args.split}.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True))
     print(f"{args.split} mIoU {100 * report['miou']:.1f} "

@@ -18,7 +18,9 @@ __all__ = ["ExperimentConfig", "TaskSpec", "ConfigError", "parse_config",
 PRETRAIN_MODES = ("supervised", "pair-contrastive", "masked-unimodal")
 ROUTES = ("image-only", "text-only", "language-guided-vision",
           "image-to-text-gen", "deep-fusion")
-HEADS = ("cls", "seg", "caption", "vqa")
+# The head alone picks the neck route (see ``model.py``); ``route`` must name it.
+HEAD_ROUTES = {"cls": "image-only", "seg": "language-guided-vision",
+               "caption": "image-to-text-gen", "vqa": "deep-fusion"}
 SCHEDULES = ("cosine", "linear", "step")
 
 
@@ -36,8 +38,11 @@ class TaskSpec:
     def validate(self):
         if self.route not in ROUTES:
             raise ConfigError(f"task {self.task_id}: unknown route {self.route!r}")
-        if self.head not in HEADS:
+        if self.head not in HEAD_ROUTES:
             raise ConfigError(f"task {self.task_id}: unknown head {self.head!r}")
+        if self.route != HEAD_ROUTES[self.head]:
+            raise ConfigError(f"task {self.task_id}: head {self.head!r} runs route "
+                              f"{HEAD_ROUTES[self.head]!r}, not {self.route!r}")
         if self.batch_size < 1:
             raise ConfigError(f"task {self.task_id}: batch_size must be >= 1")
 

@@ -169,8 +169,11 @@ def finetune_stage(cfg: ExperimentConfig, seed: int, triple: CorpusTriple,
                 warmup_steps=min(cfg.warmup_steps, max(cfg.steps, 1) // 5),
                 schedule=cfg.schedule)
 
+    trained_ids: set[str] = set()
+
     def task_loss(step):
         batch = queue.next_batch()
+        trained_ids.update(batch.sample_ids)
         samples = [store[sid] for sid in batch.sample_ids]
         head = head_by_task[batch.task_id]
         images = _stack_images(samples)
@@ -193,7 +196,6 @@ def finetune_stage(cfg: ExperimentConfig, seed: int, triple: CorpusTriple,
     losses: dict[str, list[float]] = {spec.task_id: [] for spec in cfg.tasks}
     train([(task_loss, opt)], cfg.steps, losses)
 
-    trained_ids = {sid for line in queue.trace for sid in line.split("\t")[3].split(",")}
     tokens: set[str] = set()
     labels: set[int] = set()
     for sid in trained_ids:

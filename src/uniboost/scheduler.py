@@ -117,19 +117,18 @@ class DataQueue:
         return batch
 
 
+# rescale band of augmented duplicates, drawn uniformly from [low, high)
+AUG_SCALE_LOW = 0.8
+AUG_SCALE_HIGH = 1.2
+
+
 @dataclass(frozen=True)
 class RebalancePolicy:
     threshold: int = 640
-    scale_low: float = 0.8
-    scale_high: float = 1.2
-    crop: bool = True
 
     def __post_init__(self):
         if self.threshold < 1:
             raise SchedulerError("rebalance threshold must be >= 1")
-        if not self.scale_low < self.scale_high:
-            raise SchedulerError(
-                f"scale range [{self.scale_low}, {self.scale_high}) is empty")
 
 
 @dataclass(frozen=True)
@@ -158,9 +157,8 @@ def rebalance(dataset: TaskDataset,
     for k in range(1, copies):
         for sid in dataset.sample_ids:
             did = f"{sid}#aug{k}"
-            scale = float(rng.uniform(policy.scale_low, policy.scale_high))
-            oy, ox = (float(rng.uniform()), float(rng.uniform())) if policy.crop else (0.5, 0.5)
-            plan[did] = AugSpec(sid, scale, oy, ox)
+            scale = float(rng.uniform(AUG_SCALE_LOW, AUG_SCALE_HIGH))
+            plan[did] = AugSpec(sid, scale, float(rng.uniform()), float(rng.uniform()))
             derived.append(did)
     new_ds = TaskDataset(dataset.task_id, dataset.route_kind,
                          dataset.sample_ids + tuple(derived),

@@ -6,6 +6,12 @@ accumulates gradients into leaf tensors that have ``requires_grad`` set.
 With no active tape, every op runs as plain numpy compute and records
 nothing — that is the inference path.
 
+The graph is a DAG with one owner, the tape. A tracked tensor points at
+its node and a node only at its inputs and gradient closure; nothing points
+back. Backward consumes the graph: each node drops its inputs and closure
+once its gradient is passed on (``tape.nodes`` still lists the emptied
+nodes), so a step's graph is freed by reference counting, not the cyclic GC.
+
 Everything is computed in 64-bit floats. There is no broadcasting beyond
 what the individual op contracts document (matmul stacks batch dims,
 ``add``/``mul`` allow a trailing-axes broadcast for bias-style operands).
@@ -23,9 +29,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "ShapeMismatchError",
-    "UnknownOpError",
     "BackwardError",
-    "forward_primitive",
     "matmul",
     "add",
     "mul",
@@ -59,10 +63,6 @@ class ShapeMismatchError(ValueError):
     """Input shapes do not conform to the op's shape rule."""
 
 
-class UnknownOpError(ValueError):
-    """Op tag not known to ``forward_primitive``."""
-
-
 class BackwardError(RuntimeError):
     """Backward preconditions violated (non-scalar loss, double backward)."""
 
@@ -75,14 +75,12 @@ def active_tape() -> "Tape | None":
 
 
 class _Node:
-    __slots__ = ("op", "inputs", "out", "grad_fn", "tape")
+    __slots__ = ("op", "inputs", "grad_fn", "__weakref__")
 
-    def __init__(self, op, inputs, out, grad_fn, tape):
+    def __init__(self, op, inputs, grad_fn):
         self.op = op
         self.inputs = inputs
-        self.out = out
         self.grad_fn = grad_fn
-        self.tape = tape
 
 
 class Tensor:
@@ -120,41 +118,13 @@ class Tensor:
             raise ValueError(f"item() on tensor of shape {self.shape}")
         return float(self.values.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        return self.values
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __sub__(self, other):
-        return add(self, scale(_as_tensor(other), -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 class Tape:
-    """Append-only computation record.
+    """Append-only computation record, consumed by its one backward.
 
     Nodes are appended in forward order, so reverse iteration is a valid
     topological order and backward visits each node exactly once.
@@ -188,18 +158,20 @@ class Tape:
             raise BackwardError(f"loss must be scalar, got shape {loss.shape}")
         self._consumed = True
 
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
+        interior = set(self.nodes)
+        grads: dict[_Node, np.ndarray] = {loss._node: np.ones_like(loss.values)}
         for node in reversed(self.nodes):
-            g = grads.pop(id(node.out), None)
+            g = grads.pop(node, None)
+            inputs, grad_fn = node.inputs, node.grad_fn
+            node.inputs, node.grad_fn = (), None
             if g is None:
                 continue
-            for t, gi in zip(node.inputs, node.grad_fn(g)):
+            for t, gi in zip(inputs, grad_fn(g)):
                 if gi is None:
                     continue
-                if t._node is not None and t._node.tape is self:
-                    key = id(t)
-                    acc = grads.get(key)
-                    grads[key] = gi if acc is None else acc + gi
+                if t._node in interior:
+                    acc = grads.get(t._node)
+                    grads[t._node] = gi if acc is None else acc + gi
                 elif t.requires_grad:
                     t.grad = gi.copy() if t.grad is None else t.grad + gi
         for p in params:
@@ -210,11 +182,10 @@ class Tape:
 def _emit(op: str, inputs: tuple[Tensor, ...], out_values: np.ndarray,
           grad_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
     tape = active_tape()
-    track = tape is not None and any(t.requires_grad or t._node is not None and t._node.tape is tape
-                                     for t in inputs)
+    track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_values, requires_grad=track)
     if track:
-        node = _Node(op, inputs, out, grad_fn, tape)
+        node = _Node(op, inputs, grad_fn)
         tape.nodes.append(node)
         out._node = node
     return out
@@ -512,11 +483,3 @@ _PRIMITIVES: dict[str, Callable] = {
     "l2-normalize": l2_normalize,
 }
 
-
-def forward_primitive(op_tag: str, *args, **kwargs) -> Tensor:
-    """Dispatch one primitive by tag. Unknown tags raise ``UnknownOpError``."""
-    try:
-        fn = _PRIMITIVES[op_tag]
-    except KeyError:
-        raise UnknownOpError(f"unknown op-tag {op_tag!r}") from None
-    return fn(*args, **kwargs)

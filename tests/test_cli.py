@@ -150,6 +150,21 @@ def test_leakage_audit_exits_4(workspace):
     assert main(["eval", "--config", str(cfg), "--split", "novel"]) == EXIT_INVARIANT
 
 
+def test_novel_eval_refuses_without_a_complete_audit(workspace):
+    tmp, out, cfg = workspace
+    assert main(["pretrain", "--config", str(cfg)]) == EXIT_OK
+    assert main(["finetune-multitask", "--config", str(cfg)]) == EXIT_OK
+    audit_path = out / "model-masked-unimodal-seed0" / "training_audit.json"
+    audit = json.loads(audit_path.read_text())
+    for key in ("tokens", "mask_labels"):
+        audit_path.write_text(json.dumps({k: v for k, v in audit.items() if k != key}))
+        assert main(["eval", "--config", str(cfg), "--split", "novel"]) == EXIT_INVARIANT
+    audit_path.unlink()
+    assert main(["eval", "--config", str(cfg), "--split", "novel"]) == EXIT_INVARIANT
+    assert not (out / "eval-novel.json").exists()
+    assert main(["eval", "--config", str(cfg), "--split", "base"]) == EXIT_OK
+
+
 def test_out_flag_used_without_env(tmp_path, monkeypatch):
     monkeypatch.delenv("UNIBOOST_OUT", raising=False)
     cfg = tmp_path / "mu.cfg"

@@ -97,6 +97,11 @@ def test_semantic_validation():
         parse_config("[task a]\nroute = audio\n")
     with pytest.raises(ConfigError, match="unknown head"):
         parse_config("[task a]\nhead = detect\n")
+    with pytest.raises(ConfigError, match="head 'seg' runs route 'language-guided-vision', "
+                                          "not 'image-only'"):
+        parse_config("[task a]\nroute = image-only\nhead = seg\n")
+    with pytest.raises(ConfigError, match="head 'cls' runs route 'image-only'"):
+        parse_config("[task a]\nhead = cls\n")
     with pytest.raises(ConfigError, match="encoder_lr_ratio"):
         parse_config("[optimizer]\nencoder_lr_ratio = 0\n")
 
@@ -140,7 +145,7 @@ def test_diff_configs_names_fields_and_respects_ignore():
     b = parse_config("[run]\nseed = 2\nsteps = 6\n")
     assert diff_configs(a, b) == ["steps", "seed"]
     assert diff_configs(a, b, ignore=("seed",)) == ["steps"]
-    c = parse_config("[task t]\nhead = cls\n")
+    c = parse_config("[task t]\nroute = image-only\nhead = cls\n")
     assert diff_configs(parse_config(""), c) == ["tasks"]
 
 

@@ -1,6 +1,8 @@
 """Pretraining regimes: masking laws, loss oracles, and training smoke."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -267,6 +269,29 @@ def test_train_runs_objectives_in_list_order_and_clears_grads():
     assert len(losses["a"]) == len(losses["b"]) == 3
     assert all(w.grad is None for w in weights.values())
     assert losses["a"][-1] < losses["a"][0]
+
+
+def test_train_step_graph_is_freed_without_the_cyclic_gc():
+    cfg = small_config(patch_size=2)
+    enc, head = ImageEncoder(cfg, seed=0), MimHead(cfg, seed=1)
+    images = np.random.default_rng(4).uniform(size=(2, 8, 8, 3))
+    opt = AdamW({"model": (list(enc.parameters()) + list(head.parameters()), 1.0)},
+                total_steps=1, warmup_steps=0)
+    refs = []
+
+    def loss_fn(step):
+        loss = mim_loss(enc, head, images, seed=step)
+        refs.extend([weakref.ref(T.active_tape()), weakref.ref(loss._node)])
+        return "mim", loss
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        train([(loss_fn, opt)], 1, {"mim": []})
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_pretrain_zero_steps_returns_initialized_encoders():

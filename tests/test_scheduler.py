@@ -204,8 +204,6 @@ def test_rebalance_is_deterministic():
 def test_rebalance_policy_validation():
     with pytest.raises(SchedulerError, match="threshold"):
         RebalancePolicy(threshold=0)
-    with pytest.raises(SchedulerError, match="empty"):
-        RebalancePolicy(scale_low=1.2, scale_high=0.8)
 
 
 # ---------------------------------------------------------------- augmentation
