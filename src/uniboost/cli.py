@@ -140,20 +140,29 @@ def cmd_finetune_task(args) -> int:
     return _finetune(args, args.task)
 
 
+def _read_audit(path: Path) -> tuple[set[str], set[int]]:
+    """The training tokens and mask labels that a novel eval audits against."""
+    if not path.exists():
+        raise LeakageError(f"no training audit at {path}; novel eval refused")
+    try:
+        audit = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise LeakageError(f"{path} is not valid JSON ({exc}); novel eval refused") from exc
+    tokens = audit.get("tokens") if isinstance(audit, dict) else None
+    labels = audit.get("mask_labels") if isinstance(audit, dict) else None
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)
+            and isinstance(labels, list) and all(isinstance(l, int) for l in labels)):
+        raise LeakageError(f"{path} lacks 'tokens' or 'mask_labels' lists; novel eval refused")
+    return set(tokens), set(labels)
+
+
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config, args.seed, args.steps, args.out)
     out = _out_dir(args, cfg)
     ckpt = Path(args.checkpoint) if args.checkpoint else _model_dir(out, cfg)
     model = pipeline.load_model(cfg, ckpt, cfg.seed)
-    tokens = labels = None
-    if args.split == "novel":
-        audit_path = ckpt / "training_audit.json"
-        if not audit_path.exists():
-            raise LeakageError(f"no training audit at {audit_path}; novel eval refused")
-        audit = json.loads(audit_path.read_text())
-        if "tokens" not in audit or "mask_labels" not in audit:
-            raise LeakageError(f"{audit_path} lacks 'tokens' or 'mask_labels'")
-        tokens, labels = set(audit["tokens"]), set(audit["mask_labels"])
+    tokens, labels = (_read_audit(ckpt / "training_audit.json") if args.split == "novel"
+                      else (None, None))
     report = pipeline.eval_stage(cfg, model, args.split, tokens, labels, eval_vqa=args.vqa)
     path = out / f"eval-{args.split}.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True))
@@ -187,12 +196,15 @@ def cmd_report(args) -> int:
     src = Path(args.input)
     if not src.exists():
         raise DataError(f"no comparison record at {src}")
-    payload = json.loads(src.read_text())
-    report = ComparisonReport(
-        fold_labels=payload["fold_labels"],
-        rows=[ComparisonRow(**r) for r in payload["rows"]],
-        win_counts=payload["win_counts"],
-        stream_means=payload["stream_means"])
+    try:
+        payload = json.loads(src.read_text())
+        report = ComparisonReport(
+            fold_labels=payload["fold_labels"],
+            rows=[ComparisonRow(**r) for r in payload["rows"]],
+            win_counts=payload["win_counts"],
+            stream_means=payload["stream_means"])
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise DataError(f"{src} is not a comparison record: {exc!r}") from exc
     out = _out_dir(args)
     csv_path, txt_path = pipeline.emit_comparison(report, out)
     print(f"wrote {csv_path} and {txt_path}")

@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, fields as dc_fields
 
+from .shapeworld import build_vocabulary
+
 __all__ = ["ExperimentConfig", "TaskSpec", "ConfigError", "parse_config",
            "serialize_config", "config_fingerprint", "diff_configs"]
 
@@ -103,6 +105,10 @@ class ExperimentConfig:
             raise ConfigError("layer_set must not be empty")
         if any(not 1 <= l <= self.layers for l in self.layer_set):
             raise ConfigError(f"layer_set {self.layer_set} outside 1..{self.layers}")
+        n_words = len(build_vocabulary())
+        if self.vocab_size < n_words:
+            raise ConfigError(
+                f"vocab_size {self.vocab_size} is below the {n_words}-entry vocabulary")
         ids = [t.task_id for t in self.tasks]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate task ids: {sorted(ids)}")

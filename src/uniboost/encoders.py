@@ -109,10 +109,7 @@ class ImageEncoder(_Stack):
         masked patch embeddings are replaced by the token before positions
         are added, so masked pixels never reach the output.
         """
-        imgs = np.asarray(images, dtype=np.float64)
-        if imgs.ndim == 3:
-            imgs = imgs[None]
-        flat = np.stack([patchify(img, self.config.patch_size) for img in imgs])
+        flat = np.stack([patchify(img, self.config.patch_size) for img in images])
         x = T.matmul(Tensor(flat), self.patch_proj.weight)
         x = T.add(x, self.patch_proj.bias)
         if mask is not None:
@@ -138,9 +135,6 @@ class TextEncoder(_Stack):
         Token embeddings are scaled by sqrt(width) so word identity
         dominates the (unscaled) position signal.
         """
-        ids = np.asarray(ids)
-        if ids.ndim == 1:
-            ids = ids[None]
         n = ids.shape[1]
         scaled = T.scale(self.tok(ids), math.sqrt(self.config.width))
         return T.add(scaled, self.pos(np.arange(n)))

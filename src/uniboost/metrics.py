@@ -1,9 +1,9 @@
 """Segmentation and VQA metrics.
 
-Confusion counts are a full gt x pred matrix over a fixed class list and
-merge additively, so per-worker accumulation followed by summation gives
-the same result as one pass. Scores live in [0, 1]; report tables print
-them x100 at one decimal with half-up rounding.
+Confusion counts are a full gt x pred matrix over a fixed class list,
+accumulated batch by batch; pixels labelled IGNORE_LABEL are skipped. VQA
+accuracy is exact match against one reference answer. Scores live in
+[0, 1]; report tables print them x100 at one decimal with half-up rounding.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ class MetricError(ValueError):
 class ConfusionCounts:
     """Pixel confusion matrix over an explicit class list."""
 
-    def __init__(self, classes, matrix: np.ndarray | None = None):
+    def __init__(self, classes):
         self.classes = tuple(classes)
         if len(set(self.classes)) != len(self.classes):
             raise MetricError(f"duplicate classes in {self.classes}")
         k = len(self.classes)
-        self.matrix = np.zeros((k, k), dtype=np.int64) if matrix is None else matrix
+        self.matrix = np.zeros((k, k), dtype=np.int64)
         self._index = {c: i for i, c in enumerate(self.classes)}
 
     def accumulate(self, predicted: np.ndarray, ground_truth: np.ndarray) -> "ConfusionCounts":
@@ -53,11 +53,6 @@ class ConfusionCounts:
         pi = np.vectorize(self._index.__getitem__, otypes=[np.int64])(pred) if len(pred) else pred
         self.matrix += np.bincount(gi * k + pi, minlength=k * k).reshape(k, k)
         return self
-
-    def merge(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        if other.classes != self.classes:
-            raise MetricError(f"class sets differ: {self.classes} vs {other.classes}")
-        return ConfusionCounts(self.classes, self.matrix + other.matrix)
 
     # per-class views ------------------------------------------------------
 
@@ -140,29 +135,21 @@ def normalize_answer(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-def vqa_accuracy(records, mode: str = "exact-match") -> tuple[dict[str, float], float]:
-    """Score (answer_type, prediction, references) records.
+def vqa_accuracy(records) -> tuple[dict[str, float], float]:
+    """Score (answer_type, prediction, reference) records by exact match.
 
-    exact-match: 1.0 iff the normalized prediction equals the single
-    normalized reference. consensus: min(matching references / 3, 1), the
-    convention for ten-way human annotations. Returns per-type means plus
-    the unweighted mean over answer types present.
+    A record scores 1.0 iff the normalized prediction equals the single
+    normalized reference. Returns per-type means plus the unweighted mean
+    over answer types present.
     """
-    if mode not in ("exact-match", "consensus"):
-        raise MetricError(f"unknown vqa accuracy mode {mode!r}")
     by_type: dict[str, list[float]] = defaultdict(list)
     for answer_type, prediction, references in records:
         if answer_type not in VQA_ANSWER_TYPES:
             raise MetricError(f"unknown answer-type tag {answer_type!r}")
         refs = [references] if isinstance(references, str) else list(references)
-        pred = normalize_answer(prediction)
-        if mode == "exact-match":
-            if len(refs) != 1:
-                raise MetricError(f"exact-match expects a single reference, got {len(refs)}")
-            score = float(pred == normalize_answer(refs[0]))
-        else:
-            matches = sum(pred == normalize_answer(r) for r in refs)
-            score = min(matches / 3.0, 1.0)
+        if len(refs) != 1:
+            raise MetricError(f"exact-match expects a single reference, got {len(refs)}")
+        score = float(normalize_answer(prediction) == normalize_answer(refs[0]))
         by_type[answer_type].append(score)
     if not by_type:
         raise MetricError("no records scored")

@@ -79,9 +79,6 @@ class TaskModel(Module):
         return self.neck.project_image([by_layer[i] for i in sorted(layer_set)])
 
     def text_seq(self, ids: np.ndarray, causal: bool = False) -> EmbeddingSequence:
-        ids = np.asarray(ids)
-        if ids.ndim == 1:
-            ids = ids[None]
         allow = causal_mask(ids.shape[1]) if causal else None
         final = self.text_encoder(ids, allow=allow)[self.cfg.layers]
         return self.neck.project_text(final)
@@ -150,10 +147,7 @@ class TaskModel(Module):
     # -- generative routes (captioning, VQA) ----------------------------------
 
     def _recovery_loss(self, route: RouteKind, images: np.ndarray,
-                       token_ids: np.ndarray, prefix_len: int, seed: int) -> Tensor:
-        ids = np.asarray(token_ids)
-        if ids.ndim == 1:
-            ids = ids[None]
+                       ids: np.ndarray, prefix_len: int, seed: int) -> Tensor:
         b, n = ids.shape
         if prefix_len >= n:
             raise ValueError(f"prefix length {prefix_len} leaves nothing to predict")
@@ -192,7 +186,7 @@ class TaskModel(Module):
                         max_len: int = 3) -> str:
         img = self.image_seq(np.asarray(image)[None])
         out_ids = lm_generate(self.neck, img, question_ids,
-                              lambda ids: self.text_seq(np.array(ids), causal=True),
+                              lambda ids: self.text_seq(np.array([ids]), causal=True),
                               mask_id=self.vocab.mask_id, eos_id=self.vocab.eos_id,
-                              max_len=max_len)
+                              vocab_len=len(self.vocab), max_len=max_len)
         return self.vocab.decode(out_ids)

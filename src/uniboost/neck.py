@@ -35,8 +35,6 @@ __all__ = ["RouteKind", "NeckConfig", "EmbeddingSequence", "Neck",
            "SEG_TEMPERATURE"]
 
 SEG_TEMPERATURE = 0.07
-TAG_IMAGE = 0
-TAG_TEXT = 1
 
 
 class RouteInputError(ValueError):
@@ -74,18 +72,10 @@ class NeckConfig:
 
 @dataclass
 class EmbeddingSequence:
-    """A batch of token embeddings with per-token modality tags/positions."""
+    """A batch of token embeddings, ``data`` of shape [B, n, width]. In a
+    fused sequence the image tokens come first, then the text tokens."""
 
-    data: Tensor                 # [B, n, width]
-    tags: np.ndarray             # [n] of TAG_IMAGE / TAG_TEXT
-    positions: np.ndarray        # [n]
-
-    def __post_init__(self):
-        n = self.data.shape[1]
-        if len(self.tags) != n or len(self.positions) != n:
-            raise ValueError(
-                f"tags/positions length {len(self.tags)}/{len(self.positions)} "
-                f"!= token count {n}")
+    data: Tensor
 
     @property
     def n_tokens(self) -> int:
@@ -97,34 +87,23 @@ class EmbeddingSequence:
 
 
 def image_sequence(data: Tensor) -> EmbeddingSequence:
-    n = data.shape[1]
-    return EmbeddingSequence(data, np.full(n, TAG_IMAGE), np.arange(n))
+    return EmbeddingSequence(data)
 
 
 def text_sequence(data: Tensor) -> EmbeddingSequence:
-    n = data.shape[1]
-    return EmbeddingSequence(data, np.full(n, TAG_TEXT), np.arange(n))
+    return EmbeddingSequence(data)
 
 
 def fuse_concat(image_seq: EmbeddingSequence, text_seq: EmbeddingSequence) -> EmbeddingSequence:
-    """Image tokens first, then text tokens; tags and positions carry over."""
+    """Image tokens first, then text tokens."""
     if image_seq.width != text_seq.width:
         raise ValueError(f"width mismatch: image {image_seq.width} vs text {text_seq.width}")
-    if image_seq.n_tokens == 0:
-        return text_seq
-    if text_seq.n_tokens == 0:
-        return image_seq
-    data = T.concat([image_seq.data, text_seq.data], axis=1)
-    tags = np.concatenate([image_seq.tags, text_seq.tags])
-    positions = np.concatenate([image_seq.positions, text_seq.positions])
-    return EmbeddingSequence(data, tags, positions)
+    return EmbeddingSequence(T.concat([image_seq.data, text_seq.data], axis=1))
 
 
-def attention_mask(route: RouteKind, n_image: int, n_text: int) -> np.ndarray:
-    """Boolean allow-matrix over the fused sequence (True = may attend)."""
+def attention_mask(n_image: int, n_text: int) -> np.ndarray:
+    """Generative allow-matrix over the fused sequence (True = may attend)."""
     n = n_image + n_text
-    if route not in GENERATIVE_ROUTES:
-        return np.ones((n, n), dtype=bool)
     allow = np.zeros((n, n), dtype=bool)
     allow[:n_image, :n_image] = True
     for i in range(n_image, n):
@@ -209,9 +188,8 @@ class Neck(Module):
 
         if route in GENERATIVE_ROUTES:
             fused = fuse_concat(image_seq, text_seq)
-            allow = attention_mask(route, image_seq.n_tokens, text_seq.n_tokens)
-            return EmbeddingSequence(self.fusion_forward(fused.data, allow),
-                                     fused.tags, fused.positions)
+            allow = attention_mask(image_seq.n_tokens, text_seq.n_tokens)
+            return EmbeddingSequence(self.fusion_forward(fused.data, allow))
 
         raise RouteInputError(f"unknown route {route!r}")
 
@@ -243,18 +221,21 @@ def upsample_patch_grid(per_patch: np.ndarray, height: int, width: int,
 
 
 def lm_generate(neck: Neck, image_seq: EmbeddingSequence, prefix_ids: list[int],
-                embed_text, mask_id: int, eos_id: int, max_len: int) -> list[int]:
+                embed_text, mask_id: int, eos_id: int, vocab_len: int,
+                max_len: int) -> list[int]:
     """Greedy mask-slot decoding.
 
     Each step appends a MASK slot to the running text, re-embeds, runs the
     fused sequence under the generative mask, and reads the LM head at the
-    slot; argmax (ties to the lowest id) becomes the next token. Stops at
-    EOS or after ``max_len`` tokens. ``embed_text`` maps a list of token
-    ids to a projected text EmbeddingSequence.
+    slot; the argmax over the vocabulary's ids ``0..vocab_len-1`` (ties to
+    the lowest id) becomes the next token, so LM-head outputs past the
+    vocabulary are never emitted. Stops at EOS or after ``max_len`` tokens.
+    ``embed_text`` maps a list of token ids to a projected text
+    EmbeddingSequence.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    if eos_id < 0 or eos_id >= neck.config.vocab_size:
+    if eos_id < 0 or eos_id >= vocab_len:
         raise ValueError(f"vocabulary lacks EOS id {eos_id}")
     out: list[int] = []
     for _ in range(max_len):
@@ -264,7 +245,7 @@ def lm_generate(neck: Neck, image_seq: EmbeddingSequence, prefix_ids: list[int],
         slot = fused.n_tokens - 1
         hidden = T.slice_(fused.data, (slice(None), slice(slot, slot + 1)))
         logits = neck.lm_head(hidden)
-        next_id = int(np.argmax(logits.values[0, 0]))
+        next_id = int(np.argmax(logits.values[0, 0, :vocab_len]))
         if next_id == eos_id:
             break
         out.append(next_id)

@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -220,19 +220,20 @@ def audit_leakage(novel_shapes, training_tokens: set[str],
 def eval_stage(cfg: ExperimentConfig, model: TaskModel, split: str,
                training_tokens: set[str] | None = None,
                training_labels: set[int] | None = None,
-               predictor=None, eval_vqa: bool = False) -> dict:
+               eval_vqa: bool = False) -> dict:
     """Segmentation metrics (and optionally VQA accuracy) on one split.
 
-    ``predictor`` overrides the model's mask prediction (for oracle tests);
-    it maps (images, class_names) to [B, H, W] labels.
+    The novel split is scored only after the leakage audit passes, so it
+    needs both ``training_tokens`` and ``training_labels``.
     """
     if split not in ("base", "novel"):
         raise ConfigError(f"unknown split {split!r}")
     world = world_config(cfg)
     if split == "novel":
         classes = list(cfg.novel_shapes)
-        if training_tokens is not None or training_labels is not None:
-            audit_leakage(classes, training_tokens or set(), training_labels or set())
+        if training_tokens is None or training_labels is None:
+            raise LeakageError("novel eval needs the training tokens and labels to audit")
+        audit_leakage(classes, training_tokens, training_labels)
     else:
         classes = [s for s in SHAPES if s not in cfg.novel_shapes]
     if not classes:
@@ -243,11 +244,10 @@ def eval_stage(cfg: ExperimentConfig, model: TaskModel, split: str,
     class_names = ["background"] + classes
     ids = [class_id(c) for c in classes]
     counts = ConfusionCounts((0, *ids))
-    predict = predictor or model.seg_predict
     chunk = 16
     for i in range(0, len(corpus), chunk):
         part = corpus[i:i + chunk]
-        pred = predict(_stack_images(part), class_names)
+        pred = model.seg_predict(_stack_images(part), class_names)
         counts.accumulate(pred, np.stack([s.mask for s in part]))
     report = {
         "split": split,
@@ -263,7 +263,7 @@ def eval_stage(cfg: ExperimentConfig, model: TaskModel, split: str,
         for s in corpus:
             answer = model.generate_answer(s.image, model.vocab.encode(s.question))
             records.append(("other", answer, s.answer))
-        per_type, mean = vqa_accuracy(records, mode="exact-match")
+        per_type, mean = vqa_accuracy(records)
         report["vqa_exact_match"] = per_type.get("other", 0.0)
     return report
 
@@ -392,13 +392,20 @@ def save_model(model: TaskModel, cfg: ExperimentConfig, directory: str | Path) -
     save_checkpoint(directory, model.state_dict(), config_text=serialize_config(cfg))
 
 
+def _load_state(module, state: dict[str, np.ndarray], directory: Path) -> None:
+    try:
+        module.load_state_dict(state)
+    except (KeyError, ValueError) as exc:
+        raise DataError(f"checkpoint at {directory} does not fit the config: {exc}") from exc
+
+
 def load_model(cfg: ExperimentConfig, directory: str | Path, seed: int) -> TaskModel:
     d = Path(directory)
     if not (d / "manifest.tsv").exists():
         raise DataError(f"missing checkpoint at {d}")
     vocab = build_vocabulary()
     model = TaskModel(cfg, vocab, seed)
-    model.load_state_dict(load_checkpoint(d))
+    _load_state(model, load_checkpoint(d), d)
     return model
 
 
@@ -419,10 +426,10 @@ def load_encoders(cfg: ExperimentConfig, directory: str | Path, seed: int):
     enc_cfg = encoder_config(cfg)
     img = ImageEncoder(enc_cfg, seed=f"img:{seed}")
     txt = TextEncoder(enc_cfg, seed=f"txt:{seed}")
-    img.load_state_dict({k[len("image_encoder."):]: v for k, v in state.items()
-                         if k.startswith("image_encoder.")})
-    txt.load_state_dict({k[len("text_encoder."):]: v for k, v in state.items()
-                         if k.startswith("text_encoder.")})
+    _load_state(img, {k[len("image_encoder."):]: v for k, v in state.items()
+                      if k.startswith("image_encoder.")}, d)
+    _load_state(txt, {k[len("text_encoder."):]: v for k, v in state.items()
+                      if k.startswith("text_encoder.")}, d)
     return img, txt
 
 

@@ -105,10 +105,7 @@ def mim_loss(encoder: ImageEncoder, head: MimHead, images: np.ndarray,
     ``targets`` defaults to the patchified input and exists so tests can
     probe the masked-only contract.
     """
-    imgs = np.asarray(images, dtype=np.float64)
-    if imgs.ndim == 3:
-        imgs = imgs[None]
-    flat = np.stack([patchify(img, encoder.config.patch_size) for img in imgs])
+    flat = np.stack([patchify(img, encoder.config.patch_size) for img in images])
     b, n, patch_dim = flat.shape
     rng = np.random.default_rng(seed)
     pos_idx = _mask_positions(rng, b, n, mask_ratio)
@@ -117,7 +114,7 @@ def mim_loss(encoder: ImageEncoder, head: MimHead, images: np.ndarray,
     for i in range(b):
         masked[i, pos_idx[i]] = 1.0
 
-    hidden = encoder(imgs, mask=(head.mask_token, masked))[encoder.config.layers]
+    hidden = encoder(images, mask=(head.mask_token, masked))[encoder.config.layers]
     recon = head.recon(hidden)
 
     if targets is None:
@@ -131,9 +128,6 @@ def mim_loss(encoder: ImageEncoder, head: MimHead, images: np.ndarray,
 def mlm_loss(encoder: TextEncoder, head: MlmHead, ids: np.ndarray,
              mask_ratio: float = MLM_RATIO, seed: int = 0, mask_id: int = 1) -> Tensor:
     """Masked-token prediction: cross-entropy at masked positions only."""
-    ids = np.asarray(ids)
-    if ids.ndim == 1:
-        ids = ids[None]
     b, n = ids.shape
     if n < 2:
         raise ValueError(f"sequence length {n} < 2")

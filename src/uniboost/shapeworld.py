@@ -68,7 +68,6 @@ STENCIL = 7
 _HALF = STENCIL // 2
 _OUTER_R = 3.35
 _INNER_R = 2.0
-IGNORE_LABEL = 255
 
 
 def class_id(shape: str) -> int:

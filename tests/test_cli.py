@@ -165,6 +165,54 @@ def test_novel_eval_refuses_without_a_complete_audit(workspace):
     assert main(["eval", "--config", str(cfg), "--split", "base"]) == EXIT_OK
 
 
+def test_unreadable_audit_exits_4(workspace):
+    tmp, out, cfg = workspace
+    assert main(["pretrain", "--config", str(cfg)]) == EXIT_OK
+    assert main(["finetune-multitask", "--config", str(cfg)]) == EXIT_OK
+    audit_path = out / "model-masked-unimodal-seed0" / "training_audit.json"
+    for text in ('{"tokens": [', '{"tokens": 5, "mask_labels": 3}', '[1, 2]',
+                 '{"tokens": [["red"]], "mask_labels": []}'):
+        audit_path.write_text(text)
+        assert main(["eval", "--config", str(cfg), "--split", "novel"]) == EXIT_INVARIANT
+    assert not (out / "eval-novel.json").exists()
+
+
+def test_checkpoint_that_does_not_fit_the_config_exits_3(workspace):
+    tmp, out, cfg = workspace
+    assert main(["pretrain", "--config", str(cfg)]) == EXIT_OK
+    assert main(["finetune-multitask", "--config", str(cfg)]) == EXIT_OK
+    wider = tmp / "wider.cfg"
+    wider.write_text(BASE_CFG.format(mode="masked-unimodal").replace(
+        "width = 16", "width = 24"))
+    assert main(["finetune-multitask", "--config", str(wider)]) == EXIT_DATA
+    assert main(["finetune-task", "--config", str(wider), "--task", "seg"]) == EXIT_DATA
+    assert main(["eval", "--config", str(wider), "--split", "base"]) == EXIT_DATA
+    deeper = tmp / "deeper.cfg"
+    deeper.write_text(BASE_CFG.format(mode="masked-unimodal").replace(
+        "layers = 1", "layers = 2"))
+    assert main(["eval", "--config", str(deeper), "--split", "base"]) == EXIT_DATA
+
+
+def test_truncated_comparison_record_exits_3(workspace):
+    tmp, out, cfg = workspace
+    record = tmp / "comparison.json"
+    record.write_text('{"fold_labels": ["novel"], "rows": [')
+    assert main(["report", "--input", str(record)]) == EXIT_DATA
+    record.write_text('{"fold_labels": ["novel"]}')
+    assert main(["report", "--input", str(record)]) == EXIT_DATA
+
+
+def test_vocab_size_below_the_vocabulary_exits_2(workspace):
+    tmp, out, cfg = workspace
+    small = BASE_CFG.replace("vocab_size = 32", "vocab_size = 20")
+    configs = []
+    for mode in ("masked-unimodal", "pair-contrastive"):
+        path = tmp / f"{mode}-v20.cfg"
+        path.write_text(small.format(mode=mode))
+        configs += ["--config", str(path)]
+    assert main(["compare", *configs, "--seeds", "0"]) == EXIT_CONFIG
+
+
 def test_out_flag_used_without_env(tmp_path, monkeypatch):
     monkeypatch.delenv("UNIBOOST_OUT", raising=False)
     cfg = tmp_path / "mu.cfg"

@@ -1,5 +1,8 @@
 """Config parsing, validation, canonical serialization, fingerprints."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from uniboost.config import (ConfigError, ExperimentConfig, TaskSpec,
@@ -163,3 +166,18 @@ def test_float_serialization_is_exact():
     again = parse_config(serialize_config(cfg))
     assert again.peak_lr == 3e-4
     assert again.paired_fraction == 0.1
+
+
+def test_readme_configs_parse():
+    """Every ```ini block in README.md parses, and every config file that
+    README names exists and parses."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for block in blocks:
+        parse_config(block)
+    named = re.findall(r"--config (\S+\.cfg)", readme)
+    assert named
+    for path in named:
+        parse_config((root / path).read_text())

@@ -54,23 +54,6 @@ def test_hundred_random_instances_match_oracles_exactly():
         assert fb_iou(counts, (1, 2, 3)) == fb
 
 
-def test_merge_equals_single_pass():
-    rng = np.random.default_rng(1)
-    masks = [random_instance(rng) for _ in range(6)]
-    whole = ConfusionCounts(CLASSES)
-    for pred, gt in masks:
-        whole.accumulate(pred, gt)
-    left = ConfusionCounts(CLASSES)
-    right = ConfusionCounts(CLASSES)
-    for pred, gt in masks[:3]:
-        left.accumulate(pred, gt)
-    for pred, gt in masks[3:]:
-        right.accumulate(pred, gt)
-    merged = left.merge(right)
-    assert np.array_equal(merged.matrix, whole.matrix)
-    assert merged.miou() == whole.miou()
-
-
 def test_confusion_matrix_layout():
     counts = ConfusionCounts((0, 1))
     counts.accumulate(np.array([0, 1, 1, 1]), np.array([0, 0, 1, 1]))
@@ -98,9 +81,6 @@ def test_accumulate_validation():
         counts.accumulate(np.array([2]), np.array([0]))
     with pytest.raises(MetricError, match="duplicate classes"):
         ConfusionCounts((0, 0, 1))
-    other = ConfusionCounts((0, 2))
-    with pytest.raises(MetricError, match="class sets differ"):
-        counts.merge(other)
 
 
 def test_miou_undefined_cases():
@@ -193,19 +173,9 @@ def test_vqa_exact_match_normalizes():
     assert normalize_answer("  TWO  Cats ") == "two cats"
 
 
-def test_vqa_consensus_is_min_matches_over_three():
-    refs = ["cat"] * 4 + ["dog"] * 6
-    for n_match, want in [(0, 0.0), (1, 1 / 3), (2, 2 / 3), (3, 1.0), (4, 1.0)]:
-        refs = ["cat"] * n_match + ["dog"] * (10 - n_match)
-        per_type, _ = vqa_accuracy([("other", "cat", refs)], mode="consensus")
-        assert per_type["other"] == pytest.approx(want)
-
-
 def test_vqa_validation():
     with pytest.raises(MetricError, match="single reference"):
         vqa_accuracy([("other", "a", ["a", "b"])])
-    with pytest.raises(MetricError, match="unknown vqa accuracy mode"):
-        vqa_accuracy([("other", "a", "a")], mode="fuzzy")
     with pytest.raises(MetricError, match="unknown answer-type"):
         vqa_accuracy([("counting", "a", "a")])
     with pytest.raises(MetricError, match="no records"):

@@ -173,3 +173,15 @@ def test_generate_answer_is_deterministic_text(model, eval_samples):
     assert isinstance(a, str)
     for word in a.split():
         assert word in model.vocab.word_to_id
+
+
+def test_generate_answer_decodes_when_the_lm_head_favours_an_id_past_the_vocabulary(
+        eval_samples):
+    vocab = build_vocabulary()
+    model = TaskModel(tiny_cfg(vocab_size=64), vocab, seed=0)
+    model.neck.lm_head.weight.values[:] = 0.0
+    model.neck.lm_head.bias.values[:] = 0.0
+    model.neck.lm_head.bias.values[40] = 10.0
+    s = eval_samples[0]
+    answer = model.generate_answer(s.image, vocab.encode(s.question), max_len=2)
+    assert answer == f"{vocab.id_to_word[0]} {vocab.id_to_word[0]}"

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from uniboost.neck import (EmbeddingSequence, Neck, NeckConfig, RouteInputError,
-                           RouteKind, SEG_TEMPERATURE, attention_mask,
-                           causal_mask, fuse_concat, lm_generate, seg_logits,
-                           upsample_patch_grid)
-from uniboost.neck import TAG_IMAGE, TAG_TEXT, image_sequence, text_sequence
+from uniboost.neck import (Neck, NeckConfig, RouteInputError, RouteKind,
+                           SEG_TEMPERATURE, attention_mask, causal_mask,
+                           fuse_concat, image_sequence, lm_generate, seg_logits,
+                           text_sequence, upsample_patch_grid)
 from uniboost.tensor import Tensor
 
 
@@ -26,7 +25,7 @@ def rand_seq(rng, n, width=8, kind="image"):
 # ---------------------------------------------------------------- masks
 
 def test_attention_mask_example_rows():
-    allow = attention_mask(RouteKind.DEEP_FUSION, n_image=2, n_text=3)
+    allow = attention_mask(n_image=2, n_text=3)
     want = np.array([
         [1, 1, 0, 0, 0],   # image tokens see images only
         [1, 1, 0, 0, 0],
@@ -37,17 +36,10 @@ def test_attention_mask_example_rows():
     assert np.array_equal(allow, want)
 
 
-def test_attention_mask_non_generative_is_full():
-    for route in (RouteKind.IMAGE_ONLY, RouteKind.TEXT_ONLY,
-                  RouteKind.LANGUAGE_GUIDED_VISION):
-        allow = attention_mask(route, 3, 2)
-        assert allow.all() and allow.shape == (5, 5)
-
-
 def test_attention_mask_matches_rule_for_all_small_shapes():
     for n_img in range(1, 6):
         for n_txt in range(1, 7 - n_img):
-            allow = attention_mask(RouteKind.IMAGE_TO_TEXT_GEN, n_img, n_txt)
+            allow = attention_mask(n_img, n_txt)
             n = n_img + n_txt
             for q in range(n):
                 for k in range(n):
@@ -97,11 +89,8 @@ def test_fuse_then_split_round_trips():
     txt = rand_seq(rng, 2, kind="text")
     fused = fuse_concat(img, txt)
     assert fused.n_tokens == 5
-    assert np.array_equal(fused.tags, [TAG_IMAGE] * 3 + [TAG_TEXT] * 2)
-    assert np.array_equal(fused.positions, [0, 1, 2, 0, 1])
     assert np.array_equal(fused.data.values[:, :3], img.data.values)
     assert np.array_equal(fused.data.values[:, 3:], txt.data.values)
-    assert np.array_equal(fused.positions[3:], txt.positions)
 
 
 def test_fuse_width_mismatch_and_empty_blocks():
@@ -111,12 +100,7 @@ def test_fuse_width_mismatch_and_empty_blocks():
     with pytest.raises(ValueError, match="width mismatch"):
         fuse_concat(img, wide)
     empty_txt = text_sequence(Tensor(np.zeros((1, 0, 8))))
-    assert fuse_concat(img, empty_txt) is img
-
-
-def test_sequence_length_bookkeeping_is_checked():
-    with pytest.raises(ValueError, match="token count"):
-        EmbeddingSequence(Tensor(np.zeros((1, 3, 8))), np.zeros(2), np.arange(3))
+    assert np.array_equal(fuse_concat(img, empty_txt).data.values, img.data.values)
 
 
 # ---------------------------------------------------------------- routes
@@ -250,7 +234,7 @@ def test_lm_generate_stops_at_eos():
     neck.lm_head.bias.values[:] = 0.0
     neck.lm_head.bias.values[2] = 10.0
     out = lm_generate(neck, img, prefix_ids=[3], embed_text=embed_text,
-                      mask_id=1, eos_id=2, max_len=8)
+                      mask_id=1, eos_id=2, vocab_len=12, max_len=8)
     assert out == []
 
 
@@ -260,7 +244,7 @@ def test_lm_generate_caps_at_max_len():
     neck.lm_head.bias.values[:] = 0.0
     neck.lm_head.bias.values[5] = 10.0
     out = lm_generate(neck, img, prefix_ids=[3], embed_text=embed_text,
-                      mask_id=1, eos_id=2, max_len=4)
+                      mask_id=1, eos_id=2, vocab_len=12, max_len=4)
     assert out == [5, 5, 5, 5]
 
 
@@ -269,14 +253,16 @@ def test_lm_generate_ties_break_to_lowest_id():
     neck.lm_head.weight.values[:] = 0.0
     neck.lm_head.bias.values[:] = 0.0
     out = lm_generate(neck, img, prefix_ids=[3], embed_text=embed_text,
-                      mask_id=1, eos_id=2, max_len=3)
+                      mask_id=1, eos_id=2, vocab_len=12, max_len=3)
     assert out == [0, 0, 0]
 
 
 def test_lm_generate_is_deterministic():
     neck, img, embed_text = _decoder_fixture()
-    a = lm_generate(neck, img, [3, 4], embed_text, mask_id=1, eos_id=2, max_len=6)
-    b = lm_generate(neck, img, [3, 4], embed_text, mask_id=1, eos_id=2, max_len=6)
+    a = lm_generate(neck, img, [3, 4], embed_text, mask_id=1, eos_id=2,
+                    vocab_len=12, max_len=6)
+    b = lm_generate(neck, img, [3, 4], embed_text, mask_id=1, eos_id=2,
+                    vocab_len=12, max_len=6)
     assert a == b
     assert all(0 <= t < neck.config.vocab_size for t in a)
 
@@ -284,7 +270,19 @@ def test_lm_generate_is_deterministic():
 def test_lm_generate_validation():
     neck, img, embed_text = _decoder_fixture()
     with pytest.raises(ValueError, match="max_len"):
-        lm_generate(neck, img, [3], embed_text, mask_id=1, eos_id=2, max_len=0)
+        lm_generate(neck, img, [3], embed_text, mask_id=1, eos_id=2,
+                    vocab_len=12, max_len=0)
     with pytest.raises(ValueError, match="EOS"):
-        lm_generate(neck, img, [3], embed_text, mask_id=1,
-                    eos_id=neck.config.vocab_size, max_len=2)
+        lm_generate(neck, img, [3], embed_text, mask_id=1, eos_id=8,
+                    vocab_len=8, max_len=2)
+
+
+def test_lm_generate_never_emits_an_id_past_the_vocabulary():
+    neck, img, embed_text = _decoder_fixture()
+    neck.lm_head.weight.values[:] = 0.0
+    neck.lm_head.bias.values[:] = 0.0
+    neck.lm_head.bias.values[9] = 10.0
+    neck.lm_head.bias.values[4] = 5.0
+    out = lm_generate(neck, img, prefix_ids=[3], embed_text=embed_text,
+                      mask_id=1, eos_id=2, vocab_len=8, max_len=2)
+    assert out == [4, 4]

@@ -156,6 +156,17 @@ def test_eval_stage_runs_leakage_audit(corpus_and_vocab):
                    training_labels=set())
 
 
+def test_novel_eval_refuses_without_the_training_sets(corpus_and_vocab):
+    cfg, _, vocab = corpus_and_vocab
+    model = TaskModel(cfg, vocab, seed=0)
+    with pytest.raises(LeakageError, match="audit"):
+        eval_stage(cfg, model, "novel")
+    with pytest.raises(LeakageError, match="audit"):
+        eval_stage(cfg, model, "novel", training_tokens=set())
+    with pytest.raises(LeakageError, match="audit"):
+        eval_stage(cfg, model, "novel", training_labels=set())
+
+
 # ---------------------------------------------------------------- eval
 
 def test_eval_stage_report_fields(corpus_and_vocab):
@@ -172,7 +183,7 @@ def test_eval_stage_report_fields(corpus_and_vocab):
         eval_stage(cfg, model, "test")
 
 
-def test_eval_stage_oracle_predictor_scores_one(corpus_and_vocab):
+def test_eval_stage_oracle_predictor_scores_one(corpus_and_vocab, monkeypatch):
     cfg, _, vocab = corpus_and_vocab
     model = TaskModel(cfg, vocab, seed=0)
     world = world_config(cfg)
@@ -185,7 +196,8 @@ def test_eval_stage_oracle_predictor_scores_one(corpus_and_vocab):
     def oracle(images, class_names):
         return np.stack([next(truth) for _ in range(len(images))])
 
-    report = eval_stage(cfg, model, "novel", predictor=oracle)
+    monkeypatch.setattr(model, "seg_predict", oracle)
+    report = eval_stage(cfg, model, "novel", training_tokens=set(), training_labels=set())
     assert report["miou"] == 1.0
     assert report["fb_iou"] == 1.0
     assert report["pix_acc"] == 1.0
