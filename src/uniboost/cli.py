@@ -19,6 +19,7 @@ from .config import ConfigError, ExperimentConfig, parse_config
 from .metrics import MetricError
 from .model import TaskModel
 from .pipeline import ComparisonReport, ComparisonRow, DataError, LeakageError
+from .pretrain import CorpusMismatchError
 from .scheduler import SchedulerError
 from .shapeworld import SHAPES, ManifestError, build_vocabulary
 from .splits import ClassFoldSpec, SplitError, fold_split
@@ -92,13 +93,13 @@ def cmd_pretrain(args) -> int:
     if args.steps is not None:
         cfg.pretrain_steps = args.steps
     out = _out_dir(args, cfg)
-    vocab = build_vocabulary()
     triple = pipeline.build_corpora(cfg)
-    result = pipeline.pretrain_stage(cfg, cfg.seed, triple, vocab)
+    model = TaskModel(cfg, build_vocabulary(), cfg.seed)
+    losses = pipeline.pretrain_stage(cfg, cfg.seed, triple, model)
     ckpt = _pretrain_dir(out, cfg)
-    pipeline.save_encoders(result, cfg, ckpt)
-    (ckpt / "losses.json").write_text(json.dumps(result.losses))
-    for name, trace in sorted(result.losses.items()):
+    pipeline.save_encoders(model, cfg, ckpt)
+    (ckpt / "losses.json").write_text(json.dumps(losses))
+    for name, trace in sorted(losses.items()):
         if trace:
             print(f"{name}: first {trace[0]:.4f} last {trace[-1]:.4f} ({len(trace)} steps)")
     print(f"saved encoders to {ckpt}")
@@ -113,11 +114,9 @@ def _finetune(args, only_task: str | None) -> int:
             raise ConfigError(f"no task section named {only_task!r}")
         cfg.tasks = keep
     out = _out_dir(args, cfg)
-    img, txt = pipeline.load_encoders(cfg, _pretrain_dir(out, cfg), cfg.seed)
-    vocab = build_vocabulary()
+    model = pipeline.load_encoders(cfg, _pretrain_dir(out, cfg), cfg.seed)
     triple = pipeline.build_corpora(cfg)
-    model = TaskModel(cfg, vocab, cfg.seed, img, txt)
-    fin = pipeline.finetune_stage(cfg, cfg.seed, triple, vocab, model)
+    fin = pipeline.finetune_stage(cfg, cfg.seed, triple, model)
     mdir = _model_dir(out, cfg)
     pipeline.save_model(model, cfg, mdir)
     (mdir / "schedule_trace.tsv").write_text("\n".join(fin.trace) + "\n")
@@ -203,7 +202,8 @@ def cmd_report(args) -> int:
             rows=[ComparisonRow(**r) for r in payload["rows"]],
             win_counts=payload["win_counts"],
             stream_means=payload["stream_means"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        pipeline.comparison_csv(report)  # every row must score every fold
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{src} is not a comparison record: {exc!r}") from exc
     out = _out_dir(args)
     csv_path, txt_path = pipeline.emit_comparison(report, out)
@@ -275,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, ManifestError, SplitError, TensorFormatError,
+    except (DataError, ManifestError, SplitError, TensorFormatError, CorpusMismatchError,
             FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -12,10 +12,14 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, fields as dc_fields
 
-from .shapeworld import build_vocabulary
+from .encoders import EncoderConfig
+from .neck import NeckConfig
+from .scheduler import RebalancePolicy
+from .shapeworld import ShapeWorldConfig, build_vocabulary
 
 __all__ = ["ExperimentConfig", "TaskSpec", "ConfigError", "parse_config",
-           "serialize_config", "config_fingerprint", "diff_configs"]
+           "serialize_config", "config_fingerprint", "diff_configs",
+           "encoder_config", "neck_config", "world_config"]
 
 PRETRAIN_MODES = ("supervised", "pair-contrastive", "masked-unimodal")
 ROUTES = ("image-only", "text-only", "language-guided-vision",
@@ -101,8 +105,21 @@ class ExperimentConfig:
             raise ConfigError(f"unknown schedule {self.schedule!r}")
         if self.encoder_lr_ratio <= 0:
             raise ConfigError("encoder_lr_ratio must be positive")
-        if not self.layer_set:
-            raise ConfigError("layer_set must not be empty")
+        if self.warmup_steps < 0:
+            raise ConfigError(f"warmup_steps {self.warmup_steps} must be >= 0")
+        try:
+            encoder_config(self)
+            neck_config(self)
+            world_config(self)
+            RebalancePolicy(threshold=self.rebalance_threshold)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(str(exc)) from None
+        if self.grid_size % self.patch_size:
+            raise ConfigError(
+                f"patch_size {self.patch_size} does not divide grid_size {self.grid_size}")
+        n_patches = (self.grid_size // self.patch_size) ** 2
+        if n_patches > self.max_tokens:
+            raise ConfigError(f"{n_patches} image patches exceed max_tokens {self.max_tokens}")
         if any(not 1 <= l <= self.layers for l in self.layer_set):
             raise ConfigError(f"layer_set {self.layer_set} outside 1..{self.layers}")
         n_words = len(build_vocabulary())
@@ -115,6 +132,29 @@ class ExperimentConfig:
         for t in self.tasks:
             t.validate()
         return self
+
+
+def encoder_config(cfg: ExperimentConfig) -> EncoderConfig:
+    return EncoderConfig(layers=cfg.layers, width=cfg.width, heads=cfg.heads,
+                         max_tokens=cfg.max_tokens, patch_size=cfg.patch_size,
+                         vocab_size=cfg.vocab_size)
+
+
+def neck_config(cfg: ExperimentConfig) -> NeckConfig:
+    return NeckConfig(encoder_width=cfg.width, text_width=cfg.width,
+                      layer_set=tuple(cfg.layer_set), common_width=cfg.common_width,
+                      fusion_layers=cfg.fusion_layers, fusion_heads=cfg.fusion_heads,
+                      vocab_size=cfg.vocab_size)
+
+
+def world_config(cfg: ExperimentConfig) -> ShapeWorldConfig:
+    return ShapeWorldConfig(grid_size=cfg.grid_size,
+                            samples_per_corpus=cfg.samples_per_corpus,
+                            paired_fraction=cfg.paired_fraction,
+                            novel_shapes=tuple(cfg.novel_shapes),
+                            family_affinity=cfg.family_affinity,
+                            color_affinity=cfg.color_affinity,
+                            seed=cfg.data_seed)
 
 
 def _parse_scalar(kind: str, raw: str, where: str):

@@ -17,32 +17,18 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .config import ExperimentConfig
-from .encoders import EncoderConfig, ImageEncoder, TextEncoder, Vocabulary
-from .neck import (EmbeddingSequence, Neck, NeckConfig, RouteKind, causal_mask,
-                   lm_generate, seg_logits, upsample_patch_grid)
+from .config import ExperimentConfig, encoder_config, neck_config
+from .encoders import ImageEncoder, TextEncoder, Vocabulary
+from .neck import (EmbeddingSequence, Neck, RouteKind, causal_mask, lm_generate,
+                   seg_logits, upsample_patch_grid)
 from .nn import Linear, Module, init_rng
 from .pretrain import cross_entropy
 from .shapeworld import SHAPES, class_id
 from .tensor import Tensor
 
-__all__ = ["TaskModel", "encoder_config", "neck_config", "patch_majority_labels",
-           "MASK_RECOVERY_PROB"]
+__all__ = ["TaskModel", "patch_majority_labels", "MASK_RECOVERY_PROB"]
 
 MASK_RECOVERY_PROB = 0.7
-
-
-def encoder_config(cfg: ExperimentConfig) -> EncoderConfig:
-    return EncoderConfig(layers=cfg.layers, width=cfg.width, heads=cfg.heads,
-                         max_tokens=cfg.max_tokens, patch_size=cfg.patch_size,
-                         vocab_size=cfg.vocab_size)
-
-
-def neck_config(cfg: ExperimentConfig) -> NeckConfig:
-    return NeckConfig(encoder_width=cfg.width, text_width=cfg.width,
-                      layer_set=tuple(cfg.layer_set), common_width=cfg.common_width,
-                      fusion_layers=cfg.fusion_layers, fusion_heads=cfg.fusion_heads,
-                      vocab_size=cfg.vocab_size)
 
 
 def patch_majority_labels(mask: np.ndarray, patch_size: int) -> np.ndarray:
@@ -56,17 +42,16 @@ def patch_majority_labels(mask: np.ndarray, patch_size: int) -> np.ndarray:
 
 
 class TaskModel(Module):
-    """Everything trainable for intermediate fine-tuning and evaluation."""
+    """Everything trainable, from pretraining through evaluation. The
+    model is the one place that builds, seeds and names the encoder pair;
+    pretraining trains ``image_encoder`` and ``text_encoder`` in place."""
 
-    def __init__(self, cfg: ExperimentConfig, vocab: Vocabulary, seed: int,
-                 image_encoder: ImageEncoder | None = None,
-                 text_encoder: TextEncoder | None = None):
+    def __init__(self, cfg: ExperimentConfig, vocab: Vocabulary, seed: int):
         super().__init__()
         self.cfg = cfg
         self.vocab = vocab
-        enc_cfg = encoder_config(cfg)
-        self.image_encoder = image_encoder or ImageEncoder(enc_cfg, seed=f"img:{seed}")
-        self.text_encoder = text_encoder or TextEncoder(enc_cfg, seed=f"txt:{seed}")
+        self.image_encoder = ImageEncoder(encoder_config(cfg), seed=f"img:{seed}")
+        self.text_encoder = TextEncoder(encoder_config(cfg), seed=f"txt:{seed}")
         self.neck = Neck(neck_config(cfg), seed=f"neck:{seed}")
         self.cls_head = Linear(init_rng(f"cls:{seed}"), cfg.common_width, len(SHAPES))
         self.rename_parameters()

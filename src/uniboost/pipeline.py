@@ -21,21 +21,20 @@ from pathlib import Path
 import numpy as np
 
 from .config import (ConfigError, ExperimentConfig, config_fingerprint,
-                     diff_configs, serialize_config)
-from .encoders import Vocabulary
+                     diff_configs, serialize_config, world_config)
 from .metrics import ConfusionCounts, fb_iou, fold_mean, round_half_up, vqa_accuracy
 from .model import TaskModel
 from .optim import AdamW
-from .pretrain import PretrainMode, PretrainResult, pretrain_run, train
+from .pretrain import PretrainMode, pretrain_run, train
 from .scheduler import (DataQueue, RebalancePolicy, TaskDataset, apply_augmentation,
                         rebalance)
-from .shapeworld import (SHAPES, CorpusTriple, Sample, ShapeWorldConfig,
-                         build_vocabulary, class_id, gen_shapeworld,
-                         gen_single_shape_corpus, ingest_manifest, write_manifest)
+from .shapeworld import (SHAPES, CorpusTriple, Sample, build_vocabulary, class_id,
+                         gen_shapeworld, gen_single_shape_corpus, ingest_manifest,
+                         write_manifest)
 from .tensorio import load_checkpoint, save_checkpoint
 
 __all__ = ["LeakageError", "DataError", "RunRecord", "ComparisonRow",
-           "ComparisonReport", "world_config", "build_corpora", "pretrain_stage",
+           "ComparisonReport", "build_corpora", "pretrain_stage",
            "finetune_stage", "eval_stage", "run_stream", "compare_streams",
            "emit_comparison", "save_model", "load_model"]
 
@@ -60,16 +59,6 @@ class RunRecord:
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
 
-def world_config(cfg: ExperimentConfig) -> ShapeWorldConfig:
-    return ShapeWorldConfig(grid_size=cfg.grid_size,
-                            samples_per_corpus=cfg.samples_per_corpus,
-                            paired_fraction=cfg.paired_fraction,
-                            novel_shapes=tuple(cfg.novel_shapes),
-                            family_affinity=cfg.family_affinity,
-                            color_affinity=cfg.color_affinity,
-                            seed=cfg.data_seed)
-
-
 def build_corpora(cfg: ExperimentConfig) -> CorpusTriple:
     """Corpus triple from the config: generated, or ingested if a manifest
     path is configured."""
@@ -92,9 +81,10 @@ def _stack_images(samples: list[Sample]) -> np.ndarray:
     return np.stack([s.image for s in samples])
 
 
-def pretrain_stage(cfg: ExperimentConfig, seed: int,
-                   triple: CorpusTriple, vocab: Vocabulary) -> PretrainResult:
-    from .model import encoder_config
+def pretrain_stage(cfg: ExperimentConfig, seed: int, triple: CorpusTriple,
+                   model: TaskModel) -> dict[str, list[float]]:
+    """Pretrain ``model``'s encoders in place; return the loss traces."""
+    vocab = model.vocab
     mode = PretrainMode(cfg.pretrain_mode)
     if mode is PretrainMode.SUPERVISED:
         corpora = {"images": _stack_images(triple.paired),
@@ -106,9 +96,9 @@ def pretrain_stage(cfg: ExperimentConfig, seed: int,
     else:
         corpora = {"images": _stack_images(triple.image_only),
                    "token_ids": np.array([vocab.encode(s.caption) for s in triple.text_only])}
-    return pretrain_run(mode, corpora, encoder_config(cfg), steps=cfg.pretrain_steps,
-                        seed=seed, batch_size=cfg.pretrain_batch_size,
-                        peak_lr=cfg.pretrain_peak_lr)
+    return pretrain_run(mode, corpora, model.image_encoder, model.text_encoder,
+                        steps=cfg.pretrain_steps, seed=seed,
+                        batch_size=cfg.pretrain_batch_size, peak_lr=cfg.pretrain_peak_lr)
 
 
 def _materialize(store: dict[str, Sample], plan) -> None:
@@ -128,19 +118,18 @@ def _task_rng_seed(seed: int, task_id: str) -> int:
 
 @dataclass
 class FinetuneResult:
-    model: TaskModel
     losses: dict[str, list[float]]
     trace: list[str]
-    store: dict[str, Sample]
     training_tokens: set[str]
     training_labels: set[int]
 
 
 def finetune_stage(cfg: ExperimentConfig, seed: int, triple: CorpusTriple,
-                   vocab: Vocabulary, model: TaskModel) -> FinetuneResult:
+                   model: TaskModel) -> FinetuneResult:
     """Multitask intermediate fine-tuning over the configured task roster."""
     if not cfg.tasks:
         raise ConfigError("no [task <id>] sections configured")
+    vocab = model.vocab
     store: dict[str, Sample] = {s.sample_id: s for s in triple.paired}
     base_names = [s for s in SHAPES if s not in cfg.novel_shapes]
     seg_classes = ["background"] + base_names
@@ -204,7 +193,7 @@ def finetune_stage(cfg: ExperimentConfig, seed: int, triple: CorpusTriple,
             tokens.update(text.split())
         if s.mask is not None:
             labels.update(int(v) for v in np.unique(s.mask))
-    return FinetuneResult(model, losses, list(queue.trace), store, tokens, labels)
+    return FinetuneResult(losses, list(queue.trace), tokens, labels)
 
 
 def audit_leakage(novel_shapes, training_tokens: set[str],
@@ -271,14 +260,13 @@ def eval_stage(cfg: ExperimentConfig, model: TaskModel, split: str,
 def run_stream(cfg: ExperimentConfig, seed: int) -> RunRecord:
     """Full pipeline for one (config, seed): pretrain, finetune, novel eval."""
     start = time.perf_counter()
-    vocab = build_vocabulary()
     triple = build_corpora(cfg)
-    pre = pretrain_stage(cfg, seed, triple, vocab)
-    model = TaskModel(cfg, vocab, seed, pre.image_encoder, pre.text_encoder)
-    fin = finetune_stage(cfg, seed, triple, vocab, model)
+    model = TaskModel(cfg, build_vocabulary(), seed)
+    pre_losses = pretrain_stage(cfg, seed, triple, model)
+    fin = finetune_stage(cfg, seed, triple, model)
     novel = eval_stage(cfg, model, "novel", fin.training_tokens, fin.training_labels)
     record = RunRecord(config_hash=config_fingerprint(cfg), seed=seed)
-    record.losses = {f"pretrain/{k}": v for k, v in pre.losses.items()}
+    record.losses = {f"pretrain/{k}": v for k, v in pre_losses.items()}
     record.losses.update({f"finetune/{k}": v for k, v in fin.losses.items()})
     record.metrics = {"novel": novel}
     record.wall_time = time.perf_counter() - start
@@ -409,28 +397,22 @@ def load_model(cfg: ExperimentConfig, directory: str | Path, seed: int) -> TaskM
     return model
 
 
-def save_encoders(pre: PretrainResult, cfg: ExperimentConfig,
-                  directory: str | Path) -> None:
-    named = {f"image_encoder.{k}": v for k, v in pre.image_encoder.state_dict().items()}
-    named.update({f"text_encoder.{k}": v for k, v in pre.text_encoder.state_dict().items()})
-    save_checkpoint(directory, named, config_text=serialize_config(cfg))
+def save_encoders(model: TaskModel, cfg: ExperimentConfig, directory: str | Path) -> None:
+    """Write the model's encoder entries, under their names in the model."""
+    state = {p.name: p.values for p in model.encoder_parameters()}
+    save_checkpoint(directory, state, config_text=serialize_config(cfg))
 
 
-def load_encoders(cfg: ExperimentConfig, directory: str | Path, seed: int):
-    from .model import encoder_config
-    from .encoders import ImageEncoder, TextEncoder
+def load_encoders(cfg: ExperimentConfig, directory: str | Path, seed: int) -> TaskModel:
+    """A fresh ``TaskModel`` whose encoders hold the saved entries."""
     d = Path(directory)
     if not (d / "manifest.tsv").exists():
         raise DataError(f"missing encoder checkpoint at {d}")
-    state = load_checkpoint(d)
-    enc_cfg = encoder_config(cfg)
-    img = ImageEncoder(enc_cfg, seed=f"img:{seed}")
-    txt = TextEncoder(enc_cfg, seed=f"txt:{seed}")
-    _load_state(img, {k[len("image_encoder."):]: v for k, v in state.items()
-                      if k.startswith("image_encoder.")}, d)
-    _load_state(txt, {k[len("text_encoder."):]: v for k, v in state.items()
-                      if k.startswith("text_encoder.")}, d)
-    return img, txt
+    model = TaskModel(cfg, build_vocabulary(), seed)
+    # the neck and heads keep their fresh values; every encoder entry must come from disk
+    heads = {p.name: p.values for p in model.head_parameters()}
+    _load_state(model, {**heads, **load_checkpoint(d)}, d)
+    return model
 
 
 def write_corpora_manifest(cfg: ExperimentConfig, directory: str | Path) -> Path:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -31,7 +30,7 @@ from .tensor import Tape, Tensor
 
 __all__ = ["PretrainMode", "MimHead", "MlmHead", "mim_loss", "mlm_loss",
            "info_nce", "contrastive_loss", "supervised_cls_loss",
-           "cross_entropy", "pool_sequence", "pretrain_run", "PretrainResult", "train",
+           "cross_entropy", "pool_sequence", "pretrain_run", "train",
            "CorpusMismatchError", "CONTRASTIVE_TEMPERATURE", "MIM_RATIO", "MLM_RATIO"]
 
 CONTRASTIVE_TEMPERATURE = 0.07
@@ -185,13 +184,6 @@ def supervised_cls_loss(encoder: ImageEncoder, head: Linear,
     return cross_entropy(head(pooled), labels)
 
 
-@dataclass
-class PretrainResult:
-    image_encoder: ImageEncoder
-    text_encoder: TextEncoder
-    losses: dict[str, list[float]] = field(default_factory=dict)
-
-
 def train(objectives: list[tuple[Callable[[int], tuple[str, Tensor]], AdamW]],
           steps: int, losses: dict[str, list[float]]) -> None:
     """Run ``steps`` steps over ``(loss_fn, optimizer)`` objectives, where
@@ -217,10 +209,11 @@ _CORPUS_KEYS = {
 }
 
 
-def pretrain_run(mode: PretrainMode, corpora: dict, config: EncoderConfig,
-                 steps: int, seed: int, batch_size: int = 8,
-                 peak_lr: float = 1e-3) -> PretrainResult:
-    """Train encoder stacks under one regime and record per-step losses.
+def pretrain_run(mode: PretrainMode, corpora: dict, image_encoder: ImageEncoder,
+                 text_encoder: TextEncoder, steps: int, seed: int, batch_size: int = 8,
+                 peak_lr: float = 1e-3) -> dict[str, list[float]]:
+    """Train the given encoders in place under one regime; return the
+    per-step loss traces by name.
 
     ``corpora`` keys by mode:
       supervised       — images [N,H,W,3], labels [N], n_classes
@@ -232,10 +225,7 @@ def pretrain_run(mode: PretrainMode, corpora: dict, config: EncoderConfig,
     for key in _CORPUS_KEYS[mode]:
         if key not in corpora:
             raise CorpusMismatchError(f"{mode.value} mode needs {key!r}")
-    img_enc = ImageEncoder(config, seed=f"img:{seed}")
-    txt_enc = TextEncoder(config, seed=f"txt:{seed}")
-    img_enc.rename_parameters("image_encoder.")
-    txt_enc.rename_parameters("text_encoder.")
+    config = image_encoder.config
     rng = np.random.default_rng(seed)
     images = corpora["images"]
 
@@ -250,9 +240,10 @@ def pretrain_run(mode: PretrainMode, corpora: dict, config: EncoderConfig,
 
         def supervised(step):
             idx = _batch_indices(rng, len(labels), batch_size)
-            return "supervised", supervised_cls_loss(img_enc, head, images[idx], labels[idx])
+            return "supervised", supervised_cls_loss(image_encoder, head, images[idx],
+                                                     labels[idx])
 
-        objectives = [(supervised, make_opt(img_enc, head))]
+        objectives = [(supervised, make_opt(image_encoder, head))]
 
     elif mode is PretrainMode.PAIR_CONTRASTIVE:
         token_ids = np.asarray(corpora["token_ids"])
@@ -265,9 +256,10 @@ def pretrain_run(mode: PretrainMode, corpora: dict, config: EncoderConfig,
 
         def contrastive(step):
             idx = _batch_indices(rng, len(images), bs)
-            return "contrastive", contrastive_loss(img_enc, txt_enc, images[idx], token_ids[idx])
+            return "contrastive", contrastive_loss(image_encoder, text_encoder, images[idx],
+                                                   token_ids[idx])
 
-        objectives = [(contrastive, make_opt(img_enc, txt_enc))]
+        objectives = [(contrastive, make_opt(image_encoder, text_encoder))]
 
     else:
         token_ids = np.asarray(corpora["token_ids"])
@@ -278,15 +270,18 @@ def pretrain_run(mode: PretrainMode, corpora: dict, config: EncoderConfig,
 
         def mim(step):
             idx = _batch_indices(rng, len(images), batch_size)
-            return "mim", mim_loss(img_enc, mim_head, images[idx], seed=seed * 100003 + step)
+            return "mim", mim_loss(image_encoder, mim_head, images[idx],
+                                   seed=seed * 100003 + step)
 
         def mlm(step):
             tdx = _batch_indices(rng, len(token_ids), batch_size)
-            return "mlm", mlm_loss(txt_enc, mlm_head, token_ids[tdx], seed=seed * 100019 + step)
+            return "mlm", mlm_loss(text_encoder, mlm_head, token_ids[tdx],
+                                   seed=seed * 100019 + step)
 
-        objectives = [(mim, make_opt(img_enc, mim_head)), (mlm, make_opt(txt_enc, mlm_head))]
+        objectives = [(mim, make_opt(image_encoder, mim_head)),
+                      (mlm, make_opt(text_encoder, mlm_head))]
 
     # each loss function is named after the trace it reports
-    result = PretrainResult(img_enc, txt_enc, {fn.__name__: [] for fn, _ in objectives})
-    train(objectives, steps, result.losses)
-    return result
+    losses = {fn.__name__: [] for fn, _ in objectives}
+    train(objectives, steps, losses)
+    return losses

@@ -17,6 +17,7 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import uniboost.tensor as T
 from uniboost.cli import EXIT_OK, main
@@ -575,6 +576,7 @@ def _stream_cfg(mode):
     ).validate()
 
 
+@pytest.mark.slow
 def test_criterion_6_pretraining_direction(capsys):
     start = time.perf_counter()
     report = compare_streams({"pair-contrastive": _stream_cfg("pair-contrastive"),

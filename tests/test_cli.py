@@ -126,6 +126,20 @@ def test_config_errors_exit_2(workspace, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[encoder]\ndepth = 3\n")
     assert main(["gen-data", "--config", str(bad)]) == EXIT_CONFIG
+    text = BASE_CFG.format(mode="masked-unimodal")
+    for old, new in [("width = 16\nheads = 2", "width = 30\nheads = 4"),
+                     ("heads = 2", "heads = 0"),
+                     ("[data]", "[data]\ngrid_size = 12"),
+                     ("[data]", "[data]\nnovel_shapes = ring, blob"),
+                     ("paired_fraction = 0.5", "paired_fraction = 1.5"),
+                     ("patch_size = 4", "patch_size = 1"),
+                     ("patch_size = 4", "patch_size = 3"),
+                     ("warmup_steps = 1", "warmup_steps = -1"),
+                     ("rebalance_threshold = 8", "rebalance_threshold = 0")]:
+        assert old in text
+        bad.write_text(text.replace(old, new, 1))
+        assert main(["pretrain", "--config", str(bad)]) == EXIT_CONFIG, new
+    assert not out.exists()  # each config was refused before any work ran
 
 
 def test_data_errors_exit_3(workspace):
@@ -136,6 +150,11 @@ def test_data_errors_exit_3(workspace):
     broken = tmp / "broken.cfg"
     broken.write_text(BASE_CFG.format(mode="masked-unimodal").replace(
         "[data]", "[data]\nmanifest = /nowhere/manifest.tsv"))
+    assert main(["pretrain", "--config", str(broken)]) == EXIT_DATA
+    # a pair-contrastive corpus of one pair cannot form a contrastive batch
+    broken.write_text(BASE_CFG.format(mode="pair-contrastive").replace(
+        "samples_per_corpus = 16\npaired_fraction = 0.5",
+        "samples_per_corpus = 4\npaired_fraction = 0.25"))
     assert main(["pretrain", "--config", str(broken)]) == EXIT_DATA
 
 
@@ -200,6 +219,12 @@ def test_truncated_comparison_record_exits_3(workspace):
     assert main(["report", "--input", str(record)]) == EXIT_DATA
     record.write_text('{"fold_labels": ["novel"]}')
     assert main(["report", "--input", str(record)]) == EXIT_DATA
+    # parses, but names a fold that its one row does not score
+    row = {"stream": "A", "seed": 0, "fold_scores": {"novel": 30.0}, "mean": 30.0, "fb": 50.0}
+    record.write_text(json.dumps({"fold_labels": ["novel", "base"], "rows": [row],
+                                  "win_counts": {"A": 0}, "stream_means": {"A": 0.3}}))
+    assert main(["report", "--input", str(record)]) == EXIT_DATA
+    assert not (out / "comparison.csv").exists()
 
 
 def test_vocab_size_below_the_vocabulary_exits_2(workspace):

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from uniboost.config import ExperimentConfig
-from uniboost.model import (MASK_RECOVERY_PROB, TaskModel, encoder_config,
-                            neck_config, patch_majority_labels)
+from uniboost.config import ExperimentConfig, encoder_config, neck_config
+from uniboost.model import MASK_RECOVERY_PROB, TaskModel, patch_majority_labels
 from uniboost.optim import AdamW
 from uniboost.shapeworld import (SHAPES, ShapeWorldConfig, build_vocabulary,
                                  class_id, gen_single_shape_corpus)

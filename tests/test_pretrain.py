@@ -26,6 +26,12 @@ def small_config(**kw):
     return EncoderConfig(**base)
 
 
+def encoders(seed=0):
+    """A fresh image and text encoder pair for ``pretrain_run`` to train."""
+    cfg = small_config()
+    return ImageEncoder(cfg, seed=f"img:{seed}"), TextEncoder(cfg, seed=f"txt:{seed}")
+
+
 # ---------------------------------------------------------------- masking
 
 def test_mask_position_counts():
@@ -223,29 +229,29 @@ def _drop(trace):
 
 
 def test_pretrain_supervised_learns():
-    res = pretrain_run(PretrainMode.SUPERVISED, _supervised_corpus(),
-                       small_config(), steps=200, seed=0)
-    trace = res.losses["supervised"]
+    losses = pretrain_run(PretrainMode.SUPERVISED, _supervised_corpus(),
+                          *encoders(), steps=200, seed=0)
+    trace = losses["supervised"]
     assert len(trace) == 200
     assert _drop(trace) > 0.3
 
 
 def test_pretrain_contrastive_learns():
-    res = pretrain_run(PretrainMode.PAIR_CONTRASTIVE, _pair_corpus(),
-                       small_config(), steps=200, seed=0)
-    trace = res.losses["contrastive"]
+    losses = pretrain_run(PretrainMode.PAIR_CONTRASTIVE, _pair_corpus(),
+                          *encoders(), steps=200, seed=0)
+    trace = losses["contrastive"]
     assert len(trace) == 200
     assert _drop(trace) > 0.3
 
 
 def test_pretrain_masked_learns():
-    res = pretrain_run(PretrainMode.MASKED_UNIMODAL, _masked_corpus(),
-                       small_config(), steps=200, seed=0)
-    assert list(res.losses) == ["mim", "mlm"]
-    assert len(res.losses["mim"]) == len(res.losses["mlm"]) == 200
-    assert _drop(res.losses["mim"]) > 0.3
+    losses = pretrain_run(PretrainMode.MASKED_UNIMODAL, _masked_corpus(),
+                          *encoders(), steps=200, seed=0)
+    assert list(losses) == ["mim", "mlm"]
+    assert len(losses["mim"]) == len(losses["mlm"]) == 200
+    assert _drop(losses["mim"]) > 0.3
     # random tokens over 4 symbols: floor is ln(4), start is ln(32)
-    assert _drop(res.losses["mlm"]) > 0.3
+    assert _drop(losses["mlm"]) > 0.3
 
 
 def test_train_runs_objectives_in_list_order_and_clears_grads():
@@ -295,40 +301,43 @@ def test_train_step_graph_is_freed_without_the_cyclic_gc():
 
 
 def test_pretrain_zero_steps_returns_initialized_encoders():
-    res = pretrain_run(PretrainMode.SUPERVISED, _supervised_corpus(),
-                       small_config(), steps=0, seed=0)
-    assert res.losses["supervised"] == []
-    assert res.image_encoder.config.width == 16
+    img, txt = encoders()
+    before = img.state_dict()
+    losses = pretrain_run(PretrainMode.SUPERVISED, _supervised_corpus(), img, txt,
+                          steps=0, seed=0)
+    assert losses == {"supervised": []}
+    assert all(np.array_equal(v, before[k]) for k, v in img.state_dict().items())
 
 
 def test_pretrain_corpus_mismatch_errors():
-    cfg = small_config()
+    pair = encoders()
     with pytest.raises(CorpusMismatchError, match="supervised mode needs"):
         pretrain_run(PretrainMode.SUPERVISED, {"images": np.zeros((2, 8, 8, 3))},
-                     cfg, steps=1, seed=0)
+                     *pair, steps=1, seed=0)
     bad_pair = {"images": np.zeros((3, 8, 8, 3)),
                 "token_ids": np.zeros((2, 2), dtype=int)}
     with pytest.raises(CorpusMismatchError, match="misaligned"):
-        pretrain_run(PretrainMode.PAIR_CONTRASTIVE, bad_pair, cfg, steps=1, seed=0)
+        pretrain_run(PretrainMode.PAIR_CONTRASTIVE, bad_pair, *pair, steps=1, seed=0)
     tiny = {"images": np.zeros((1, 8, 8, 3)),
             "token_ids": np.zeros((1, 2), dtype=int)}
     with pytest.raises(CorpusMismatchError, match=">= 2 pairs"):
-        pretrain_run(PretrainMode.PAIR_CONTRASTIVE, tiny, cfg, steps=1, seed=0)
+        pretrain_run(PretrainMode.PAIR_CONTRASTIVE, tiny, *pair, steps=1, seed=0)
     with pytest.raises(CorpusMismatchError, match="masked-unimodal mode needs"):
         pretrain_run(PretrainMode.MASKED_UNIMODAL, {"images": np.zeros((2, 8, 8, 3))},
-                     cfg, steps=1, seed=0)
+                     *pair, steps=1, seed=0)
 
 
 def test_pretrain_is_seed_deterministic():
     corp = _supervised_corpus(8)
-    a = pretrain_run(PretrainMode.SUPERVISED, corp, small_config(), steps=5, seed=9)
-    b = pretrain_run(PretrainMode.SUPERVISED, corp, small_config(), steps=5, seed=9)
-    c = pretrain_run(PretrainMode.SUPERVISED, corp, small_config(), steps=5, seed=10)
-    wa = a.image_encoder.patch_proj.weight.values
-    wb = b.image_encoder.patch_proj.weight.values
-    wc = c.image_encoder.patch_proj.weight.values
+
+    def run(seed):
+        img, txt = encoders(seed)
+        losses = pretrain_run(PretrainMode.SUPERVISED, corp, img, txt, steps=5, seed=seed)
+        return img.patch_proj.weight.values, losses["supervised"]
+
+    (wa, la), (wb, lb), (wc, _) = run(9), run(9), run(10)
     assert np.array_equal(wa, wb)
-    assert a.losses["supervised"] == b.losses["supervised"]
+    assert la == lb
     assert not np.array_equal(wa, wc)
 
 
