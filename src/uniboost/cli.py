@@ -268,6 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    pipeline.tune_allocator()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

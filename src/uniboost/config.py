@@ -28,6 +28,9 @@ ROUTES = ("image-only", "text-only", "language-guided-vision",
 HEAD_ROUTES = {"cls": "image-only", "seg": "language-guided-vision",
                "caption": "image-to-text-gen", "vqa": "deep-fusion"}
 SCHEDULES = ("cosine", "linear", "step")
+# The longest text the text encoder reads: a five-word question plus three
+# greedy VQA decoding slots (training reads at most question, answer, EOS).
+MAX_TEXT_TOKENS = 8
 
 
 class ConfigError(ValueError):
@@ -120,6 +123,9 @@ class ExperimentConfig:
         n_patches = (self.grid_size // self.patch_size) ** 2
         if n_patches > self.max_tokens:
             raise ConfigError(f"{n_patches} image patches exceed max_tokens {self.max_tokens}")
+        if self.max_tokens < MAX_TEXT_TOKENS:
+            raise ConfigError(f"max_tokens {self.max_tokens} is below the "
+                              f"{MAX_TEXT_TOKENS} tokens of a question and its decoding")
         if any(not 1 <= l <= self.layers for l in self.layer_set):
             raise ConfigError(f"layer_set {self.layer_set} outside 1..{self.layers}")
         n_words = len(build_vocabulary())

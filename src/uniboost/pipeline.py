@@ -6,15 +6,21 @@ Determinism contract: every number any stage emits is a pure function of
 derivations of those two values, corpora are regenerated or ingested
 bit-exactly, and reports are formatted from rounded decimals, so a rerun
 produces byte-identical artifacts (wall time lives only in run records,
-never in reports).
+never in reports). It holds across workers: a ``compare_streams`` job's
+result does not depend on the worker count, on which spawned worker ran
+it, or on what that worker ran before.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 import json
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,7 +42,7 @@ from .tensorio import load_checkpoint, save_checkpoint
 __all__ = ["LeakageError", "DataError", "RunRecord", "ComparisonRow",
            "ComparisonReport", "build_corpora", "pretrain_stage",
            "finetune_stage", "eval_stage", "run_stream", "compare_streams",
-           "emit_comparison", "save_model", "load_model"]
+           "emit_comparison", "save_model", "load_model", "tune_allocator"]
 
 
 class LeakageError(RuntimeError):
@@ -257,10 +263,9 @@ def eval_stage(cfg: ExperimentConfig, model: TaskModel, split: str,
     return report
 
 
-def run_stream(cfg: ExperimentConfig, seed: int) -> RunRecord:
-    """Full pipeline for one (config, seed): pretrain, finetune, novel eval."""
+def run_stream(cfg: ExperimentConfig, seed: int, triple: CorpusTriple) -> RunRecord:
+    """Pretrain, finetune and novel eval for one (config, seed) on its corpora."""
     start = time.perf_counter()
-    triple = build_corpora(cfg)
     model = TaskModel(cfg, build_vocabulary(), seed)
     pre_losses = pretrain_stage(cfg, seed, triple, model)
     fin = finetune_stage(cfg, seed, triple, model)
@@ -290,15 +295,50 @@ class ComparisonReport:
     stream_means: dict[str, float]   # raw [0, 1] novel mIoU averaged over seeds
 
 
+def tune_allocator() -> None:
+    """Stop glibc trimming the heap top that each training step frees with
+    its tape graph and the next step faults back in. A no-op without glibc;
+    it sets only this process's allocator."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-2, 512 << 20)  # M_TOP_PAD
+
+
+# A pool worker's corpus triples, keyed on everything build_corpora reads.
+_corpora: dict[tuple, CorpusTriple] = {}
+
+
+def _pool_job(cfg: ExperimentConfig, seed: int) -> RunRecord:
+    """``run_stream`` on this worker's ``build_corpora(cfg)``, built once and
+    read-only, so a job writing into it raises instead of changing the next."""
+    key = (cfg.manifest, world_config(cfg))
+    if key not in _corpora:
+        triple = build_corpora(cfg)
+        for s in (*triple.paired, *triple.image_only, *triple.text_only):
+            for arr in (s.image, s.mask):
+                if arr is not None:
+                    arr.flags.writeable = False
+        _corpora[key] = triple
+    return run_stream(cfg, seed, _corpora[key])
+
+
 def compare_streams(configs: dict[str, ExperimentConfig],
                     seeds: list[int]) -> ComparisonReport:
     """Run every stream at every seed and assemble the comparison table.
 
     Configs must be identical except for the pretraining mode; anything
-    else varying would confound the comparison and is rejected.
+    else varying would confound the comparison and is rejected. The jobs
+    run on one spawned worker per usable CPU; the table does not depend on
+    the worker count, and a job's exception is raised with its own type.
     """
     if len(configs) < 2:
         raise ConfigError("compare needs at least two streams")
+    if not seeds:
+        raise ConfigError("compare needs at least one seed")
     items = sorted(configs.items())
     first_name, first_cfg = items[0]
     for name, other in items[1:]:
@@ -310,16 +350,28 @@ def compare_streams(configs: dict[str, ExperimentConfig],
     fold_label = "novel"
     rows: list[ComparisonRow] = []
     raw: dict[str, dict[int, float]] = {name: {} for name, _ in items}
-    for name, cfg in items:
-        for seed in seeds:
-            record = run_stream(cfg, seed)
-            miou = record.metrics["novel"]["miou"]
-            fb = record.metrics["novel"]["fb_iou"]
-            raw[name][seed] = miou
-            printed = {fold_label: round_half_up(100 * miou, 1)}
-            rows.append(ComparisonRow(name, seed, printed,
-                                      fold_mean(printed.values()),
-                                      round_half_up(100 * fb, 1)))
+    jobs = [(name, cfg, seed) for name, cfg in items for seed in seeds]
+    pool = ProcessPoolExecutor(min(len(jobs), len(os.sched_getaffinity(0))),
+                               mp_context=multiprocessing.get_context("spawn"),
+                               initializer=tune_allocator)
+    blas = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # each worker's numpy reads it at import
+    try:
+        futures = [pool.submit(_pool_job, cfg, seed) for _, cfg, seed in jobs]
+        records = [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+        if blas is not None:
+            os.environ["OPENBLAS_NUM_THREADS"] = blas
+    for (name, _, seed), record in zip(jobs, records):
+        miou = record.metrics["novel"]["miou"]
+        fb = record.metrics["novel"]["fb_iou"]
+        raw[name][seed] = miou
+        printed = {fold_label: round_half_up(100 * miou, 1)}
+        rows.append(ComparisonRow(name, seed, printed,
+                                  fold_mean(printed.values()),
+                                  round_half_up(100 * fb, 1)))
     win_counts = {name: 0 for name, _ in items}
     for seed in seeds:
         by_stream = {name: raw[name][seed] for name, _ in items}

@@ -135,7 +135,11 @@ def test_config_errors_exit_2(workspace, tmp_path):
                      ("patch_size = 4", "patch_size = 1"),
                      ("patch_size = 4", "patch_size = 3"),
                      ("warmup_steps = 1", "warmup_steps = -1"),
-                     ("rebalance_threshold = 8", "rebalance_threshold = 0")]:
+                     ("rebalance_threshold = 8", "rebalance_threshold = 0"),
+                     # 4 patches fit, but no caption or question does
+                     ("patch_size = 4\nmax_tokens = 40", "patch_size = 8\nmax_tokens = 4"),
+                     # question + answer + EOS fit, greedy VQA decoding does not
+                     ("patch_size = 4\nmax_tokens = 40", "patch_size = 8\nmax_tokens = 7")]:
         assert old in text
         bad.write_text(text.replace(old, new, 1))
         assert main(["pretrain", "--config", str(bad)]) == EXIT_CONFIG, new
@@ -156,6 +160,38 @@ def test_data_errors_exit_3(workspace):
         "samples_per_corpus = 16\npaired_fraction = 0.5",
         "samples_per_corpus = 4\npaired_fraction = 0.25"))
     assert main(["pretrain", "--config", str(broken)]) == EXIT_DATA
+
+
+def test_failures_inside_compare_workers_keep_their_exit_code(workspace, capsys):
+    tmp, out, cfg = workspace
+    assert main(["gen-data", "--config", str(cfg)]) == EXIT_OK
+    full = out / "data" / "manifest.tsv"
+    lines = full.read_text().splitlines(True)
+    # a manifest without the text-only corpus fails in each worker's corpus build
+    partial = full.with_name("partial.tsv")
+    partial.write_text("".join(l for l in lines if not l.startswith("text-only\t")))
+    # paired captions that name a novel class fail the leakage audit before eval
+    def recaption(line):
+        fields = line.split("\t")  # task, id, image, mask, caption, question, answer
+        fields[4] = "red ring above blue square"
+        return "\t".join(fields)
+
+    leaky = full.with_name("leaky.tsv")
+    leaky.write_text("".join(recaption(l) if l.startswith("paired\t") else l for l in lines))
+    for manifest, code, message in [
+            (partial, EXIT_DATA, "data error: manifest lacks corpora ['text-only']"),
+            (leaky, EXIT_INVARIANT, "invariant violation: novel classes ['ring']")]:
+        configs = []
+        for mode in ("masked-unimodal", "pair-contrastive"):
+            path = tmp / f"{mode}.cfg"
+            path.write_text(BASE_CFG.format(mode=mode).replace(
+                "[data]", f"[data]\nmanifest = {manifest}"))
+            configs += ["--config", str(path)]
+        capsys.readouterr()
+        assert main(["compare", *configs, "--seeds", "0,1"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "Traceback" not in err
+        assert not (out / "comparison.csv").exists()
 
 
 def test_leakage_audit_exits_4(workspace):

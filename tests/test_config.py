@@ -1,13 +1,16 @@
 """Config parsing, validation, canonical serialization, fingerprints."""
 
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
-from uniboost.config import (ConfigError, ExperimentConfig, TaskSpec,
+from uniboost.config import (MAX_TEXT_TOKENS, ConfigError, ExperimentConfig, TaskSpec,
                              config_fingerprint, diff_configs, parse_config,
-                             serialize_config)
+                             serialize_config, world_config)
+from uniboost.model import TaskModel
+from uniboost.shapeworld import SHAPES, build_vocabulary, gen_shapeworld, gen_single_shape_corpus
 
 
 def test_defaults():
@@ -159,6 +162,19 @@ def test_duplicate_task_ids_rejected_at_validate():
     bad = ExperimentConfig(tasks=[TaskSpec("a", batch_size=0)])
     with pytest.raises(ConfigError, match="batch_size"):
         bad.validate()
+
+
+def test_max_text_tokens_is_the_longest_text_the_encoder_reads():
+    world = world_config(ExperimentConfig(samples_per_corpus=256))
+    triple = gen_shapeworld(world)
+    samples = triple.paired + triple.text_only + gen_single_shape_corpus(world, SHAPES, 64, 0)
+    vocab = build_vocabulary()
+    decode_slots = inspect.signature(TaskModel.generate_answer).parameters["max_len"].default
+    lengths = [n for s in samples for n in (
+        len(vocab.encode(s.caption)) + 1,  # caption head: caption + EOS
+        len(vocab.encode(s.question)) + len(vocab.encode(s.answer)) + 1,  # VQA head
+        len(vocab.encode(s.question)) + decode_slots)]  # greedy VQA decoding
+    assert max(lengths) == MAX_TEXT_TOKENS
 
 
 def test_float_serialization_is_exact():

@@ -1,19 +1,25 @@
 """Pipeline stages: corpora, training stream, leakage audit, comparisons."""
 
+import ctypes
 import json
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from uniboost.config import (ConfigError, ExperimentConfig, TaskSpec, config_fingerprint,
                              world_config)
+from uniboost import pipeline
+from uniboost.metrics import round_half_up
 from uniboost.model import TaskModel
-from uniboost.pipeline import (DataError, LeakageError, audit_leakage,
+from uniboost.pipeline import (DataError, LeakageError, RunRecord, audit_leakage,
                                build_corpora, compare_streams, comparison_csv,
                                emit_comparison, eval_stage, finetune_stage,
                                load_encoders, load_model, pretrain_stage,
-                               run_stream, save_encoders, save_model,
+                               run_stream, save_encoders, save_model, tune_allocator,
                                write_corpora_manifest)
 from uniboost.shapeworld import build_vocabulary, class_id, write_manifest
 from uniboost.tensorio import load_checkpoint
@@ -218,8 +224,8 @@ def test_eval_stage_oracle_predictor_scores_one(corpus_and_vocab, monkeypatch):
 # ---------------------------------------------------------------- streams
 
 def test_run_stream_record(corpus_and_vocab):
-    cfg, _, _ = corpus_and_vocab
-    record = run_stream(cfg, seed=0)
+    cfg, triple, _ = corpus_and_vocab
+    record = run_stream(cfg, 0, triple)
     assert record.config_hash == config_fingerprint(cfg)
     assert record.seed == 0
     assert "finetune/seg" in record.losses
@@ -259,6 +265,92 @@ def test_compare_streams_table_and_csv(tmp_path):
 
     again = compare_streams(configs, seeds=[0])
     assert comparison_csv(again) == text  # rerun is byte-identical
+    with pytest.raises(ConfigError, match="at least one seed"):
+        compare_streams(configs, seeds=[])
+
+
+def test_compare_output_does_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    configs = {"A": tiny_cfg(pretrain_mode="pair-contrastive"),
+               "B": tiny_cfg(pretrain_mode="masked-unimodal")}
+    seeds = [0, 1]
+    pool_sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+    reports = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        reports.append(compare_streams(configs, seeds))
+    assert pool_sizes == [1, 2]
+    emitted = [emit_comparison(r, tmp_path / f"w{i}")[0].read_bytes()
+               for i, r in enumerate(reports)]
+    assert emitted[0] == emitted[1]
+
+    # the same numbers as a plain serial loop of run_stream in this process
+    novel = {(name, seed): run_stream(cfg, seed, build_corpora(cfg)).metrics["novel"]
+             for name, cfg in configs.items() for seed in seeds}
+    report = reports[1]
+    assert [(r.stream, r.seed) for r in report.rows] == sorted(novel)
+    for row in report.rows:
+        scores = novel[(row.stream, row.seed)]
+        assert row.fold_scores == {"novel": round_half_up(100 * scores["miou"], 1)}
+        assert row.fb == round_half_up(100 * scores["fb_iou"], 1)
+    assert report.stream_means == {
+        name: float(np.mean([novel[(name, s)]["miou"] for s in seeds])) for name in configs}
+
+
+def _blas_threads_job(cfg, seed):
+    """Stands in for ``pipeline._pool_job``: scores a job by its worker's BLAS setting."""
+    threads = float(os.environ["OPENBLAS_NUM_THREADS"])
+    return RunRecord("", seed, metrics={"novel": {"miou": threads, "fb_iou": threads}})
+
+
+def test_workers_get_one_blas_thread_and_the_caller_keeps_its_setting(monkeypatch):
+    configs = {"A": tiny_cfg(pretrain_mode="pair-contrastive"),
+               "B": tiny_cfg(pretrain_mode="masked-unimodal")}
+    monkeypatch.setattr(pipeline, "_pool_job", _blas_threads_job)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert compare_streams(configs, seeds=[0]).stream_means == {"A": 1.0, "B": 1.0}
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert compare_streams(configs, seeds=[0]).stream_means == {"A": 1.0, "B": 1.0}
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
+def test_pool_job_reuses_one_read_only_corpus_per_process(monkeypatch):
+    monkeypatch.setattr(pipeline, "_corpora", {})
+    monkeypatch.setattr(pipeline, "run_stream", lambda cfg, seed, triple: triple)
+    a = pipeline._pool_job(tiny_cfg(pretrain_mode="pair-contrastive"), 0)
+    assert pipeline._pool_job(tiny_cfg(pretrain_mode="masked-unimodal"), 1) is a
+    assert pipeline._pool_job(tiny_cfg(data_seed=1), 0) is not a
+    for arr in (a.paired[0].image, a.paired[0].mask, a.image_only[0].image):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1
+
+
+def test_tune_allocator_is_harmless(monkeypatch):
+    tune_allocator()
+    tune_allocator()  # setting it twice changes nothing
+
+    calls = []
+
+    def mallopt(*args):
+        calls.append(args)
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    tune_allocator()
+    assert calls == [(-2, 512 << 20)]  # M_TOP_PAD
+
+    def no_glibc(name):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_glibc)
+    tune_allocator()
 
 
 # ---------------------------------------------------------------- checkpoints
