@@ -33,19 +33,20 @@ EXIT_DATA = 3
 EXIT_INVARIANT = 4
 
 
-def _load_config(path: str, seed: int | None, steps: int | None,
-                 out: str | None) -> ExperimentConfig:
+def _load_config(path: str, args, steps_field: str = "steps") -> ExperimentConfig:
+    """The config at ``path`` with the --seed, --steps (into ``steps_field``)
+    and --out overrides applied, validated again with them."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
     cfg = parse_config(p.read_text())
-    if seed is not None:
-        cfg.seed = seed
-    if steps is not None:
-        cfg.steps = steps
-    if out:
-        cfg.out = out
-    return cfg
+    if args.seed is not None:
+        cfg.seed = args.seed
+    if args.steps is not None:
+        setattr(cfg, steps_field, args.steps)
+    if args.out:
+        cfg.out = args.out
+    return cfg.validate()
 
 
 def _out_dir(args, cfg: ExperimentConfig | None = None) -> Path:
@@ -65,7 +66,7 @@ def _model_dir(out: Path, cfg: ExperimentConfig) -> Path:
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _load_config(args.config, args.seed, args.steps, args.out)
+    cfg = _load_config(args.config, args)
     out = _out_dir(args, cfg)
     manifest = pipeline.write_corpora_manifest(cfg, out / "data")
     print(f"wrote {manifest}")
@@ -73,7 +74,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_split(args) -> int:
-    cfg = _load_config(args.config, args.seed, args.steps, args.out)
+    cfg = _load_config(args.config, args)
     out = _out_dir(args, cfg)
     n = len(SHAPES)
     folds = {}
@@ -89,9 +90,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    cfg = _load_config(args.config, args.seed, None, args.out)
-    if args.steps is not None:
-        cfg.pretrain_steps = args.steps
+    cfg = _load_config(args.config, args, steps_field="pretrain_steps")
     out = _out_dir(args, cfg)
     triple = pipeline.build_corpora(cfg)
     model = TaskModel(cfg, build_vocabulary(), cfg.seed)
@@ -107,7 +106,7 @@ def cmd_pretrain(args) -> int:
 
 
 def _finetune(args, only_task: str | None) -> int:
-    cfg = _load_config(args.config, args.seed, args.steps, args.out)
+    cfg = _load_config(args.config, args)
     if only_task is not None:
         keep = [t for t in cfg.tasks if t.task_id == only_task]
         if not keep:
@@ -156,7 +155,7 @@ def _read_audit(path: Path) -> tuple[set[str], set[int]]:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args.config, args.seed, args.steps, args.out)
+    cfg = _load_config(args.config, args)
     out = _out_dir(args, cfg)
     ckpt = Path(args.checkpoint) if args.checkpoint else _model_dir(out, cfg)
     model = pipeline.load_model(cfg, ckpt, cfg.seed)
@@ -176,11 +175,15 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare needs at least two --config files")
     configs: dict[str, ExperimentConfig] = {}
     for path in args.config:
-        cfg = _load_config(path, args.seed, args.steps, args.out)
+        cfg = _load_config(path, args)
         if cfg.pretrain_mode in configs:
             raise ConfigError(f"two configs share pretrain mode {cfg.pretrain_mode!r}")
         configs[cfg.pretrain_mode] = cfg
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [0]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        raise ConfigError(f"--seeds {args.seeds!r} is not a comma-separated list of "
+                          "integers") from None
     out = _out_dir(args, next(iter(configs.values())))
     report = pipeline.compare_streams(configs, seeds)
     csv_path, txt_path = pipeline.emit_comparison(report, out)

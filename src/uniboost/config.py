@@ -1,19 +1,31 @@
 """Experiment configuration: a small `key = value` format with bracketed
-sections, full validation against a declared schema (unknown keys and
-sections are errors, never silent), and a canonical serialization whose
-reparse reproduces the config exactly.
+sections, full validation (unknown keys and sections are errors, never
+silent), and a canonical serialization whose reparse reproduces the config
+exactly.
+
+The ``ExperimentConfig`` and ``TaskSpec`` dataclasses are the schema.
+Parsing, serialization and diffing walk their fields, in field order: a
+field belongs to the section that the last ``_opens`` field at or before it
+opened, its key is its name less a ``<section>_`` prefix (``pretrain_mode``
+is ``[pretrain] mode``), and its annotation is its type. Allowed values come
+from the modules that own them (``PretrainMode``, ``RouteKind``,
+``optim.schedule_factor``). Adding a key means adding one field.
 
 Task sections use the header form ``[task <id>]`` and may repeat with
-distinct ids; all other sections appear at most once.
+distinct ids; all other sections appear at most once. A task without a
+``batch_size`` takes ``[run] batch_size``, wherever ``[run]`` sits.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields as dc_fields
+import math
+from dataclasses import Field, dataclass, field, fields as dc_fields
 
 from .encoders import EncoderConfig
-from .neck import NeckConfig
+from .neck import NeckConfig, RouteKind
+from .optim import schedule_factor
+from .pretrain import PretrainMode
 from .scheduler import RebalancePolicy
 from .shapeworld import ShapeWorldConfig, build_vocabulary
 
@@ -21,20 +33,26 @@ __all__ = ["ExperimentConfig", "TaskSpec", "ConfigError", "parse_config",
            "serialize_config", "config_fingerprint", "diff_configs",
            "encoder_config", "neck_config", "world_config"]
 
-PRETRAIN_MODES = ("supervised", "pair-contrastive", "masked-unimodal")
-ROUTES = ("image-only", "text-only", "language-guided-vision",
-          "image-to-text-gen", "deep-fusion")
 # The head alone picks the neck route (see ``model.py``); ``route`` must name it.
-HEAD_ROUTES = {"cls": "image-only", "seg": "language-guided-vision",
-               "caption": "image-to-text-gen", "vqa": "deep-fusion"}
-SCHEDULES = ("cosine", "linear", "step")
+HEAD_ROUTES = {"cls": RouteKind.IMAGE_ONLY, "seg": RouteKind.LANGUAGE_GUIDED_VISION,
+               "caption": RouteKind.IMAGE_TO_TEXT_GEN, "vqa": RouteKind.DEEP_FUSION}
 # The longest text the text encoder reads: a five-word question plus three
 # greedy VQA decoding slots (training reads at most question, answer, EOS).
 MAX_TEXT_TOKENS = 8
+# Lower bounds on the counts and seeds that no sub-config checks.
+_MINIMUMS = {"pretrain_steps": 0, "pretrain_batch_size": 1, "samples_per_corpus": 1,
+             "data_seed": 0, "warmup_steps": 0, "steps": 0, "batch_size": 1, "seed": 0,
+             "eval_samples": 1}
 
 
 class ConfigError(ValueError):
     """Malformed or invalid configuration text."""
+
+
+def _opens(section: str, default):
+    """A field that opens ``[section]``; the fields after it, up to the next
+    such field, belong to that section too."""
+    return field(default=default, metadata={"section": section})
 
 
 @dataclass
@@ -45,38 +63,34 @@ class TaskSpec:
     batch_size: int = 8
 
     def validate(self):
-        if self.route not in ROUTES:
+        if self.route not in {r.value for r in RouteKind}:
             raise ConfigError(f"task {self.task_id}: unknown route {self.route!r}")
         if self.head not in HEAD_ROUTES:
             raise ConfigError(f"task {self.task_id}: unknown head {self.head!r}")
-        if self.route != HEAD_ROUTES[self.head]:
+        if self.route != HEAD_ROUTES[self.head].value:
             raise ConfigError(f"task {self.task_id}: head {self.head!r} runs route "
-                              f"{HEAD_ROUTES[self.head]!r}, not {self.route!r}")
+                              f"{HEAD_ROUTES[self.head].value!r}, not {self.route!r}")
         if self.batch_size < 1:
             raise ConfigError(f"task {self.task_id}: batch_size must be >= 1")
 
 
 @dataclass
 class ExperimentConfig:
-    # [encoder]
-    layers: int = 2
+    layers: int = _opens("encoder", 2)
     width: int = 32
     heads: int = 4
     patch_size: int = 4
     max_tokens: int = 80
     vocab_size: int = 64
-    # [neck]
-    fusion_layers: int = 2
+    fusion_layers: int = _opens("neck", 2)
     fusion_heads: int = 4
     common_width: int = 32
     layer_set: tuple[int, ...] = (1, 2)
-    # [pretrain]
-    pretrain_mode: str = "masked-unimodal"
+    pretrain_mode: str = _opens("pretrain", "masked-unimodal")
     pretrain_steps: int = 300
     pretrain_batch_size: int = 8
     pretrain_peak_lr: float = 1e-3
-    # [data]
-    grid_size: int = 16
+    grid_size: int = _opens("data", 16)
     samples_per_corpus: int = 2048
     paired_fraction: float = 0.25
     novel_shapes: tuple[str, ...] = ("ring", "diamond")
@@ -84,15 +98,13 @@ class ExperimentConfig:
     color_affinity: float = 0.6
     data_seed: int = 0
     manifest: str = ""
-    # [optimizer]
-    peak_lr: float = 1e-3
+    peak_lr: float = _opens("optimizer", 1e-3)
     weight_decay: float = 0.01
     warmup_steps: int = 50
     schedule: str = "cosine"
     encoder_lr_ratio: float = 0.1
     freeze_encoders: bool = False
-    # [run]
-    steps: int = 300
+    steps: int = _opens("run", 300)
     batch_size: int = 8
     seed: int = 0
     out: str = "runs"
@@ -102,15 +114,18 @@ class ExperimentConfig:
     tasks: list[TaskSpec] = field(default_factory=list)
 
     def validate(self):
-        if self.pretrain_mode not in PRETRAIN_MODES:
+        if self.pretrain_mode not in {m.value for m in PretrainMode}:
             raise ConfigError(f"unknown pretrain mode {self.pretrain_mode!r}")
-        if self.schedule not in SCHEDULES:
-            raise ConfigError(f"unknown schedule {self.schedule!r}")
+        for f in dc_fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} {getattr(self, f.name)} is not finite")
+        for name, low in _MINIMUMS.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} {getattr(self, name)} must be >= {low}")
         if self.encoder_lr_ratio <= 0:
             raise ConfigError("encoder_lr_ratio must be positive")
-        if self.warmup_steps < 0:
-            raise ConfigError(f"warmup_steps {self.warmup_steps} must be >= 0")
         try:
+            schedule_factor(0, 1, 0, self.schedule)  # raises on an unknown schedule
             encoder_config(self)
             neck_config(self)
             world_config(self)
@@ -163,91 +178,49 @@ def world_config(cfg: ExperimentConfig) -> ShapeWorldConfig:
                             seed=cfg.data_seed)
 
 
-def _parse_scalar(kind: str, raw: str, where: str):
+def _sections() -> dict[str, dict[str, Field]]:
+    """section -> key -> field, in field order. A task section's keys are the
+    ``TaskSpec`` fields after ``task_id``, which its header names."""
+    out: dict[str, dict[str, Field]] = {}
+    section = ""
+    for f in dc_fields(ExperimentConfig)[:-1]:  # all but tasks
+        section = f.metadata.get("section", section)
+        out.setdefault(section, {})[f.name.removeprefix(section + "_")] = f
+    out["task"] = {f.name: f for f in dc_fields(TaskSpec)[1:]}
+    return out
+
+
+_KEYS = _sections()
+
+
+def _parse(kind: str, raw: str, where: str):
+    """``raw`` as a value of the field annotation ``kind``."""
     raw = raw.strip()
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "false"):
-                return raw.lower() == "true"
-            raise ValueError
-        if kind == "str":
-            return raw
-        if kind == "int-list":
-            return tuple(int(x) for x in raw.split(",") if x.strip()) if raw else ()
-        if kind == "str-list":
-            return tuple(x.strip() for x in raw.split(",") if x.strip()) if raw else ()
-    except ValueError:
+        if kind.startswith("tuple["):  # tuple[int, ...] or tuple[str, ...]
+            item = kind.removeprefix("tuple[").removesuffix(", ...]")
+            return tuple(_parse(item, x, where) for x in raw.split(",") if x.strip())
+        if kind == "bool" and raw.lower() in ("true", "false"):
+            return raw.lower() == "true"
+        return {"int": int, "float": float, "str": str}[kind](raw)
+    except (KeyError, ValueError):
         raise ConfigError(f"{where}: expected {kind}, got {raw!r}") from None
-    raise AssertionError(f"unhandled kind {kind}")
 
 
-# section -> key -> (config attribute, type)
-_SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
-    "encoder": {
-        "layers": ("layers", "int"),
-        "width": ("width", "int"),
-        "heads": ("heads", "int"),
-        "patch_size": ("patch_size", "int"),
-        "max_tokens": ("max_tokens", "int"),
-        "vocab_size": ("vocab_size", "int"),
-    },
-    "neck": {
-        "fusion_layers": ("fusion_layers", "int"),
-        "fusion_heads": ("fusion_heads", "int"),
-        "common_width": ("common_width", "int"),
-        "layer_set": ("layer_set", "int-list"),
-    },
-    "pretrain": {
-        "mode": ("pretrain_mode", "str"),
-        "steps": ("pretrain_steps", "int"),
-        "batch_size": ("pretrain_batch_size", "int"),
-        "peak_lr": ("pretrain_peak_lr", "float"),
-    },
-    "data": {
-        "grid_size": ("grid_size", "int"),
-        "samples_per_corpus": ("samples_per_corpus", "int"),
-        "paired_fraction": ("paired_fraction", "float"),
-        "novel_shapes": ("novel_shapes", "str-list"),
-        "family_affinity": ("family_affinity", "float"),
-        "color_affinity": ("color_affinity", "float"),
-        "seed": ("data_seed", "int"),
-        "manifest": ("manifest", "str"),
-    },
-    "optimizer": {
-        "peak_lr": ("peak_lr", "float"),
-        "weight_decay": ("weight_decay", "float"),
-        "warmup_steps": ("warmup_steps", "int"),
-        "schedule": ("schedule", "str"),
-        "encoder_lr_ratio": ("encoder_lr_ratio", "float"),
-        "freeze_encoders": ("freeze_encoders", "bool"),
-    },
-    "run": {
-        "steps": ("steps", "int"),
-        "batch_size": ("batch_size", "int"),
-        "seed": ("seed", "int"),
-        "out": ("out", "str"),
-        "rebalance_threshold": ("rebalance_threshold", "int"),
-        "eval_samples": ("eval_samples", "int"),
-    },
-}
-
-_TASK_SCHEMA = {
-    "route": ("route", "str"),
-    "head": ("head", "str"),
-    "batch_size": ("batch_size", "int"),
-}
+def _format(kind: str, value) -> str:
+    if kind.startswith("tuple["):
+        return ",".join(str(v) for v in value)
+    if kind == "bool":
+        return "true" if value else "false"
+    return repr(float(value)) if kind == "float" else str(value)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     config = ExperimentConfig()
-    section: str | None = None
-    current_task: TaskSpec | None = None
-    seen_sections: set[str] = set()
-    seen_keys: set[tuple[str, str]] = set()
+    target: ExperimentConfig | TaskSpec | None = None  # what the current section sets
+    keys: dict[str, Field] = {}
+    place = ""
+    seen: set = set()  # section headers, and (place, key) pairs
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -264,63 +237,44 @@ def parse_config(text: str) -> ExperimentConfig:
                     raise ConfigError(f"{where}: task section needs an id")
                 if any(t.task_id == task_id for t in config.tasks):
                     raise ConfigError(f"{where}: duplicate task section {task_id!r}")
-                current_task = TaskSpec(task_id=task_id,
-                                        batch_size=config.batch_size)
-                config.tasks.append(current_task)
-                section = "task"
+                target = TaskSpec(task_id, batch_size=None)  # None: [run] batch_size
+                config.tasks.append(target)
+                keys, place = _KEYS["task"], f"task section {task_id!r}"
             else:
-                if header not in _SCHEMA:
+                if header not in _KEYS:
                     raise ConfigError(f"{where}: unknown section [{header}]")
-                if header in seen_sections:
+                if header in seen:
                     raise ConfigError(f"{where}: duplicate section [{header}]")
-                seen_sections.add(header)
-                section = header
-                current_task = None
+                seen.add(header)
+                target, keys, place = config, _KEYS[header], f"section [{header}]"
             continue
         if "=" not in line:
             raise ConfigError(f"{where}: expected `key = value`, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if section is None:
+        if target is None:
             raise ConfigError(f"{where}: key {key!r} outside any section")
-        if section == "task":
-            if key not in _TASK_SCHEMA:
-                raise ConfigError(f"{where}: unknown key {key!r} in task section")
-            attr, kind = _TASK_SCHEMA[key]
-            setattr(current_task, attr, _parse_scalar(kind, value, where))
-        else:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"{where}: unknown key {key!r} in section [{section}]")
-            if (section, key) in seen_keys:
-                raise ConfigError(f"{where}: duplicate key {key!r} in [{section}]")
-            seen_keys.add((section, key))
-            attr, kind = _SCHEMA[section][key]
-            setattr(config, attr, _parse_scalar(kind, value, where))
+        if key not in keys:
+            raise ConfigError(f"{where}: unknown key {key!r} in {place}")
+        if (place, key) in seen:
+            raise ConfigError(f"{where}: duplicate key {key!r} in {place}")
+        seen.add((place, key))
+        setattr(target, keys[key].name, _parse(keys[key].type, value, where))
 
+    for t in config.tasks:
+        if t.batch_size is None:
+            t.batch_size = config.batch_size
     return config.validate()
 
 
-def _format_value(kind: str, value) -> str:
-    if kind in ("int-list", "str-list"):
-        return ",".join(str(v) for v in value)
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind == "float":
-        return repr(float(value))
-    return str(value)
-
-
 def serialize_config(config: ExperimentConfig) -> str:
+    sections = [(name, name, config) for name in _KEYS if name != "task"]
+    sections += [("task", f"task {t.task_id}", t) for t in config.tasks]
     lines: list[str] = []
-    for section, keys in _SCHEMA.items():
-        lines.append(f"[{section}]")
-        for key, (attr, kind) in keys.items():
-            lines.append(f"{key} = {_format_value(kind, getattr(config, attr))}")
-        lines.append("")
-    for t in config.tasks:
-        lines.append(f"[task {t.task_id}]")
-        for key, (attr, kind) in _TASK_SCHEMA.items():
-            lines.append(f"{key} = {_format_value(kind, getattr(t, attr))}")
+    for name, header, obj in sections:
+        lines.append(f"[{header}]")
+        lines += [f"{key} = {_format(f.type, getattr(obj, f.name))}"
+                  for key, f in _KEYS[name].items()]
         lines.append("")
     return "\n".join(lines)
 
@@ -331,14 +285,7 @@ def config_fingerprint(config: ExperimentConfig) -> str:
 
 def diff_configs(a: ExperimentConfig, b: ExperimentConfig,
                  ignore: tuple[str, ...] = ()) -> list[str]:
-    """Names of top-level fields (and task ids) where the configs differ."""
-    out = []
-    for f in dc_fields(ExperimentConfig):
-        if f.name in ignore or f.name == "tasks":
-            continue
-        if getattr(a, f.name) != getattr(b, f.name):
-            out.append(f.name)
-    if [(t.task_id, t.route, t.head, t.batch_size) for t in a.tasks] != \
-            [(t.task_id, t.route, t.head, t.batch_size) for t in b.tasks]:
-        out.append("tasks")
-    return out
+    """Names of the fields where the configs differ; ``tasks`` covers every
+    field of every task."""
+    return [f.name for f in dc_fields(ExperimentConfig)
+            if f.name not in ignore and getattr(a, f.name) != getattr(b, f.name)]

@@ -67,15 +67,19 @@ class RunRecord:
 
 def build_corpora(cfg: ExperimentConfig) -> CorpusTriple:
     """Corpus triple from the config: generated, or ingested if a manifest
-    path is configured."""
+    path is configured. Its paired corpus, which every stage may train on,
+    must pass the leakage audit."""
     if not cfg.manifest:
-        return gen_shapeworld(world_config(cfg))
-    tasks = ingest_manifest(cfg.manifest, expected_grid=cfg.grid_size)
-    missing = {"paired", "image-only", "text-only"} - set(tasks)
-    if missing:
-        raise DataError(f"manifest lacks corpora {sorted(missing)}")
-    return CorpusTriple(paired=tasks["paired"], image_only=tasks["image-only"],
-                        text_only=tasks["text-only"])
+        triple = gen_shapeworld(world_config(cfg))
+    else:
+        tasks = ingest_manifest(cfg.manifest, expected_grid=cfg.grid_size)
+        missing = {"paired", "image-only", "text-only"} - set(tasks)
+        if missing:
+            raise DataError(f"manifest lacks corpora {sorted(missing)}")
+        triple = CorpusTriple(paired=tasks["paired"], image_only=tasks["image-only"],
+                              text_only=tasks["text-only"])
+    audit_leakage(cfg.novel_shapes, *_audit_content(triple.paired))
+    return triple
 
 
 def _label_of(sample: Sample) -> int:
@@ -191,15 +195,20 @@ def finetune_stage(cfg: ExperimentConfig, seed: int, triple: CorpusTriple,
     losses: dict[str, list[float]] = {spec.task_id: [] for spec in cfg.tasks}
     train([(task_loss, opt)], cfg.steps, losses)
 
+    tokens, labels = _audit_content(store[sid] for sid in trained_ids)
+    return FinetuneResult(losses, list(queue.trace), tokens, labels)
+
+
+def _audit_content(samples) -> tuple[set[str], set[int]]:
+    """The text tokens and mask labels of ``samples``."""
     tokens: set[str] = set()
     labels: set[int] = set()
-    for sid in trained_ids:
-        s = store[sid]
+    for s in samples:
         for text in (s.caption, s.question, s.answer):
             tokens.update(text.split())
         if s.mask is not None:
             labels.update(int(v) for v in np.unique(s.mask))
-    return FinetuneResult(losses, list(queue.trace), tokens, labels)
+    return tokens, labels
 
 
 def audit_leakage(novel_shapes, training_tokens: set[str],
@@ -339,6 +348,8 @@ def compare_streams(configs: dict[str, ExperimentConfig],
         raise ConfigError("compare needs at least two streams")
     if not seeds:
         raise ConfigError("compare needs at least one seed")
+    if len(set(seeds)) != len(seeds) or min(seeds) < 0:
+        raise ConfigError(f"compare seeds {seeds} must be distinct and non-negative")
     items = sorted(configs.items())
     first_name, first_cfg = items[0]
     for name, other in items[1:]:

@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from uniboost.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INVARIANT, EXIT_OK, main
+from uniboost.shapeworld import class_id
+from uniboost.tensorio import save_tensor
 
 BASE_CFG = """
 [encoder]
@@ -118,6 +121,11 @@ def test_compare_and_report(workspace, capsys):
     assert main(["compare", "--config", str(cfg), "--seeds", "0"]) == EXIT_CONFIG
     assert main(["compare", "--config", str(cfg), "--config", str(cfg),
                  "--seeds", "0"]) == EXIT_CONFIG  # same mode twice
+    for seeds in ("0,,1", "0,one", "", "0,1,0", "0,-1"):
+        capsys.readouterr()
+        assert main(["compare", "--config", str(cfg), "--config", str(other),
+                     "--seeds", seeds]) == EXIT_CONFIG, seeds
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_config_errors_exit_2(workspace, tmp_path):
@@ -139,10 +147,22 @@ def test_config_errors_exit_2(workspace, tmp_path):
                      # 4 patches fit, but no caption or question does
                      ("patch_size = 4\nmax_tokens = 40", "patch_size = 8\nmax_tokens = 4"),
                      # question + answer + EOS fit, greedy VQA decoding does not
-                     ("patch_size = 4\nmax_tokens = 40", "patch_size = 8\nmax_tokens = 7")]:
+                     ("patch_size = 4\nmax_tokens = 40", "patch_size = 8\nmax_tokens = 7"),
+                     ("warmup_steps = 1", "warmup_steps = 1\npeak_lr = nan"),
+                     ("warmup_steps = 1", "warmup_steps = 1\nweight_decay = inf"),
+                     ("samples_per_corpus = 16", "samples_per_corpus = 0"),
+                     ("steps = 2", "steps = 2\nbatch_size = 0"),  # [pretrain]
+                     ("steps = 3", "steps = -3"),  # [run]
+                     ("eval_samples = 8", "eval_samples = 0"),
+                     ("[data]", "[data]\nseed = -1")]:
         assert old in text
         bad.write_text(text.replace(old, new, 1))
-        assert main(["pretrain", "--config", str(bad)]) == EXIT_CONFIG, new
+        for command in ("pretrain", "finetune-multitask", "eval"):
+            assert main([command, "--config", str(bad)]) == EXIT_CONFIG, (command, new)
+    # command-line overrides are validated like the file
+    assert main(["pretrain", "--config", str(cfg), "--steps", "-2"]) == EXIT_CONFIG
+    assert main(["finetune-multitask", "--config", str(cfg), "--steps", "-2"]) == EXIT_CONFIG
+    assert main(["pretrain", "--config", str(cfg), "--seed", "-1"]) == EXIT_CONFIG
     assert not out.exists()  # each config was refused before any work ran
 
 
@@ -178,9 +198,21 @@ def test_failures_inside_compare_workers_keep_their_exit_code(workspace, capsys)
 
     leaky = full.with_name("leaky.tsv")
     leaky.write_text("".join(recaption(l) if l.startswith("paired\t") else l for l in lines))
+    # base-only captions, but one paired mask labels a novel class
+    save_tensor(full.parent / "masks" / "novel.ubtn", np.full((16, 16), float(class_id("ring"))))
+    def remask(line):
+        fields = line.split("\t")
+        fields[3] = "masks/novel.ubtn"
+        return "\t".join(fields)
+
+    paired = [i for i, l in enumerate(lines) if l.startswith("paired\t")]
+    leaky_mask = full.with_name("leaky-mask.tsv")
+    leaky_mask.write_text("".join(remask(l) if i == paired[-1] else l
+                                  for i, l in enumerate(lines)))
     for manifest, code, message in [
             (partial, EXIT_DATA, "data error: manifest lacks corpora ['text-only']"),
-            (leaky, EXIT_INVARIANT, "invariant violation: novel classes ['ring']")]:
+            (leaky, EXIT_INVARIANT, "invariant violation: novel classes ['ring']"),
+            (leaky_mask, EXIT_INVARIANT, "invariant violation: novel classes ['ring']")]:
         configs = []
         for mode in ("masked-unimodal", "pair-contrastive"):
             path = tmp / f"{mode}.cfg"
@@ -192,6 +224,11 @@ def test_failures_inside_compare_workers_keep_their_exit_code(workspace, capsys)
         err = capsys.readouterr().err
         assert err.startswith(message) and "Traceback" not in err
         assert not (out / "comparison.csv").exists()
+        # the same corpus is refused before pair-contrastive pretraining reads it
+        assert main(["pretrain", "--config", configs[-1]]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "Traceback" not in err
+        assert not (out / "pretrain-pair-contrastive-seed0").exists()
 
 
 def test_leakage_audit_exits_4(workspace):

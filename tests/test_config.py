@@ -2,6 +2,7 @@
 
 import inspect
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -50,9 +51,8 @@ freeze_encoders = true
 
 
 def test_task_sections():
-    cfg = parse_config("""
-[run]
-batch_size = 4
+    run = "[run]\nbatch_size = 4\n"
+    tasks = """
 [task seg]
 route = language-guided-vision
 head = seg
@@ -60,11 +60,15 @@ head = seg
 route = image-to-text-gen
 head = caption
 batch_size = 2
-""")
-    assert [t.task_id for t in cfg.tasks] == ["seg", "cap"]
-    assert cfg.tasks[0].batch_size == 4  # inherits [run] batch_size
-    assert cfg.tasks[1].batch_size == 2
-    assert cfg.tasks[1].route == "image-to-text-gen"
+"""
+    for text in (run + tasks, tasks + run):  # [run] before or after the tasks
+        cfg = parse_config(text)
+        assert [t.task_id for t in cfg.tasks] == ["seg", "cap"]
+        assert cfg.tasks[0].batch_size == 4  # inherits [run] batch_size
+        assert cfg.tasks[1].batch_size == 2
+        assert cfg.tasks[1].route == "image-to-text-gen"
+    with pytest.raises(ConfigError, match="line 4: duplicate key 'head' in task section"):
+        parse_config("[task a]\nhead = seg\nroute = language-guided-vision\nhead = seg\n")
 
 
 def test_parse_errors_carry_line_numbers():
@@ -135,6 +139,56 @@ batch_size = 4
     assert diff_configs(cfg, again) == []
     assert serialize_config(again) == text
     assert config_fingerprint(cfg) == config_fingerprint(again)
+
+
+# config_fingerprint names runs, checkpoints and run records, so the bytes
+# that serialize_config writes for these configs must never drift.
+PINNED_FINGERPRINTS = {
+    "default": "b3df74757ffef576",
+    "chain-masked-unimodal.cfg": "10b59dd99d377814",
+    "sweep-masked-unimodal.cfg": "66290db869271ccb",
+    "sweep-pair-contrastive.cfg": "91f0cb65feb62698",
+    "train-masked-unimodal.cfg": "e21652334ae0a99b",
+    "train-pair-contrastive.cfg": "0dd86cd6513fcbcf",
+    "stream-pair-contrastive": "3b21588ca870ccd3",
+    "stream-masked-unimodal": "099bbd85dfb6da32",
+}
+
+
+def test_fingerprints_of_the_pinned_configs_do_not_drift():
+    root = Path(__file__).resolve().parents[1]
+    configs = {"default": ExperimentConfig()}
+    for path in sorted((root / "perfbench" / "configs").glob("*.cfg")):
+        configs[path.name] = parse_config(path.read_text())
+    for mode in ("pair-contrastive", "masked-unimodal"):  # criterion 6's _stream_cfg
+        configs[f"stream-{mode}"] = ExperimentConfig(
+            pretrain_mode=mode, patch_size=2, pretrain_steps=600, steps=300,
+            eval_samples=80, samples_per_corpus=2048, paired_fraction=0.25,
+            tasks=[TaskSpec("seg", "language-guided-vision", "seg", 8)]).validate()
+    assert {name: config_fingerprint(cfg) for name, cfg in configs.items()} == \
+        PINNED_FINGERPRINTS
+
+
+def test_every_field_round_trips_through_its_key():
+    """A config with every field off its default comes back whole, so a
+    field added without a section or with an unparseable type fails here."""
+    cfg = ExperimentConfig(
+        layers=3, width=48, heads=6, patch_size=5, max_tokens=70, vocab_size=40,
+        fusion_layers=1, fusion_heads=2, common_width=24, layer_set=(1, 3),
+        pretrain_mode="supervised", pretrain_steps=7, pretrain_batch_size=5,
+        pretrain_peak_lr=3e-4, grid_size=20, samples_per_corpus=33, paired_fraction=0.1,
+        novel_shapes=("ring",), family_affinity=0.3, color_affinity=0.2, data_seed=9,
+        manifest="corpora/manifest.tsv", peak_lr=2e-3, weight_decay=0.0, warmup_steps=3,
+        schedule="step", encoder_lr_ratio=0.5, freeze_encoders=True, steps=11,
+        batch_size=3, seed=4, out="elsewhere", rebalance_threshold=7, eval_samples=9,
+        tasks=[TaskSpec("a", "image-only", "cls", 2), TaskSpec("b", "deep-fusion", "vqa", 5)])
+    default = ExperimentConfig()
+    assert diff_configs(default, cfg) == [f.name for f in fields(ExperimentConfig)]
+    assert all(getattr(cfg.tasks[1], f.name) != getattr(TaskSpec(), f.name)
+               for f in fields(TaskSpec))
+    again = parse_config(serialize_config(cfg))
+    assert again == cfg
+    assert serialize_config(again) == serialize_config(cfg)
 
 
 def test_fingerprint_tracks_content():

@@ -267,6 +267,9 @@ def test_compare_streams_table_and_csv(tmp_path):
     assert comparison_csv(again) == text  # rerun is byte-identical
     with pytest.raises(ConfigError, match="at least one seed"):
         compare_streams(configs, seeds=[])
+    for seeds in ([0, 0, 1], [0, -1]):
+        with pytest.raises(ConfigError, match="must be distinct and non-negative"):
+            compare_streams(configs, seeds=seeds)
 
 
 def test_compare_output_does_not_depend_on_the_worker_count(tmp_path, monkeypatch):
