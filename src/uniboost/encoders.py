@@ -110,8 +110,7 @@ class ImageEncoder(_Stack):
         are added, so masked pixels never reach the output.
         """
         flat = np.stack([patchify(img, self.config.patch_size) for img in images])
-        x = T.matmul(Tensor(flat), self.patch_proj.weight)
-        x = T.add(x, self.patch_proj.bias)
+        x = self.patch_proj(Tensor(flat))
         if mask is not None:
             token, masked = mask
             masked = np.asarray(masked, dtype=np.float64)[..., None]

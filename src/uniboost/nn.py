@@ -104,18 +104,15 @@ class ModuleList(Module):
 
 
 class Linear(Module):
-    def __init__(self, rng, in_dim: int, out_dim: int, bias: bool = True):
+    def __init__(self, rng, in_dim: int, out_dim: int):
         super().__init__()
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.weight = Parameter(trunc_normal(rng, (in_dim, out_dim)))
-        self.bias = Parameter(np.zeros(out_dim)) if bias else None
+        self.bias = Parameter(np.zeros(out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.matmul(x, self.weight)
-        if self.bias is not None:
-            y = T.add(y, self.bias)
-        return y
+        return T.linear(x, self.weight, self.bias)
 
 
 class Embedding(Module):
@@ -148,28 +145,11 @@ class MultiHeadSelfAttention(Module):
             raise ValueError(f"width {width} not divisible by heads {heads}")
         self.width = width
         self.heads = heads
-        self.head_dim = width // heads
         self.qkv = Linear(rng, width, 3 * width)
         self.out = Linear(rng, width, width)
 
     def __call__(self, x: Tensor, allow: np.ndarray | None = None) -> Tensor:
-        b, t, d = x.shape
-        h, hd = self.heads, self.head_dim
-        qkv = self.qkv(x)
-        qkv = T.reshape(qkv, (b, t, 3, h, hd))
-        qkv = T.transpose(T.transpose(qkv, 1, 3), 1, 2)  # [B, 3, H, T, hd]
-        q = T.reshape(T.slice_(qkv, (slice(None), slice(0, 1))), (b, h, t, hd))
-        k = T.reshape(T.slice_(qkv, (slice(None), slice(1, 2))), (b, h, t, hd))
-        v = T.reshape(T.slice_(qkv, (slice(None), slice(2, 3))), (b, h, t, hd))
-        scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(hd))
-        if allow is not None:
-            if allow.shape != (t, t):
-                raise ValueError(f"attention mask shape {allow.shape} != ({t}, {t})")
-            scores = T.masked_fill(scores, ~allow)
-        attn = T.softmax(scores)
-        mixed = T.matmul(attn, v)  # [B, H, T, hd]
-        merged = T.reshape(T.transpose(mixed, 1, 2), (b, t, d))
-        return self.out(merged)
+        return self.out(T.attention(self.qkv(x), self.heads, allow))
 
 
 class FeedForward(Module):

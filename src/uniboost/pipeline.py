@@ -19,6 +19,7 @@ import io
 import json
 import multiprocessing
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -358,6 +359,13 @@ def compare_streams(configs: dict[str, ExperimentConfig],
             raise ConfigError(
                 f"stream {name!r} differs from {first_name!r} in non-pretrain "
                 f"fields: {diffs}")
+    main_file = getattr(sys.modules["__main__"], "__file__", None)
+    if main_file is not None and not os.path.isfile(main_file):
+        raise RuntimeError(
+            f"compare_streams starts spawned workers, which import the main module "
+            f"again, and the main module {main_file!r} is not a file (a script piped "
+            f"to `python -`?): save the script to a file, put its entry point under "
+            f"`if __name__ == \"__main__\":` and run the file")
     fold_label = "novel"
     rows: list[ComparisonRow] = []
     raw: dict[str, dict[int, float]] = {name: {} for name, _ in items}

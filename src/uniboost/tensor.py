@@ -15,6 +15,13 @@ nodes), so a step's graph is freed by reference counting, not the cyclic GC.
 Everything is computed in 64-bit floats. There is no broadcasting beyond
 what the individual op contracts document (matmul stacks batch dims,
 ``add``/``mul`` allow a trailing-axes broadcast for bias-style operands).
+
+``linear`` and ``attention`` are fused: one node each, standing for a chain
+of the simpler primitives. A fused op replays that chain's numpy calls in
+the same order, on operands of the same memory layout, so its values and
+gradients are bit-identical to the chain's; only fewer intermediates are
+kept. Work done in place (``out=``, ``*=``) keeps each operation and its
+operands, so it changes no bit either.
 """
 
 from __future__ import annotations
@@ -46,8 +53,9 @@ __all__ = [
     "sum_",
     "transpose",
     "reshape",
-    "masked_fill",
     "l2_normalize",
+    "linear",
+    "attention",
     "MASK_FILL_VALUE",
     "LAYER_NORM_EPS",
 ]
@@ -181,13 +189,15 @@ class Tape:
 
 def _emit(op: str, inputs: tuple[Tensor, ...], out_values: np.ndarray,
           grad_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
+    out = Tensor(out_values)
     tape = active_tape()
-    track = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(out_values, requires_grad=track)
-    if track:
-        node = _Node(op, inputs, grad_fn)
-        tape.nodes.append(node)
-        out._node = node
+    if tape is not None:
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                out._node = node = _Node(op, inputs, grad_fn)
+                tape.nodes.append(node)
+                break
     return out
 
 
@@ -257,17 +267,28 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _emit("scale", (a,), a.values * c, lambda g: (g * c,))
 
 
+def _softmax(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Stable softmax of ``x`` over the last axis, written into ``out``
+    (which may be ``x``)."""
+    np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``y * (g - sum(g * y))`` over the last axis, in one new buffer."""
+    gx = g * y
+    dot = gx.sum(axis=-1, keepdims=True)
+    np.subtract(g, dot, out=gx)
+    np.multiply(y, gx, out=gx)
+    return gx
+
+
 def softmax(x: Tensor) -> Tensor:
     """Stable softmax over the last axis."""
-    shifted = x.values - x.values.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def grad_fn(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
-
-    return _emit("softmax", (x,), y, grad_fn)
+    y = _softmax(x.values, np.empty_like(x.values))
+    return _emit("softmax", (x,), y, lambda g: (_softmax_grad(y, g),))
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -310,12 +331,21 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYER_NORM_E
 
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf) GELU."""
-    cdf = 0.5 * (1.0 + erf(x.values * _INV_SQRT2))
+    cdf = x.values * _INV_SQRT2
+    erf(cdf, out=cdf)
+    np.add(1.0, cdf, out=cdf)
+    np.multiply(0.5, cdf, out=cdf)
     out = x.values * cdf
 
     def grad_fn(g):
-        pdf = np.exp(-0.5 * x.values * x.values) * _INV_SQRT_2PI
-        return (g * (cdf + x.values * pdf),)
+        gx = -0.5 * x.values
+        gx *= x.values
+        np.exp(gx, out=gx)
+        gx *= _INV_SQRT_2PI  # the normal pdf at x
+        np.multiply(x.values, gx, out=gx)
+        np.add(cdf, gx, out=gx)
+        np.multiply(g, gx, out=gx)
+        return (gx,)
 
     return _emit("gelu", (x,), out, grad_fn)
 
@@ -429,24 +459,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _emit("reshape", (x,), out, lambda g: (g.reshape(x.shape),))
 
 
-def masked_fill(x: Tensor, mask: np.ndarray, value: float = MASK_FILL_VALUE) -> Tensor:
-    """Replace entries where ``mask`` is True with ``value`` (default -1e9,
-    the attention suppression constant). Gradient is zero at filled entries."""
-    m = np.asarray(mask, dtype=bool)
-    try:
-        out = np.where(m, value, x.values)
-    except ValueError as exc:
-        raise ShapeMismatchError(f"mask shape {m.shape} incompatible with {x.shape}") from exc
-    if out.shape != x.shape:
-        raise ShapeMismatchError(f"mask shape {m.shape} must broadcast onto {x.shape}")
-    keep = ~m
-
-    def grad_fn(g):
-        return (g * keep,)
-
-    return _emit("masked-fill", (x,), out, grad_fn)
-
-
 def l2_normalize(x: Tensor) -> Tensor:
     """Scale each last-axis slice to unit Euclidean norm. Zero-norm slices
     are rejected rather than silently propagating NaN."""
@@ -460,6 +472,83 @@ def l2_normalize(x: Tensor) -> Tensor:
         return ((g - y * dot) / norm,)
 
     return _emit("l2-normalize", (x,), y, grad_fn)
+
+
+# ---------------------------------------------------------------------------
+# fused primitives
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``add(matmul(x, w), b)`` as one node: an affine map of the last axis."""
+    if x.ndim < 2 or w.ndim != 2 or b.shape != w.shape[1:]:
+        raise ShapeMismatchError(
+            f"linear needs [..., n, in] @ [in, out] + [out], got {x.shape}, {w.shape}, {b.shape}")
+    if x.shape[-1] != w.shape[0]:
+        raise ShapeMismatchError(f"linear inner dims differ: {x.shape} @ {w.shape}")
+    out = np.matmul(x.values, w.values)
+    out += b.values
+
+    def grad_fn(g):
+        gx = np.matmul(g, np.swapaxes(w.values, -1, -2))
+        gw = _reduce_to_shape(np.matmul(np.swapaxes(x.values, -1, -2), g), w.shape)
+        return gx, gw, _reduce_to_shape(g, b.shape)
+
+    return _emit("linear", (x, w, b), out, grad_fn)
+
+
+def attention(qkv: Tensor, heads: int, allow: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled dot-product self-attention.
+
+    ``qkv`` is the fused [B, T, 3D] projection: queries, keys and values
+    side by side on the last axis, each split into ``heads`` heads of
+    D / heads. Returns the heads' outputs merged back to [B, T, D].
+    ``allow`` is an optional [T, T] boolean matrix, True where a query may
+    attend to a key; other scores are set to ``MASK_FILL_VALUE`` before the
+    softmax, so they get zero weight and zero gradient.
+
+    The values and gradients are those of the chain reshape, transposes,
+    slices, ``matmul(q, transpose(k))``, ``scale``, mask, ``softmax``,
+    ``matmul(., v)``, transpose and reshape, bit for bit. Backward keeps
+    only q, k, v, kᵀ and the softmax output.
+    """
+    if qkv.ndim != 3 or heads < 1 or qkv.shape[-1] % (3 * heads):
+        raise ShapeMismatchError(
+            f"attention needs [B, T, 3D] with D divisible by {heads} heads, got {qkv.shape}")
+    b, t, d3 = qkv.shape
+    hd = d3 // (3 * heads)
+    if allow is not None:
+        allow = np.asarray(allow, dtype=bool)
+        if allow.shape != (t, t):
+            raise ShapeMismatchError(f"attention mask shape {allow.shape} != ({t}, {t})")
+    # [3, B, H, T, hd]: q, k and v each contiguous, as the chain's slices were
+    q, k, v = np.ascontiguousarray(qkv.values.reshape(b, t, 3, heads, hd).transpose(2, 0, 3, 1, 4))
+    kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    c = float(1.0 / np.sqrt(hd))
+    y = np.matmul(q, kt)
+    y *= c
+    if allow is not None:
+        np.copyto(y, MASK_FILL_VALUE, where=~allow)
+    _softmax(y, y)
+    out = np.ascontiguousarray(np.swapaxes(np.matmul(y, v), 1, 2)).reshape(b, t, d3 // 3)
+
+    def grad_fn(g):
+        gm = np.swapaxes(g.reshape(b, t, heads, hd), 1, 2)
+        gv = np.matmul(np.swapaxes(y, -1, -2), gm)
+        gs = _softmax_grad(y, np.matmul(gm, np.swapaxes(v, -1, -2)))
+        if allow is not None:
+            gs *= allow
+        gs *= c
+        gq = np.matmul(gs, np.swapaxes(kt, -1, -2))
+        gk = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), gs), -1, -2)
+        gqkv = np.empty((b, t, 3, heads, hd))
+        slots = gqkv.transpose(2, 0, 3, 1, 4)
+        # x + 0.0 maps -0.0 to 0.0 and keeps every other value, as summing
+        # the chain's zero-filled slice gradients did
+        for i, gi in enumerate((gq, gk, gv)):
+            np.add(gi, 0.0, out=slots[i])
+        return (gqkv.reshape(b, t, d3),)
+
+    return _emit("attention", (qkv,), out, grad_fn)
 
 
 _PRIMITIVES: dict[str, Callable] = {
@@ -479,7 +568,8 @@ _PRIMITIVES: dict[str, Callable] = {
     "transpose": transpose,
     "reshape": reshape,
     "scale": scale,
-    "masked-fill": masked_fill,
     "l2-normalize": l2_normalize,
+    "linear": linear,
+    "attention": attention,
 }
 

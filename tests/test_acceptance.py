@@ -72,11 +72,12 @@ def _leaf(rng, *shape):
 
 def _op_instance(rng, k):
     """One (fn, inputs) pair per primitive op tag, freshly randomized."""
-    mask = rng.uniform(size=(3, 4)) < 0.4
-    mask[:, 0] = False  # keep every softmax row alive
+    allow = rng.uniform(size=(4, 4)) >= 0.4
+    allow[:, 0] = True  # keep every softmax row alive
     gather_ids = rng.integers(0, 4, size=3)
     lookup_ids = rng.integers(0, 4, size=3)
     mul_const = Tensor(rng.standard_normal((2, 6)))
+    attn_const = Tensor(rng.standard_normal((2, 4, 4)))
     c = float(rng.uniform(0.5, 3.0)) * (-1.0 if k % 2 else 1.0)
 
     def matmul_case(r):
@@ -120,10 +121,14 @@ def _op_instance(rng, k):
         "reshape": (lambda a: T.sum_(T.mul(T.reshape(a, (2, 6)), T.reshape(a, (2, 6)))),
                     (_leaf(rng, 3, 4),)),
         "scale": (lambda a: T.sum_(T.mul(T.scale(a, c), a)), (_leaf(rng, 5),)),
-        "masked-fill": (lambda a: T.sum_(T.mul(T.softmax(T.masked_fill(a, mask, -1e9)), a)),
-                        (_leaf(rng, 3, 4),)),
         "l2-normalize": (lambda a: T.sum_(T.mul(T.l2_normalize(a), a)),
                          (Tensor(rng.standard_normal((3, 5)) + 2.0, requires_grad=True),)),
+        "linear": (lambda x, w, b: T.sum_(T.mul(T.linear(x, w, b), T.linear(x, w, b))),
+                   (_leaf(rng, 2, 3, 4), _leaf(rng, 4, 2), _leaf(rng, 2))),
+        # alternate the unmasked and masked forms
+        "attention": (lambda a: T.sum_(T.mul(T.attention(a, 2, None if k % 2 else allow),
+                                             attn_const)),
+                      (_leaf(rng, 2, 4, 12),)),
     }
     return cases
 

@@ -1,5 +1,6 @@
-"""Every name a ``uniboost`` module exports through ``__all__`` exists, and
-every name the benchmark's span tracer patches still resolves."""
+"""Every name a ``uniboost`` module exports through ``__all__`` exists,
+every name the benchmark's span tracer patches still resolves, and every op
+tag a training loss tapes is one the tracer knows."""
 
 import importlib
 import os
@@ -8,7 +9,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import uniboost
+from uniboost import tensor as T
+from uniboost.config import ExperimentConfig
+from uniboost.encoders import EncoderConfig, ImageEncoder, TextEncoder
+from uniboost.model import TaskModel
+from uniboost.nn import Linear, init_rng
+from uniboost.pretrain import (MimHead, MlmHead, contrastive_loss, mim_loss, mlm_loss,
+                               supervised_cls_loss)
+from uniboost.shapeworld import build_vocabulary, class_id
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,3 +44,38 @@ def test_traced_import_resolves_every_hook(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert len(list(tmp_path.glob("spans-*.json"))) == 1
+
+
+def test_every_taped_op_tag_is_a_primitive():
+    # The tracer names each node's backward span through a table keyed on
+    # ``_PRIMITIVES``, so a tag missing there breaks a traced run at its
+    # first backward.
+    enc = EncoderConfig(layers=1, width=16, heads=2, max_tokens=20, patch_size=4,
+                        vocab_size=32)
+    img_enc, txt_enc = ImageEncoder(enc, seed=1), TextEncoder(enc, seed=2)
+    model = TaskModel(ExperimentConfig(layers=1, width=16, heads=2, patch_size=4,
+                                       max_tokens=40, vocab_size=32, fusion_layers=1,
+                                       fusion_heads=2, common_width=16, layer_set=(1,),
+                                       grid_size=16), build_vocabulary(), seed=0)
+    rng = np.random.default_rng(0)
+    images = rng.uniform(0.0, 1.0, size=(2, 16, 16, 3))
+    ids = rng.integers(3, 20, size=(2, 5))
+    masks = np.repeat(np.repeat(rng.choice([0, class_id("circle")], size=(2, 4, 4)),
+                                4, axis=1), 4, axis=2)
+    losses = {
+        "seg": lambda: model.seg_loss(images, masks, ["background", "circle"]),
+        "cls": lambda: model.cls_loss(images, np.array([0, 1])),
+        "caption": lambda: model.caption_loss(images, ids, seed=0),
+        "vqa": lambda: model.vqa_loss(images, ids, prefix_len=2, seed=0),
+        "mim": lambda: mim_loss(img_enc, MimHead(enc), images, seed=0),
+        "mlm": lambda: mlm_loss(txt_enc, MlmHead(enc.vocab_size), ids, seed=0),
+        "contrastive": lambda: contrastive_loss(img_enc, txt_enc, images, ids),
+        "supervised": lambda: supervised_cls_loss(img_enc, Linear(init_rng(0), 16, 4),
+                                                  images, np.array([0, 3])),
+    }
+    for name, loss in losses.items():
+        with T.Tape() as tape:
+            loss()
+        tags = {node.op for node in tape.nodes}
+        assert "attention" in tags and "linear" in tags, name
+        assert tags <= set(T._PRIMITIVES), f"{name}: {sorted(tags - set(T._PRIMITIVES))}"

@@ -77,8 +77,6 @@ def test_linear_matches_affine_formula():
     x = np.random.default_rng(1).standard_normal((2, 4))
     got = lin(Tensor(x)).values
     assert np.allclose(got, x @ lin.weight.values + lin.bias.values, atol=1e-12)
-    nobias = Linear(init_rng(0), 4, 3, bias=False)
-    assert nobias.bias is None
 
 
 def test_layer_norm_output_statistics():

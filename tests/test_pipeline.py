@@ -1,10 +1,14 @@
 """Pipeline stages: corpora, training stream, leakage audit, comparisons."""
 
 import ctypes
+import hashlib
 import json
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +27,12 @@ from uniboost.pipeline import (DataError, LeakageError, RunRecord, audit_leakage
                                write_corpora_manifest)
 from uniboost.shapeworld import build_vocabulary, class_id, write_manifest
 from uniboost.tensorio import load_checkpoint
+
+
+FOUR_TASKS = [TaskSpec("seg", "language-guided-vision", "seg", 4),
+              TaskSpec("cls", "image-only", "cls", 4),
+              TaskSpec("cap", "image-to-text-gen", "caption", 4),
+              TaskSpec("vqa", "deep-fusion", "vqa", 4)]
 
 
 def tiny_cfg(**kw):
@@ -143,12 +153,7 @@ def test_finetune_requires_tasks(corpus_and_vocab):
 
 def test_multihead_roster_smoke(corpus_and_vocab):
     cfg, triple, vocab = corpus_and_vocab
-    roster = tiny_cfg(steps=4, tasks=[
-        TaskSpec("seg", "language-guided-vision", "seg", 4),
-        TaskSpec("cls", "image-only", "cls", 4),
-        TaskSpec("cap", "image-to-text-gen", "caption", 4),
-        TaskSpec("vqa", "deep-fusion", "vqa", 4),
-    ])
+    roster = tiny_cfg(steps=4, tasks=FOUR_TASKS)
     model = TaskModel(roster, vocab, seed=0)
     fin = finetune_stage(roster, 0, triple, model)
     ran = {line.split("\t")[2] for line in fin.trace}
@@ -235,6 +240,26 @@ def test_run_stream_record(corpus_and_vocab):
     assert parsed["config_hash"] == record.config_hash
 
 
+# sha256 of one tiny stream's loss traces and novel-split metrics per
+# pretrain mode, with every head trained once. A change that moves any float
+# bit of the engine fails here in seconds; one that does so on purpose
+# updates these values and says so.
+BEHAVIOUR_FINGERPRINTS = {
+    "supervised": "8386a368aff8e464f78d4d9e4faf9783afffe16b57e021a7fe1421804d4c2362",
+    "pair-contrastive": "bc2bdd0a9db633a501e2e42d2e62ec65e0d8ea0821b1cfee8e729724221c7ba3",
+    "masked-unimodal": "2974dbfe464d3a1a92396c25afc2716e7b3ffe5b2a0105ddcfa2c7c668f948ab",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(BEHAVIOUR_FINGERPRINTS))
+def test_behaviour_fingerprint_does_not_drift(mode):
+    cfg = tiny_cfg(pretrain_mode=mode, pretrain_steps=3, steps=4, eval_samples=4,
+                   tasks=FOUR_TASKS)
+    record = run_stream(cfg, 0, build_corpora(cfg))
+    blob = json.dumps([record.losses, record.metrics], sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == BEHAVIOUR_FINGERPRINTS[mode]
+
+
 def test_compare_rejects_non_pretrain_differences():
     a = tiny_cfg(pretrain_mode="pair-contrastive")
     b = tiny_cfg(pretrain_mode="masked-unimodal", steps=5)
@@ -304,6 +329,30 @@ def test_compare_output_does_not_depend_on_the_worker_count(tmp_path, monkeypatc
         assert row.fb == round_half_up(100 * scores["fb_iou"], 1)
     assert report.stream_means == {
         name: float(np.mean([novel[(name, s)]["miou"] for s in seeds])) for name in configs}
+
+
+PIPED_COMPARE = """
+from uniboost.config import ExperimentConfig, TaskSpec
+from uniboost.pipeline import compare_streams
+cfg = dict(layers=1, width=16, heads=2, patch_size=4, max_tokens=40, vocab_size=32,
+           fusion_layers=1, fusion_heads=2, common_width=16, layer_set=(1,),
+           grid_size=16, samples_per_corpus=8, pretrain_steps=1, steps=1,
+           eval_samples=2, tasks=[TaskSpec("seg", "language-guided-vision", "seg", 4)])
+compare_streams({"A": ExperimentConfig(pretrain_mode="pair-contrastive", **cfg),
+                 "B": ExperimentConfig(pretrain_mode="masked-unimodal", **cfg)}, [0])
+"""
+
+
+def test_compare_from_a_piped_script_is_refused_before_the_pool_starts():
+    # spawned workers import the main module again, and `python -` leaves
+    # none on disk to import
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-"], input=PIPED_COMPARE, capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 1
+    assert "RuntimeError" in proc.stderr and "save the script to a file" in proc.stderr
+    assert "BrokenProcessPool" not in proc.stderr
 
 
 def _blas_threads_job(cfg, seed):

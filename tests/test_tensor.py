@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from uniboost import tensor as T
 from uniboost.gradcheck import grad_check
+from uniboost.neck import attention_mask, causal_mask
 from uniboost.tensor import BackwardError, ShapeMismatchError, Tape, Tensor
 
 
@@ -173,18 +175,6 @@ def test_transpose_reshape():
         T.reshape(x, (5, 5))
 
 
-def test_masked_fill_replaces_and_blocks_grad():
-    x = Tensor(np.ones((2, 3)), requires_grad=True)
-    mask = np.array([[True, False, False], [False, True, True]])
-    with Tape() as tape:
-        y = T.masked_fill(x, mask)
-        loss = T.sum_(y)
-    assert y.values[0, 0] == T.MASK_FILL_VALUE
-    assert y.values[0, 1] == 1.0
-    tape.backward(loss, [x])
-    assert np.array_equal(x.grad, (~mask).astype(float))
-
-
 def test_l2_normalize_unit_rows_and_zero_row_error():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((4, 6))
@@ -196,6 +186,9 @@ def test_l2_normalize_unit_rows_and_zero_row_error():
 
 # ---------------------------------------------------------------------------
 # finite-difference gradient checks, one per differentiable op
+
+
+ATTENTION_WEIGHTS = Tensor(np.random.default_rng(11).standard_normal((2, 4, 4)))
 
 
 def _op_cases():
@@ -231,11 +224,15 @@ def _op_cases():
          lambda r: (leaf(r, 3, 4),)),
         ("reshape", lambda a: T.sum_(T.mul(T.reshape(a, (2, 6)), T.reshape(a, (2, 6)))),
          lambda r: (leaf(r, 3, 4),)),
-        ("masked-fill", lambda a: T.sum_(T.softmax(T.masked_fill(
-            a, np.array([[False, True, False, False]] * 3)))),
-         lambda r: (leaf(r, 3, 4),)),
         ("l2-normalize", lambda a: T.sum_(T.mul(T.l2_normalize(a), a)),
          lambda r: (Tensor(r.standard_normal((3, 5)) + 2.0, requires_grad=True),)),
+        ("linear", lambda x, w, b: T.sum_(T.mul(T.linear(x, w, b), T.linear(x, w, b))),
+         lambda r: (leaf(r, 2, 3, 4), leaf(r, 4, 2), leaf(r, 2))),
+        ("attention", lambda a: T.sum_(T.mul(T.attention(a, 2), ATTENTION_WEIGHTS)),
+         lambda r: (leaf(r, 2, 4, 12),)),
+        ("attention-masked", lambda a: T.sum_(T.mul(T.attention(a, 2, causal_mask(4)),
+                                                    ATTENTION_WEIGHTS)),
+         lambda r: (leaf(r, 2, 4, 12),)),
     ]
 
 
@@ -248,8 +245,8 @@ def test_gradients_match_finite_differences(name, fn, make):
 
 
 def test_grad_check_catches_a_wrong_gradient():
-    # masked_fill with the gradient NOT blocked would disagree with FD;
-    # emulate by comparing against an off-by-factor loss.
+    # A gradient off by a factor would disagree with FD; emulate by
+    # comparing against an off-by-factor loss.
     def bad(a):
         return T.scale(T.sum_(a), 1.0001)
 
@@ -347,8 +344,8 @@ def test_primitive_tag_table_is_complete():
     assert set(T._PRIMITIVES) == {
         "matmul", "add", "elementwise-mul", "softmax", "log-softmax",
         "layer-norm", "gelu", "embedding-lookup", "concat", "slice", "gather",
-        "mean", "sum", "transpose", "reshape", "scale", "masked-fill",
-        "l2-normalize",
+        "mean", "sum", "transpose", "reshape", "scale", "l2-normalize",
+        "linear", "attention",
     }
 
 
@@ -364,3 +361,97 @@ def test_forward_and_backward_are_bit_deterministic():
         return loss.values.tobytes(), x.grad.tobytes(), w.grad.tobytes()
 
     assert run() == run()
+
+
+# ---------------------------------------------------------------------------
+# fused and in-place ops are bit-identical to the computations they replace
+
+
+def _bits(*arrays):
+    return [a.tobytes() for a in arrays]
+
+
+def _composed_attention(qkv, heads, allow):
+    """The primitive chain ``T.attention`` replaces. The mask fill is
+    ``where(allow, s, MASK_FILL_VALUE)`` with the gradient zeroed where
+    forbidden, written as ``s * allow + where(allow, 0, MASK_FILL_VALUE)``."""
+    b, t, d3 = qkv.shape
+    d = d3 // 3
+    hd = d // heads
+    x = T.reshape(qkv, (b, t, 3, heads, hd))
+    x = T.transpose(T.transpose(x, 1, 3), 1, 2)  # [B, 3, H, T, hd]
+    q, k, v = (T.reshape(T.slice_(x, (slice(None), slice(i, i + 1))), (b, heads, t, hd))
+               for i in range(3))
+    scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(hd))
+    if allow is not None:
+        scores = T.add(T.mul(scores, Tensor(allow.astype(np.float64))),
+                       Tensor(np.where(allow, 0.0, T.MASK_FILL_VALUE)))
+    mixed = T.matmul(T.softmax(scores), v)  # [B, H, T, hd]
+    return T.reshape(T.transpose(mixed, 1, 2), (b, t, d))
+
+
+def _forward_backward(fn, inputs, out_weights):
+    """``fn(*inputs)`` and each input's gradient of sum(out * out_weights)."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in inputs]
+    with Tape() as tape:
+        out = fn(*leaves)
+        loss = T.sum_(T.mul(out, Tensor(out_weights)))
+    tape.backward(loss, leaves)
+    return _bits(out.values, *(t.grad for t in leaves))
+
+
+def _mask_with_a_dead_row():
+    allow = np.random.default_rng(20).uniform(size=(7, 7)) < 0.6
+    allow[2] = False  # all scores filled: uniform weights, and no gradient
+    return allow
+
+
+@pytest.mark.parametrize("allow", [None, causal_mask(7), attention_mask(3, 4),
+                                   _mask_with_a_dead_row()],
+                         ids=["unmasked", "causal", "generative", "dead-row"])
+def test_attention_is_bit_identical_to_the_composed_chain(allow):
+    rng = np.random.default_rng(21)
+    for heads, width in ((2, 8), (3, 18)):  # head widths 4 and 6
+        qkv = rng.standard_normal((3, 7, 3 * width))
+        w = rng.standard_normal((3, 7, width))
+        fused = _forward_backward(lambda a: T.attention(a, heads, allow), [qkv], w)
+        chain = _forward_backward(lambda a: _composed_attention(a, heads, allow), [qkv], w)
+        assert fused == chain
+
+
+def test_attention_rejects_bad_shapes():
+    with pytest.raises(ShapeMismatchError, match="divisible by 2 heads"):
+        T.attention(Tensor(np.zeros((1, 4, 10))), 2)
+    with pytest.raises(ShapeMismatchError, match=r"mask shape \(3, 3\) != \(4, 4\)"):
+        T.attention(Tensor(np.zeros((1, 4, 12))), 2, np.ones((3, 3), dtype=bool))
+
+
+@pytest.mark.parametrize("x_shape", [(5, 4), (2, 5, 4)])
+def test_linear_is_bit_identical_to_matmul_plus_add(x_shape):
+    rng = np.random.default_rng(22)
+    x, w, b = rng.standard_normal(x_shape), rng.standard_normal((4, 6)), rng.standard_normal(6)
+    out_weights = rng.standard_normal((*x_shape[:-1], 6))
+    fused = _forward_backward(T.linear, [x, w, b], out_weights)
+    chain = _forward_backward(lambda x, w, b: T.add(T.matmul(x, w), b), [x, w, b], out_weights)
+    assert fused == chain
+    with pytest.raises(ShapeMismatchError, match="inner dims"):
+        T.linear(Tensor(np.zeros((2, 3))), Tensor(w), Tensor(b))
+
+
+def test_softmax_bits_match_the_plain_formula():
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((3, 5, 9)) * 4.0
+    g = rng.standard_normal(x.shape)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    gx = y * (g - (g * y).sum(axis=-1, keepdims=True))
+    assert _forward_backward(T.softmax, [x], g) == _bits(y, gx)
+
+
+def test_gelu_bits_match_the_plain_formula():
+    rng = np.random.default_rng(24)
+    x = rng.standard_normal((3, 5, 9)) * 3.0
+    g = rng.standard_normal(x.shape)
+    cdf = 0.5 * (1.0 + scipy.special.erf(x * float(1.0 / np.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x * x) * float(1.0 / np.sqrt(2.0 * np.pi))
+    assert _forward_backward(T.gelu, [x], g) == _bits(x * cdf, g * (cdf + x * pdf))
