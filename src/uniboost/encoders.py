@@ -3,8 +3,10 @@
 The image encoder patchifies an H x W x C grid into flattened patches,
 projects them to the model width, adds learned positions, and runs a
 stack of pre-norm blocks. The text encoder does the same from token ids.
-Calling either stack returns the output of every requested layer
-(1-based), which is what the neck consumes as multi-layer features.
+Calling either stack returns its final, normalized layer as a
+[B, n, width] tensor. ``run_layers`` runs the blocks on embedded inputs and
+returns a {layer: tensor} dict of every requested layer (1-based), which is
+what the neck consumes as multi-layer image features.
 """
 
 from __future__ import annotations
@@ -63,12 +65,12 @@ class _Stack(Module):
                                   for _ in range(config.layers)])
         self.final_norm = LayerNorm(config.width)
 
-    def __call__(self, inputs: np.ndarray, layer_set: set[int] | None = None,
-                 allow: np.ndarray | None = None, **embed_args) -> dict[int, Tensor]:
+    def __call__(self, inputs: np.ndarray, allow: np.ndarray | None = None,
+                 **embed_args) -> Tensor:
         """Embed ``inputs`` (``embed_args`` go to ``embed``) and return the
-        requested layers' outputs; the default is the final layer only."""
-        layer_set = layer_set or {self.config.layers}
-        return self.run_layers(self.embed(inputs, **embed_args), layer_set, allow)
+        final layer's output."""
+        last = self.config.layers
+        return self.run_layers(self.embed(inputs, **embed_args), {last}, allow)[last]
 
     def run_layers(self, x: Tensor, layer_set: set[int],
                    allow: np.ndarray | None = None) -> dict[int, Tensor]:

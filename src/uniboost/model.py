@@ -19,8 +19,7 @@ import numpy as np
 from . import tensor as T
 from .config import ExperimentConfig, encoder_config, neck_config
 from .encoders import ImageEncoder, TextEncoder, Vocabulary
-from .neck import (EmbeddingSequence, Neck, RouteKind, causal_mask, lm_generate,
-                   seg_logits, upsample_patch_grid)
+from .neck import Neck, RouteKind, causal_mask, lm_generate, seg_logits, upsample_patch_grid
 from .nn import Linear, Module, init_rng
 from .pretrain import cross_entropy
 from .shapeworld import SHAPES, class_id
@@ -58,21 +57,19 @@ class TaskModel(Module):
 
     # -- shared pieces -------------------------------------------------------
 
-    def image_seq(self, images: np.ndarray) -> EmbeddingSequence:
+    def image_seq(self, images: np.ndarray) -> Tensor:
         layer_set = set(self.cfg.layer_set)
-        by_layer = self.image_encoder(images, layer_set)
+        by_layer = self.image_encoder.run_layers(self.image_encoder.embed(images), layer_set)
         return self.neck.project_image([by_layer[i] for i in sorted(layer_set)])
 
-    def text_seq(self, ids: np.ndarray, causal: bool = False) -> EmbeddingSequence:
+    def text_seq(self, ids: np.ndarray, causal: bool = False) -> Tensor:
         allow = causal_mask(ids.shape[1]) if causal else None
-        final = self.text_encoder(ids, allow=allow)[self.cfg.layers]
-        return self.neck.project_text(final)
+        return self.neck.project_text(self.text_encoder(ids, allow=allow))
 
     def class_prompts(self, class_names: list[str]) -> Tensor:
         """[K, width] pooled prompt embedding per class name."""
         ids = np.array([self.vocab.encode(name) for name in class_names])
-        seq = self.text_seq(ids)
-        return T.mean(seq.data, axis=1)
+        return T.mean(self.text_seq(ids), axis=1)
 
     def encoder_parameters(self):
         return list(self.image_encoder.parameters()) + list(self.text_encoder.parameters())
@@ -150,8 +147,8 @@ class TaskModel(Module):
         img = self.image_seq(images)
         txt = self.text_seq(corrupted, causal=True)
         fused = self.neck.route_forward(route, img, txt)
-        n_img = img.n_tokens
-        text_hidden = T.slice_(fused.data, (slice(None), slice(n_img, n_img + n)))
+        n_img = img.shape[1]
+        text_hidden = T.slice_(fused, (slice(None), slice(n_img, n_img + n)))
         logits = self.neck.lm_head(text_hidden)
         logp = T.log_softmax(logits)
         picked = T.gather(logp, ids)

@@ -2,11 +2,13 @@
 image and text blocks into one sequence, a shared fusion transformer, and
 the five task routes with their output conventions.
 
-Routes and outputs:
-  ImageOnly / TextOnly      pooled vector for a classifier head
+Every route takes [B, n, width] tensors of projected image and/or text
+token embeddings. Routes and outputs:
+  ImageOnly / TextOnly      pooled [B, width] vector for a classifier head
   LanguageGuidedVision      per-image-token embeddings (post fusion) plus
                             per-class pooled text embeddings
-  ImageToTextGen            full fused sequence under the generative mask
+  ImageToTextGen            full fused [B, n_image + n_text, width] sequence,
+                            image tokens first, under the generative mask
   DeepFusion                same machinery as ImageToTextGen; both are
                             generation routes here, so both use the
                             generative mask
@@ -29,8 +31,7 @@ from . import tensor as T
 from .nn import EncoderBlock, LayerNorm, Linear, Module, ModuleList, init_rng
 from .tensor import Tensor
 
-__all__ = ["RouteKind", "NeckConfig", "EmbeddingSequence", "Neck",
-           "attention_mask", "causal_mask", "fuse_concat",
+__all__ = ["RouteKind", "NeckConfig", "Neck", "attention_mask", "causal_mask",
            "seg_logits", "upsample_patch_grid", "lm_generate", "RouteInputError",
            "SEG_TEMPERATURE"]
 
@@ -70,37 +71,6 @@ class NeckConfig:
                 f"common width {self.common_width} not divisible by heads {self.fusion_heads}")
 
 
-@dataclass
-class EmbeddingSequence:
-    """A batch of token embeddings, ``data`` of shape [B, n, width]. In a
-    fused sequence the image tokens come first, then the text tokens."""
-
-    data: Tensor
-
-    @property
-    def n_tokens(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
-
-def image_sequence(data: Tensor) -> EmbeddingSequence:
-    return EmbeddingSequence(data)
-
-
-def text_sequence(data: Tensor) -> EmbeddingSequence:
-    return EmbeddingSequence(data)
-
-
-def fuse_concat(image_seq: EmbeddingSequence, text_seq: EmbeddingSequence) -> EmbeddingSequence:
-    """Image tokens first, then text tokens."""
-    if image_seq.width != text_seq.width:
-        raise ValueError(f"width mismatch: image {image_seq.width} vs text {text_seq.width}")
-    return EmbeddingSequence(T.concat([image_seq.data, text_seq.data], axis=1))
-
-
 def attention_mask(n_image: int, n_text: int) -> np.ndarray:
     """Generative allow-matrix over the fused sequence (True = may attend)."""
     n = n_image + n_text
@@ -132,7 +102,7 @@ class Neck(Module):
 
     # -- projection ---------------------------------------------------------
 
-    def project_image(self, per_layer: list[Tensor]) -> EmbeddingSequence:
+    def project_image(self, per_layer: list[Tensor]) -> Tensor:
         """Concatenate the selected layers' features per token, then map to
         the common width."""
         if len(per_layer) != len(self.config.layer_set):
@@ -144,13 +114,13 @@ class Neck(Module):
                 raise ValueError(
                     f"image feature width {f.shape[-1]} != config {self.config.encoder_width}")
         stacked = per_layer[0] if len(per_layer) == 1 else T.concat(per_layer, axis=-1)
-        return image_sequence(self.img_proj(stacked))
+        return self.img_proj(stacked)
 
-    def project_text(self, final_layer: Tensor) -> EmbeddingSequence:
+    def project_text(self, final_layer: Tensor) -> Tensor:
         if final_layer.shape[-1] != self.config.text_width:
             raise ValueError(
                 f"text feature width {final_layer.shape[-1]} != config {self.config.text_width}")
-        return text_sequence(self.txt_proj(final_layer))
+        return self.txt_proj(final_layer)
 
     # -- fusion -------------------------------------------------------------
 
@@ -160,14 +130,13 @@ class Neck(Module):
         return self.final_norm(x)
 
     def route_forward(self, route: RouteKind,
-                      image_seq: EmbeddingSequence | None = None,
-                      text_seq: EmbeddingSequence | None = None):
+                      image_seq: Tensor | None = None, text_seq: Tensor | None = None):
         if route is RouteKind.IMAGE_ONLY:
             if text_seq is not None:
                 raise RouteInputError("route accepts image only")
             if image_seq is None:
                 raise RouteInputError("image-only route requires an image sequence")
-            fused = self.fusion_forward(image_seq.data)
+            fused = self.fusion_forward(image_seq)
             return T.mean(fused, axis=1)
 
         if route is RouteKind.TEXT_ONLY:
@@ -175,21 +144,21 @@ class Neck(Module):
                 raise RouteInputError("route accepts text only")
             if text_seq is None:
                 raise RouteInputError("text-only route requires a text sequence")
-            fused = self.fusion_forward(text_seq.data)
+            fused = self.fusion_forward(text_seq)
             return T.mean(fused, axis=1)
 
         if image_seq is None or text_seq is None:
             raise RouteInputError(f"route {route.value} requires both modalities")
 
         if route is RouteKind.LANGUAGE_GUIDED_VISION:
-            patch_emb = self.fusion_forward(image_seq.data)
-            class_emb = T.mean(text_seq.data, axis=1)
+            patch_emb = self.fusion_forward(image_seq)
+            class_emb = T.mean(text_seq, axis=1)
             return patch_emb, class_emb
 
         if route in GENERATIVE_ROUTES:
-            fused = fuse_concat(image_seq, text_seq)
-            allow = attention_mask(image_seq.n_tokens, text_seq.n_tokens)
-            return EmbeddingSequence(self.fusion_forward(fused.data, allow))
+            fused = T.concat([image_seq, text_seq], axis=1)  # image tokens first
+            allow = attention_mask(image_seq.shape[1], text_seq.shape[1])
+            return self.fusion_forward(fused, allow)
 
         raise RouteInputError(f"unknown route {route!r}")
 
@@ -220,7 +189,7 @@ def upsample_patch_grid(per_patch: np.ndarray, height: int, width: int,
     return grid.repeat(p, axis=-2).repeat(p, axis=-1)
 
 
-def lm_generate(neck: Neck, image_seq: EmbeddingSequence, prefix_ids: list[int],
+def lm_generate(neck: Neck, image_seq: Tensor, prefix_ids: list[int],
                 embed_text, mask_id: int, eos_id: int, vocab_len: int,
                 max_len: int) -> list[int]:
     """Greedy mask-slot decoding.
@@ -230,8 +199,8 @@ def lm_generate(neck: Neck, image_seq: EmbeddingSequence, prefix_ids: list[int],
     slot; the argmax over the vocabulary's ids ``0..vocab_len-1`` (ties to
     the lowest id) becomes the next token, so LM-head outputs past the
     vocabulary are never emitted. Stops at EOS or after ``max_len`` tokens.
-    ``embed_text`` maps a list of token ids to a projected text
-    EmbeddingSequence.
+    ``embed_text`` maps a list of n token ids to their projected [1, n, width]
+    text embeddings.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
@@ -242,8 +211,8 @@ def lm_generate(neck: Neck, image_seq: EmbeddingSequence, prefix_ids: list[int],
         ids = list(prefix_ids) + out + [mask_id]
         txt_seq = embed_text(ids)
         fused = neck.route_forward(RouteKind.DEEP_FUSION, image_seq, txt_seq)
-        slot = fused.n_tokens - 1
-        hidden = T.slice_(fused.data, (slice(None), slice(slot, slot + 1)))
+        slot = fused.shape[1] - 1
+        hidden = T.slice_(fused, (slice(None), slice(slot, slot + 1)))
         logits = neck.lm_head(hidden)
         next_id = int(np.argmax(logits.values[0, 0, :vocab_len]))
         if next_id == eos_id:

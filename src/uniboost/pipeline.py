@@ -66,10 +66,17 @@ class RunRecord:
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
 
+# The sample fields the stages read from each corpus.
+_CORPUS_FIELDS = {"paired": ("image", "mask", "caption", "question", "answer"),
+                  "image-only": ("image",),
+                  "text-only": ("caption",)}
+
+
 def build_corpora(cfg: ExperimentConfig) -> CorpusTriple:
     """Corpus triple from the config: generated, or ingested if a manifest
-    path is configured. Its paired corpus, which every stage may train on,
-    must pass the leakage audit."""
+    path is configured. Each corpus must hold what the stages read of it,
+    and its paired corpus, which every stage may train on, must pass the
+    leakage audit."""
     if not cfg.manifest:
         triple = gen_shapeworld(world_config(cfg))
     else:
@@ -79,8 +86,32 @@ def build_corpora(cfg: ExperimentConfig) -> CorpusTriple:
             raise DataError(f"manifest lacks corpora {sorted(missing)}")
         triple = CorpusTriple(paired=tasks["paired"], image_only=tasks["image-only"],
                               text_only=tasks["text-only"])
+    _check_corpora(triple)
     audit_leakage(cfg.novel_shapes, *_audit_content(triple.paired))
     return triple
+
+
+def _check_corpora(triple: CorpusTriple) -> None:
+    """Every sample has the fields the stages read, each text field has one
+    token count across its corpus (batches stack them), and each paired
+    caption's second word is the shape that supervised pretraining and the
+    cls head take as its label."""
+    for name, fields in _CORPUS_FIELDS.items():
+        n_tokens: dict[str, int] = {}
+        for s in getattr(triple, name.replace("-", "_")):
+            where = f"corpus {name!r} sample {s.sample_id!r}"
+            for f in fields:
+                value = getattr(s, f)
+                n = len(value.split()) if isinstance(value, str) else None
+                if value is None or n == 0:
+                    raise DataError(f"{where}: no {f}")
+                if n is not None and n_tokens.setdefault(f, n) != n:
+                    raise DataError(f"{where}: {f} has {n} tokens, the corpus's first "
+                                    f"has {n_tokens[f]}")
+            words = s.caption.split()
+            if name == "paired" and (len(words) < 2 or words[1] not in SHAPES):
+                raise DataError(f"{where}: caption {s.caption!r} does not name a shape "
+                                f"as its second word")
 
 
 def _label_of(sample: Sample) -> int:
@@ -147,13 +178,17 @@ def finetune_stage(cfg: ExperimentConfig, seed: int, triple: CorpusTriple,
 
     datasets = []
     policy = RebalancePolicy(threshold=cfg.rebalance_threshold)
+    # The tasks' plans share their derived ids; the last task's spec for an
+    # id wins, and each derived sample is augmented once.
+    merged_plan = {}
     for spec in cfg.tasks:
         ds = TaskDataset(spec.task_id, spec.route,
                          tuple(s.sample_id for s in triple.paired),
                          spec.batch_size, _task_rng_seed(seed, spec.task_id))
         ds, plan = rebalance(ds, policy)
-        _materialize(store, plan)
+        merged_plan.update(plan)
         datasets.append(ds)
+    _materialize(store, merged_plan)
 
     queue = DataQueue(datasets, seed=_task_rng_seed(seed, "queue"))
     head_by_task = {spec.task_id: spec.head for spec in cfg.tasks}

@@ -113,7 +113,7 @@ def mim_loss(encoder: ImageEncoder, head: MimHead, images: np.ndarray,
     for i in range(b):
         masked[i, pos_idx[i]] = 1.0
 
-    hidden = encoder(images, mask=(head.mask_token, masked))[encoder.config.layers]
+    hidden = encoder(images, mask=(head.mask_token, masked))
     recon = head.recon(hidden)
 
     if targets is None:
@@ -141,7 +141,7 @@ def mlm_loss(encoder: TextEncoder, head: MlmHead, ids: np.ndarray,
         corrupted[i, pos_idx[i]] = mask_id
         mask[i, pos_idx[i]] = 1.0
 
-    hidden = encoder(corrupted)[encoder.config.layers]
+    hidden = encoder(corrupted)
     logits = head.logits(hidden, encoder.tok.table)
     logp = T.log_softmax(logits)
     picked = T.gather(logp, ids)
@@ -168,9 +168,8 @@ def info_nce(image_vecs: Tensor, text_vecs: Tensor, temperature: float) -> Tenso
 def contrastive_loss(image_encoder: ImageEncoder, text_encoder: TextEncoder,
                      images: np.ndarray, token_ids: np.ndarray,
                      temperature: float = CONTRASTIVE_TEMPERATURE) -> Tensor:
-    img_seq = image_encoder(images)[image_encoder.config.layers]
-    txt_seq = text_encoder(token_ids)[text_encoder.config.layers]
-    return info_nce(pool_sequence(img_seq), pool_sequence(txt_seq), temperature)
+    return info_nce(pool_sequence(image_encoder(images)),
+                    pool_sequence(text_encoder(token_ids)), temperature)
 
 
 def supervised_cls_loss(encoder: ImageEncoder, head: Linear,
@@ -179,8 +178,7 @@ def supervised_cls_loss(encoder: ImageEncoder, head: Linear,
     n_classes = head.out_dim
     if labels.size and labels.max() >= n_classes:
         raise ValueError(f"label {labels.max()} out of range for {n_classes} classes")
-    seq = encoder(images)[encoder.config.layers]
-    pooled = T.mean(seq, axis=1)
+    pooled = T.mean(encoder(images), axis=1)
     return cross_entropy(head(pooled), labels)
 
 

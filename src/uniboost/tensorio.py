@@ -14,11 +14,15 @@ loading therefore returns exactly the float32 image of what was saved.
 
 A checkpoint is a directory of ``.ubtn`` payloads plus ``manifest.tsv``
 (name, comma-joined dims, filename per line, sorted by name) and a
-``config.txt`` echo of the run configuration.
+``config.txt`` echo of the run configuration. It is whole or absent: a save
+writes a sibling temporary directory and then swaps it into place, so a
+save that stops partway never leaves a manifest over a mix of payloads.
 """
 
 from __future__ import annotations
 
+import os
+import shutil
 import struct
 from pathlib import Path
 
@@ -69,16 +73,30 @@ def load_tensor(path: str | Path) -> np.ndarray:
 def save_checkpoint(dirpath: str | Path, named_values: dict[str, np.ndarray],
                     config_text: str = "") -> None:
     d = Path(dirpath)
-    d.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for i, name in enumerate(sorted(named_values)):
-        fname = f"p{i:04d}.ubtn"
-        arr = named_values[name]
-        save_tensor(d / fname, arr)
-        dims = ",".join(str(s) for s in np.asarray(arr).shape)
-        lines.append(f"{name}\t{dims}\t{fname}")
-    (d / "manifest.tsv").write_text("\n".join(lines) + "\n")
-    (d / "config.txt").write_text(config_text)
+    # Siblings that no load reads: the checkpoint being written, and the
+    # previous one for the moment between the two renames.
+    tmp = d.with_name(f".{d.name}.tmp{os.getpid()}")
+    old = d.with_name(f".{d.name}.old{os.getpid()}")
+    for stale in (tmp, old):
+        shutil.rmtree(stale, ignore_errors=True)
+    tmp.mkdir(parents=True)
+    try:
+        lines = []
+        for i, name in enumerate(sorted(named_values)):
+            fname = f"p{i:04d}.ubtn"
+            arr = named_values[name]
+            save_tensor(tmp / fname, arr)
+            dims = ",".join(str(s) for s in np.asarray(arr).shape)
+            lines.append(f"{name}\t{dims}\t{fname}")
+        (tmp / "manifest.tsv").write_text("\n".join(lines) + "\n")
+        (tmp / "config.txt").write_text(config_text)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    if d.exists():
+        os.replace(d, old)
+    os.replace(tmp, d)
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def load_checkpoint(dirpath: str | Path) -> dict[str, np.ndarray]:

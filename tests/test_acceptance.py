@@ -26,8 +26,7 @@ from uniboost.encoders import EncoderConfig, ImageEncoder, TextEncoder
 from uniboost.gradcheck import grad_check
 from uniboost.metrics import ConfusionCounts, fb_iou, fold_mean, round_half_up, vqa_accuracy
 from uniboost.model import TaskModel
-from uniboost.neck import (Neck, NeckConfig, RouteInputError, RouteKind,
-                           image_sequence, seg_logits, text_sequence)
+from uniboost.neck import Neck, NeckConfig, RouteInputError, RouteKind, seg_logits
 from uniboost.nn import Linear, init_rng
 from uniboost.pipeline import compare_streams
 from uniboost.pretrain import (MimHead, MlmHead, contrastive_loss, mim_loss,
@@ -496,8 +495,8 @@ def test_criterion_5_neck_invariants(capsys):
     rng = np.random.default_rng(3)
     problems = []
 
-    img = image_sequence(Tensor(rng.normal(size=(1, 2, 8))))
-    txt = text_sequence(Tensor(rng.normal(size=(1, 2, 8))))
+    img = Tensor(rng.normal(size=(1, 2, 8)))
+    txt = Tensor(rng.normal(size=(1, 2, 8)))
     violations = [
         (RouteKind.IMAGE_ONLY, dict(image_seq=img, text_seq=txt)),
         (RouteKind.TEXT_ONLY, dict(image_seq=img, text_seq=txt)),
@@ -520,24 +519,20 @@ def test_criterion_5_neck_invariants(capsys):
     for route in (RouteKind.DEEP_FUSION, RouteKind.IMAGE_TO_TEXT_GEN):
         for n_img in range(1, 6):
             for n_txt in range(1, 7 - n_img):
-                img = image_sequence(Tensor(rng.normal(size=(1, n_img, 8))))
+                img = Tensor(rng.normal(size=(1, n_img, 8)))
                 txt_data = rng.normal(size=(1, n_txt, 8))
-                base = neck.route_forward(route, img,
-                                          text_sequence(Tensor(txt_data.copy())))
+                base = neck.route_forward(route, img, Tensor(txt_data.copy()))
                 for j in range(n_txt):
                     bumped = txt_data.copy()
                     bumped[0, j] += rng.normal(size=8)
-                    out = neck.route_forward(route, img,
-                                             text_sequence(Tensor(bumped)))
+                    out = neck.route_forward(route, img, Tensor(bumped))
                     cut = n_img + j
                     n_causal += 1
-                    if not np.array_equal(base.data.values[:, :cut],
-                                          out.data.values[:, :cut]):
+                    if not np.array_equal(base.values[:, :cut], out.values[:, :cut]):
                         problems.append(
                             f"causality: {route.value} ({n_img},{n_txt}) token {j} "
                             f"leaked backwards")
-                    if np.array_equal(base.data.values[:, cut],
-                                      out.data.values[:, cut]):
+                    if np.array_equal(base.values[:, cut], out.values[:, cut]):
                         problems.append(
                             f"causality: {route.value} ({n_img},{n_txt}) token {j} "
                             f"had no effect on itself")

@@ -182,6 +182,47 @@ def test_data_errors_exit_3(workspace):
     assert main(["pretrain", "--config", str(broken)]) == EXIT_DATA
 
 
+def _drop_image(fields):
+    fields[2] = ""
+
+
+def _drop_last_word(fields):
+    fields[4] = fields[4].rsplit(" ", 1)[0]
+
+
+def _unknown_shape(fields):
+    words = fields[4].split()
+    fields[4] = " ".join([words[0], "blob", *words[2:]])
+
+
+@pytest.mark.parametrize("mode, corpus, edit, message", [
+    ("pair-contrastive", "paired", _drop_image, "no image"),
+    ("masked-unimodal", "text-only", _drop_last_word, "caption has 4 tokens"),
+    ("supervised", "paired", _unknown_shape, "does not name a shape"),
+], ids=["paired-without-image", "short-text-only-caption", "caption-without-shape"])
+def test_ingested_corpus_the_stages_cannot_read_exits_3(workspace, capsys, mode, corpus,
+                                                        edit, message):
+    tmp, out, cfg = workspace
+    assert main(["gen-data", "--config", str(cfg)]) == EXIT_OK
+    full = out / "data" / "manifest.tsv"
+    lines = full.read_text().splitlines(True)
+    # the last sample of the corpus is the one that cannot be read
+    last = max(i for i, l in enumerate(lines) if l.startswith(corpus + "\t"))
+    fields = lines[last].rstrip("\n").split("\t")
+    edit(fields)  # fields: task, id, image, mask, caption, question, answer
+    lines[last] = "\t".join(fields) + "\n"
+    edited = full.with_name("edited.tsv")
+    edited.write_text("".join(lines))
+    path = tmp / "edited.cfg"
+    path.write_text(BASE_CFG.format(mode=mode).replace("[data]",
+                                                       f"[data]\nmanifest = {edited}"))
+    capsys.readouterr()
+    assert main(["pretrain", "--config", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: corpus '{corpus}' sample '{fields[1]}': ")
+    assert message in err and "Traceback" not in err
+
+
 def test_failures_inside_compare_workers_keep_their_exit_code(workspace, capsys):
     tmp, out, cfg = workspace
     assert main(["gen-data", "--config", str(cfg)]) == EXIT_OK

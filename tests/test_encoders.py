@@ -17,6 +17,11 @@ def small_config(**kw):
     return EncoderConfig(**defaults)
 
 
+def layers(enc, inputs, layer_set, **embed_args):
+    """The requested layers' outputs, through the multi-layer path."""
+    return enc.run_layers(enc.embed(inputs, **embed_args), layer_set)
+
+
 # ---------------------------------------------------------------------------
 # patchify
 
@@ -80,7 +85,7 @@ def test_image_encoder_output_layers():
     cfg = small_config()
     enc = ImageEncoder(cfg, seed="img:0")
     images = np.random.default_rng(1).uniform(size=(2, 4, 4, 3))
-    out = enc(images, layer_set={1, 2})
+    out = layers(enc, images, {1, 2})
     assert sorted(out) == [1, 2]
     assert out[1].shape == (2, 4, cfg.width)
     assert out[2].shape == (2, 4, cfg.width)
@@ -90,7 +95,7 @@ def test_final_layer_is_normalized_intermediate_is_not():
     cfg = small_config()
     enc = ImageEncoder(cfg, seed=3)
     images = np.random.default_rng(2).uniform(size=(1, 4, 4, 3))
-    out = enc(images, layer_set={1, 2})
+    out = layers(enc, images, {1, 2})
     v_final = out[2].values.var(axis=-1)
     assert np.all(np.abs(v_final - 1.0) < 1e-8)  # fresh LayerNorm: unit variance
     v_mid = out[1].values.var(axis=-1)
@@ -101,8 +106,8 @@ def test_requesting_subset_matches_full_run():
     cfg = small_config()
     enc = ImageEncoder(cfg, seed=4)
     images = np.random.default_rng(3).uniform(size=(1, 4, 4, 3))
-    both = enc(images, layer_set={1, 2})
-    only2 = enc(images, layer_set={2})
+    both = layers(enc, images, {1, 2})
+    only2 = layers(enc, images, {2})
     assert np.array_equal(both[2].values, only2[2].values)
 
 
@@ -110,11 +115,11 @@ def test_encoder_call_returns_each_requested_layer():
     cfg = small_config()
     enc = ImageEncoder(cfg, seed=5)
     images = np.random.default_rng(4).uniform(size=(1, 4, 4, 3))
-    outs = enc(images, {2, 1})
+    outs = layers(enc, images, {2, 1})
     assert sorted(outs) == [1, 2]
-    assert np.array_equal(outs[1].values, enc(images, layer_set={1})[1].values)
-    assert np.array_equal(outs[2].values, enc(images, layer_set={2})[2].values)
-    assert np.array_equal(outs[2].values, enc(images)[2].values)
+    assert np.array_equal(outs[1].values, layers(enc, images, {1})[1].values)
+    assert np.array_equal(outs[2].values, layers(enc, images, {2})[2].values)
+    assert np.array_equal(outs[2].values, enc(images).values)
 
 
 def test_image_embed_mask_override_with_nothing_masked_is_identity():
@@ -138,12 +143,13 @@ def test_masked_patch_pixels_never_reach_the_encoder_output():
     changed[0, :2, :2] = rng.uniform(size=(2, 2, 3))   # patch 0 of image 0
     changed[0, 2:, 2:] = rng.uniform(size=(2, 2, 3))   # patch 3 of image 0
     changed[1, :2, 2:] = rng.uniform(size=(2, 2, 3))   # patch 1 of image 1
-    before = enc(images, {1, 2}, mask=(token, masked))
-    after = enc(changed, {1, 2}, mask=(token, masked))
+    before = layers(enc, images, {1, 2}, mask=(token, masked))
+    after = layers(enc, changed, {1, 2}, mask=(token, masked))
     for layer in (1, 2):
         assert np.array_equal(before[layer].values, after[layer].values)
-    unmasked = enc(changed, {2})[2].values
-    assert not np.array_equal(unmasked, enc(images, {2})[2].values)
+    assert np.array_equal(enc(images, mask=(token, masked)).values, before[2].values)
+    unmasked = enc(changed).values
+    assert not np.array_equal(unmasked, enc(images).values)
 
 
 def test_token_and_layer_limits():
@@ -153,7 +159,7 @@ def test_token_and_layer_limits():
     with pytest.raises(ValueError, match="exceeds max"):
         enc.run_layers(too_long, {cfg.layers})
     with pytest.raises(ValueError, match="outside 1..2"):
-        enc(np.zeros((1, 2), dtype=int), layer_set={3})
+        layers(enc, np.zeros((1, 2), dtype=int), {3})
     with pytest.raises(ValueError, match="empty input"):
         enc(np.zeros((1, 0), dtype=int))
 
@@ -181,8 +187,8 @@ def test_image_encoder_forward_is_deterministic():
     cfg = small_config()
     enc = ImageEncoder(cfg, seed=9)
     images = np.random.default_rng(5).uniform(size=(2, 4, 4, 3))
-    a = enc(images)[2].values.tobytes()
-    b = enc(images)[2].values.tobytes()
+    a = enc(images).values.tobytes()
+    b = enc(images).values.tobytes()
     assert a == b
 
 

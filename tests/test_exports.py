@@ -3,6 +3,7 @@ every name the benchmark's span tracer patches still resolves, and every op
 tag a training loss tapes is one the tracer knows."""
 
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -44,6 +45,70 @@ def test_traced_import_resolves_every_hook(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert len(list(tmp_path.glob("spans-*.json"))) == 1
+
+
+CHAIN_CFG = """
+[encoder]
+layers = 1
+width = 16
+heads = 2
+patch_size = 4
+max_tokens = 40
+vocab_size = 32
+
+[neck]
+fusion_layers = 1
+fusion_heads = 2
+common_width = 16
+layer_set = 1
+
+[pretrain]
+mode = masked-unimodal
+steps = 2
+
+[data]
+samples_per_corpus = 16
+paired_fraction = 0.5
+
+[optimizer]
+warmup_steps = 1
+
+[run]
+steps = 4
+batch_size = 4
+eval_samples = 4
+rebalance_threshold = 8
+""" + "".join(f"""
+[task {head}]
+route = {route}
+head = {head}
+batch_size = 4
+""" for head, route in [("seg", "language-guided-vision"), ("cls", "image-only"),
+                        ("caption", "image-to-text-gen"), ("vqa", "deep-fusion")])
+
+
+def test_traced_stage_chain_records_the_spans_the_benchmark_reads(tmp_path):
+    # The traced benchmark runs these commands; a wrapper that breaks a call
+    # only shows once the call is made, which importing alone does not do.
+    trace, out = tmp_path / "trace", tmp_path / "out"
+    trace.mkdir()
+    cfg = tmp_path / "chain.cfg"
+    cfg.write_text(CHAIN_CFG)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                           str(ROOT / "perfbench" / "tracehook")]),
+               PERFBENCH_TRACE_DIR=str(trace), UNIBOOST_OUT=str(out))
+    for command in (["pretrain"], ["finetune-multitask"],
+                    ["eval", "--split", "novel", "--vqa"]):
+        proc = subprocess.run([sys.executable, "-m", "uniboost.cli", *command,
+                               "--config", str(cfg)], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, (command, proc.stderr)
+    names = {span[1] for path in trace.glob("spans-*.json")
+             for span in json.loads(path.read_text())["spans"]}
+    want = {"neck.route_forward", "neck.lm_generate", "encoders.image.layers",
+            "encoders.text.layers", "model.generate_answer", "tensor.bwd.attention"}
+    assert want <= names, sorted(want - names)
 
 
 def test_every_taped_op_tag_is_a_primitive():

@@ -5,9 +5,8 @@ import pytest
 
 from uniboost.neck import (Neck, NeckConfig, RouteInputError, RouteKind,
                            SEG_TEMPERATURE, attention_mask, causal_mask,
-                           fuse_concat, image_sequence, lm_generate, seg_logits,
-                           text_sequence, upsample_patch_grid)
-from uniboost.tensor import Tensor
+                           lm_generate, seg_logits, upsample_patch_grid)
+from uniboost.tensor import ShapeMismatchError, Tensor
 
 
 def small_neck(**kw):
@@ -17,9 +16,8 @@ def small_neck(**kw):
     return Neck(NeckConfig(**base), seed=0)
 
 
-def rand_seq(rng, n, width=8, kind="image"):
-    data = Tensor(rng.normal(size=(1, n, width)))
-    return image_sequence(data) if kind == "image" else text_sequence(data)
+def rand_seq(rng, n, width=8):
+    return Tensor(rng.normal(size=(1, n, width)))
 
 
 # ---------------------------------------------------------------- masks
@@ -63,44 +61,44 @@ def test_generative_causality_exhaustive_small_sequences():
     rng = np.random.default_rng(0)
     for n_img in range(1, 6):
         for n_txt in range(1, 7 - n_img):
-            img = rand_seq(rng, n_img, kind="image")
+            img = rand_seq(rng, n_img)
             txt_data = rng.normal(size=(1, n_txt, 8))
-            base = neck.route_forward(
-                RouteKind.DEEP_FUSION, img,
-                text_sequence(Tensor(txt_data.copy())))
+            base = neck.route_forward(RouteKind.DEEP_FUSION, img, Tensor(txt_data.copy()))
             for j in range(n_txt):
                 bumped = txt_data.copy()
                 bumped[0, j] += rng.normal(size=8)
-                out = neck.route_forward(
-                    RouteKind.DEEP_FUSION, img,
-                    text_sequence(Tensor(bumped)))
+                out = neck.route_forward(RouteKind.DEEP_FUSION, img, Tensor(bumped))
                 cut = n_img + j
-                assert np.array_equal(base.data.values[:, :cut],
-                                      out.data.values[:, :cut]), (n_img, n_txt, j)
-                assert not np.array_equal(base.data.values[:, cut],
-                                          out.data.values[:, cut])
+                assert np.array_equal(base.values[:, :cut], out.values[:, :cut]), (n_img, n_txt, j)
+                assert not np.array_equal(base.values[:, cut], out.values[:, cut])
 
 
 # ---------------------------------------------------------------- fuse/split
 
 def test_fuse_then_split_round_trips():
+    """With no fusion blocks a generative route is the per-token final norm
+    of the fused sequence, so its blocks show the image-first order."""
+    neck = small_neck(fusion_layers=0)
     rng = np.random.default_rng(1)
-    img = rand_seq(rng, 3, kind="image")
-    txt = rand_seq(rng, 2, kind="text")
-    fused = fuse_concat(img, txt)
-    assert fused.n_tokens == 5
-    assert np.array_equal(fused.data.values[:, :3], img.data.values)
-    assert np.array_equal(fused.data.values[:, 3:], txt.data.values)
+    img = rand_seq(rng, 3)
+    txt = rand_seq(rng, 2)
+    for route in (RouteKind.IMAGE_TO_TEXT_GEN, RouteKind.DEEP_FUSION):
+        fused = neck.route_forward(route, img, txt)
+        assert fused.shape == (1, 5, 8)
+        assert np.allclose(fused.values[:, :3], neck.final_norm(img).values, atol=1e-12)
+        assert np.allclose(fused.values[:, 3:], neck.final_norm(txt).values, atol=1e-12)
 
 
 def test_fuse_width_mismatch_and_empty_blocks():
+    neck = small_neck()
     rng = np.random.default_rng(2)
-    img = rand_seq(rng, 2, width=8, kind="image")
-    wide = rand_seq(rng, 2, width=6, kind="text")
-    with pytest.raises(ValueError, match="width mismatch"):
-        fuse_concat(img, wide)
-    empty_txt = text_sequence(Tensor(np.zeros((1, 0, 8))))
-    assert np.array_equal(fuse_concat(img, empty_txt).data.values, img.data.values)
+    img = rand_seq(rng, 2, width=8)
+    wide = rand_seq(rng, 2, width=6)
+    with pytest.raises(ShapeMismatchError, match="concat shapes"):
+        neck.route_forward(RouteKind.DEEP_FUSION, img, wide)
+    empty_txt = Tensor(np.zeros((1, 0, 8)))
+    fused = neck.route_forward(RouteKind.DEEP_FUSION, img, empty_txt)
+    assert np.array_equal(fused.values, neck.fusion_forward(img).values)
 
 
 # ---------------------------------------------------------------- routes
@@ -108,8 +106,8 @@ def test_fuse_width_mismatch_and_empty_blocks():
 def test_route_purity_errors():
     neck = small_neck()
     rng = np.random.default_rng(3)
-    img = rand_seq(rng, 2, kind="image")
-    txt = rand_seq(rng, 2, kind="text")
+    img = rand_seq(rng, 2)
+    txt = rand_seq(rng, 2)
     with pytest.raises(RouteInputError, match="accepts image only"):
         neck.route_forward(RouteKind.IMAGE_ONLY, img, txt)
     with pytest.raises(RouteInputError, match="accepts text only"):
@@ -129,9 +127,9 @@ def test_route_purity_errors():
 def test_unimodal_routes_pool_the_fused_sequence():
     neck = small_neck()
     rng = np.random.default_rng(4)
-    img = rand_seq(rng, 3, kind="image")
+    img = rand_seq(rng, 3)
     pooled = neck.route_forward(RouteKind.IMAGE_ONLY, image_seq=img)
-    want = neck.fusion_forward(img.data).values.mean(axis=1)
+    want = neck.fusion_forward(img).values.mean(axis=1)
     assert pooled.shape == (1, 8)
     assert np.allclose(pooled.values, want, atol=1e-12)
 
@@ -139,12 +137,12 @@ def test_unimodal_routes_pool_the_fused_sequence():
 def test_language_guided_route_outputs():
     neck = small_neck()
     rng = np.random.default_rng(5)
-    img = rand_seq(rng, 4, kind="image")
-    txt = rand_seq(rng, 3, kind="text")
+    img = rand_seq(rng, 4)
+    txt = rand_seq(rng, 3)
     patch_emb, class_emb = neck.route_forward(
         RouteKind.LANGUAGE_GUIDED_VISION, img, txt)
     assert patch_emb.shape == (1, 4, 8)
-    assert np.allclose(class_emb.values, txt.data.values.mean(axis=1), atol=1e-12)
+    assert np.allclose(class_emb.values, txt.values.mean(axis=1), atol=1e-12)
 
 
 def test_projection_validation():
@@ -220,7 +218,7 @@ def _decoder_fixture(seed=9):
     neck = small_neck()
     rng = np.random.default_rng(seed)
     table = rng.normal(size=(neck.config.vocab_size, 8))
-    img = rand_seq(rng, 3, kind="image")
+    img = rand_seq(rng, 3)
 
     def embed_text(ids):
         return neck.project_text(Tensor(table[np.asarray(ids)][None]))

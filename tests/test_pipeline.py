@@ -25,6 +25,7 @@ from uniboost.pipeline import (DataError, LeakageError, RunRecord, audit_leakage
                                load_encoders, load_model, pretrain_stage,
                                run_stream, save_encoders, save_model, tune_allocator,
                                write_corpora_manifest)
+from uniboost.scheduler import apply_augmentation
 from uniboost.shapeworld import build_vocabulary, class_id, write_manifest
 from uniboost.tensorio import load_checkpoint
 
@@ -159,6 +160,23 @@ def test_multihead_roster_smoke(corpus_and_vocab):
     ran = {line.split("\t")[2] for line in fin.trace}
     assert ran <= {"seg", "cls", "cap", "vqa"}
     assert sum(len(v) for v in fin.losses.values()) == 4
+
+
+def test_each_derived_sample_is_augmented_once(corpus_and_vocab, monkeypatch):
+    cfg, triple, vocab = corpus_and_vocab
+    roster = tiny_cfg(steps=1, tasks=FOUR_TASKS)
+    calls = []
+
+    def counting(arr, spec):
+        calls.append(spec.source_id)
+        return apply_augmentation(arr, spec)
+
+    monkeypatch.setattr(pipeline, "apply_augmentation", counting)
+    finetune_stage(roster, 0, triple, TaskModel(roster, vocab, seed=0))
+    # every task doubles the 8 paired samples under the same 8 derived ids;
+    # each derived sample's image and mask are augmented once
+    assert len(triple.paired) == 8 and roster.rebalance_threshold == 16
+    assert sorted(calls) == sorted(2 * [s.sample_id for s in triple.paired])
 
 
 # ---------------------------------------------------------------- leakage

@@ -1,10 +1,12 @@
 """Tensor file format, byte for byte, and checkpoint directories."""
 
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from uniboost import tensorio
 from uniboost.tensorio import (TensorFormatError, load_checkpoint, load_tensor,
                                save_checkpoint, save_tensor)
 
@@ -114,3 +116,43 @@ def test_checkpoint_shape_cross_check(tmp_path):
     manifest.write_text(manifest.read_text().replace("2,3", "3,2"))
     with pytest.raises(TensorFormatError, match="manifest says"):
         load_checkpoint(tmp_path / "ckpt")
+
+
+def test_torn_save_leaves_the_previous_checkpoint_whole(tmp_path, monkeypatch):
+    rng = np.random.default_rng(2)
+    names = ["a", "b", "c", "d"]
+    save_checkpoint(tmp_path / "ckpt", {n: rng.standard_normal((3, 2)) for n in names},
+                    config_text="first\n")
+    first = load_checkpoint(tmp_path / "ckpt")
+    calls = []
+
+    def torn(path, values):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        save_tensor(path, values)
+
+    monkeypatch.setattr(tensorio, "save_tensor", torn)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(tmp_path / "ckpt", {n: rng.standard_normal((3, 2)) for n in names},
+                        config_text="second\n")
+    back = load_checkpoint(tmp_path / "ckpt")
+    assert sorted(back) == names
+    for n in names:
+        assert np.array_equal(back[n], first[n])
+    assert (tmp_path / "ckpt" / "config.txt").read_text() == "first\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+
+
+def test_a_save_replaces_the_whole_checkpoint_and_ignores_leftovers(tmp_path):
+    # a temporary directory left by a save that was killed is never read
+    leftover = tmp_path / f".ckpt.tmp{os.getpid() + 1}"
+    save_checkpoint(leftover, {"w": np.ones(2)})
+    save_checkpoint(tmp_path / "ckpt", {"w": np.zeros(2), "old": np.zeros(1)})
+    (tmp_path / "ckpt" / "losses.json").write_text("{}")
+    save_checkpoint(tmp_path / "ckpt", {"w": np.full(2, 3.0)})
+    assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == [
+        "config.txt", "manifest.tsv", "p0000.ubtn"]
+    back = load_checkpoint(tmp_path / "ckpt")
+    assert list(back) == ["w"] and np.array_equal(back["w"], np.full(2, 3.0))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [leftover.name, "ckpt"]
