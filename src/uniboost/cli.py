@@ -37,9 +37,13 @@ def _load_config(path: str, args, steps_field: str = "steps") -> ExperimentConfi
     """The config at ``path`` with the --seed, --steps (into ``steps_field``)
     and --out overrides applied, validated again with them."""
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
-    cfg = parse_config(p.read_text())
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
+    cfg = parse_config(text)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.steps is not None:
@@ -53,7 +57,10 @@ def _out_dir(args, cfg: ExperimentConfig | None = None) -> Path:
     env = os.environ.get("UNIBOOST_OUT")
     chosen = env or args.out or (cfg.out if cfg else "runs")
     d = Path(chosen)
-    d.mkdir(parents=True, exist_ok=True)
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"output path {d} is not a directory") from None
     return d
 
 
@@ -196,7 +203,7 @@ def cmd_compare(args) -> int:
 
 def cmd_report(args) -> int:
     src = Path(args.input)
-    if not src.exists():
+    if not src.is_file():
         raise DataError(f"no comparison record at {src}")
     try:
         payload = json.loads(src.read_text())

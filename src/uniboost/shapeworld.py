@@ -20,10 +20,13 @@ models never see the novel classes at all.
 
 All pixel values are quantized to float32 at creation so that saved
 corpora round-trip bit-exactly through the float32 tensor file format.
+Each shape's stencil is built once per process, on first use, and shared
+read-only by every render after it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,6 +49,7 @@ COLORS = {
     "magenta": (1.0, 0.15, 1.0),
     "cyan": (0.15, 1.0, 1.0),
 }
+_RGB = {name: np.asarray(rgb) for name, rgb in COLORS.items()}  # built once, for _render
 RELATIONS = ("above", "below", "left-of", "right-of")
 FAMILIES = {
     "circle": "ring", "ring": "circle",
@@ -75,28 +79,32 @@ def class_id(shape: str) -> int:
     return SHAPES.index(shape) + 1
 
 
+@functools.cache
 def shape_stencil(shape: str) -> np.ndarray:
-    """7x7 boolean footprint of a shape, centered."""
+    """7x7 boolean footprint of a shape, centered. Cached and read-only."""
     dr, dc = np.meshgrid(np.arange(-_HALF, _HALF + 1), np.arange(-_HALF, _HALF + 1),
                          indexing="ij")
     dist = np.sqrt(dr ** 2 + dc ** 2)
     if shape == "square":
-        return np.ones((STENCIL, STENCIL), dtype=bool)
-    if shape == "circle":
-        return dist <= _OUTER_R
-    if shape == "triangle":
-        return np.abs(dc) <= (dr + _HALF) / 2.0
-    if shape == "cross":
-        return (np.abs(dr) <= 1) | (np.abs(dc) <= 1)
-    if shape == "bar":
-        return np.abs(dr) <= 1
-    if shape == "pole":
-        return np.abs(dc) <= 1
-    if shape == "ring":
-        return (dist <= _OUTER_R) & (dist > _INNER_R)
-    if shape == "diamond":
-        return (np.abs(dr) + np.abs(dc)) <= _HALF
-    raise ValueError(f"unknown shape {shape!r}")
+        stencil = np.ones((STENCIL, STENCIL), dtype=bool)
+    elif shape == "circle":
+        stencil = dist <= _OUTER_R
+    elif shape == "triangle":
+        stencil = np.abs(dc) <= (dr + _HALF) / 2.0
+    elif shape == "cross":
+        stencil = (np.abs(dr) <= 1) | (np.abs(dc) <= 1)
+    elif shape == "bar":
+        stencil = np.abs(dr) <= 1
+    elif shape == "pole":
+        stencil = np.abs(dc) <= 1
+    elif shape == "ring":
+        stencil = (dist <= _OUTER_R) & (dist > _INNER_R)
+    elif shape == "diamond":
+        stencil = (np.abs(dr) + np.abs(dc)) <= _HALF
+    else:
+        raise ValueError(f"unknown shape {shape!r}")
+    stencil.flags.writeable = False
+    return stencil
 
 
 def analytic_area(shape: str) -> float:
@@ -189,7 +197,7 @@ def _render(config: ShapeWorldConfig, rng: np.random.Generator,
         rows = slice(cr - _HALF, cr + _HALF + 1)
         cols = slice(cc - _HALF, cc + _HALF + 1)
         region = img[rows, cols]
-        region[stencil] = np.asarray(COLORS[color]) * rng.uniform(0.85, 1.0)
+        region[stencil] = _RGB[color] * rng.uniform(0.85, 1.0)
         mask[rows, cols][stencil] = class_id(shape)
     return _quantize(np.clip(img, 0.0, 1.0)), mask
 

@@ -128,12 +128,16 @@ def test_compare_and_report(workspace, capsys):
         assert "Traceback" not in capsys.readouterr().err
 
 
-def test_config_errors_exit_2(workspace, tmp_path):
+def test_config_errors_exit_2(workspace, tmp_path, monkeypatch):
     tmp, out, cfg = workspace
     assert main(["pretrain", "--config", str(tmp / "missing.cfg")]) == EXIT_CONFIG
+    assert main(["pretrain", "--config", str(tmp)]) == EXIT_CONFIG  # a directory
     bad = tmp_path / "bad.cfg"
     bad.write_text("[encoder]\ndepth = 3\n")
     assert main(["gen-data", "--config", str(bad)]) == EXIT_CONFIG
+    bad.write_bytes(BASE_CFG.format(mode="masked-unimodal").encode("latin-1")
+                    + "# r\xe9sum\xe9\n".encode("latin-1"))  # not UTF-8
+    assert main(["pretrain", "--config", str(bad)]) == EXIT_CONFIG
     text = BASE_CFG.format(mode="masked-unimodal")
     for old, new in [("width = 16\nheads = 2", "width = 30\nheads = 4"),
                      ("heads = 2", "heads = 0"),
@@ -163,6 +167,17 @@ def test_config_errors_exit_2(workspace, tmp_path):
     assert main(["pretrain", "--config", str(cfg), "--steps", "-2"]) == EXIT_CONFIG
     assert main(["finetune-multitask", "--config", str(cfg), "--steps", "-2"]) == EXIT_CONFIG
     assert main(["pretrain", "--config", str(cfg), "--seed", "-1"]) == EXIT_CONFIG
+    # an output path that is an existing file, through UNIBOOST_OUT or --out
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    monkeypatch.setenv("UNIBOOST_OUT", str(taken))
+    assert main(["pretrain", "--config", str(cfg)]) == EXIT_CONFIG
+    monkeypatch.delenv("UNIBOOST_OUT")
+    for dest in (taken, taken / "below"):
+        for command in ("split", "pretrain"):
+            assert main([command, "--config", str(cfg), "--out", str(dest)]) == EXIT_CONFIG
+    assert taken.read_text() == "a file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "mu.cfg", "taken"]
     assert not out.exists()  # each config was refused before any work ran
 
 
@@ -338,6 +353,7 @@ def test_truncated_comparison_record_exits_3(workspace):
     record.write_text(json.dumps({"fold_labels": ["novel", "base"], "rows": [row],
                                   "win_counts": {"A": 0}, "stream_means": {"A": 0.3}}))
     assert main(["report", "--input", str(record)]) == EXIT_DATA
+    assert main(["report", "--input", str(tmp)]) == EXIT_DATA  # a directory
     assert not (out / "comparison.csv").exists()
 
 
