@@ -147,12 +147,12 @@ def cmd_finetune_task(args) -> int:
 
 def _read_audit(path: Path) -> tuple[set[str], set[int]]:
     """The training tokens and mask labels that a novel eval audits against."""
-    if not path.exists():
+    if not path.is_file():
         raise LeakageError(f"no training audit at {path}; novel eval refused")
     try:
-        audit = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise LeakageError(f"{path} is not valid JSON ({exc}); novel eval refused") from exc
+        audit = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise LeakageError(f"{path} is not valid UTF-8 JSON ({exc}); novel eval refused") from exc
     tokens = audit.get("tokens") if isinstance(audit, dict) else None
     labels = audit.get("mask_labels") if isinstance(audit, dict) else None
     if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)

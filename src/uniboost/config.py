@@ -40,9 +40,10 @@ HEAD_ROUTES = {"cls": RouteKind.IMAGE_ONLY, "seg": RouteKind.LANGUAGE_GUIDED_VIS
 # greedy VQA decoding slots (training reads at most question, answer, EOS).
 MAX_TEXT_TOKENS = 8
 # Lower bounds on the counts and seeds that no sub-config checks.
-_MINIMUMS = {"pretrain_steps": 0, "pretrain_batch_size": 1, "samples_per_corpus": 1,
-             "data_seed": 0, "warmup_steps": 0, "steps": 0, "batch_size": 1, "seed": 0,
-             "eval_samples": 1}
+_MINIMUMS = {"width": 1, "heads": 1, "fusion_layers": 0, "fusion_heads": 1,
+             "common_width": 1, "pretrain_steps": 0, "pretrain_batch_size": 1,
+             "samples_per_corpus": 1, "data_seed": 0, "warmup_steps": 0, "steps": 0,
+             "batch_size": 1, "seed": 0, "eval_samples": 1}
 
 
 class ConfigError(ValueError):

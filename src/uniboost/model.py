@@ -21,7 +21,7 @@ from .config import ExperimentConfig, encoder_config, neck_config
 from .encoders import ImageEncoder, TextEncoder, Vocabulary
 from .neck import Neck, RouteKind, causal_mask, lm_generate, seg_logits, upsample_patch_grid
 from .nn import Linear, Module, init_rng
-from .pretrain import cross_entropy
+from .pretrain import cross_entropy, masked_nll
 from .shapeworld import SHAPES, class_id
 from .tensor import Tensor
 
@@ -149,11 +149,7 @@ class TaskModel(Module):
         fused = self.neck.route_forward(route, img, txt)
         n_img = img.shape[1]
         text_hidden = T.slice_(fused, (slice(None), slice(n_img, n_img + n)))
-        logits = self.neck.lm_head(text_hidden)
-        logp = T.log_softmax(logits)
-        picked = T.gather(logp, ids)
-        total = T.sum_(T.mul(picked, Tensor(masked)))
-        return T.scale(total, -1.0 / masked.sum())
+        return masked_nll(self.neck.lm_head(text_hidden), ids, masked)
 
     def caption_loss(self, images: np.ndarray, caption_ids: np.ndarray, seed: int) -> Tensor:
         return self._recovery_loss(RouteKind.IMAGE_TO_TEXT_GEN, images, caption_ids,

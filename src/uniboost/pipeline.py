@@ -126,20 +126,17 @@ def _stack_images(samples: list[Sample]) -> np.ndarray:
 def pretrain_stage(cfg: ExperimentConfig, seed: int, triple: CorpusTriple,
                    model: TaskModel) -> dict[str, list[float]]:
     """Pretrain ``model``'s encoders in place; return the loss traces."""
-    vocab = model.vocab
     mode = PretrainMode(cfg.pretrain_mode)
-    if mode is PretrainMode.SUPERVISED:
-        corpora = {"images": _stack_images(triple.paired),
-                   "labels": np.array([_label_of(s) for s in triple.paired]),
-                   "n_classes": len(SHAPES)}
-    elif mode is PretrainMode.PAIR_CONTRASTIVE:
-        corpora = {"images": _stack_images(triple.paired),
-                   "token_ids": np.array([vocab.encode(s.caption) for s in triple.paired])}
+    if mode is PretrainMode.MASKED_UNIMODAL:
+        images, texts = triple.image_only, triple.text_only
     else:
-        corpora = {"images": _stack_images(triple.image_only),
-                   "token_ids": np.array([vocab.encode(s.caption) for s in triple.text_only])}
-    return pretrain_run(mode, corpora, model.image_encoder, model.text_encoder,
-                        steps=cfg.pretrain_steps, seed=seed,
+        images = texts = triple.paired
+    if mode is PretrainMode.SUPERVISED:
+        targets = np.array([_label_of(s) for s in texts])
+    else:
+        targets = np.array([model.vocab.encode(s.caption) for s in texts])
+    return pretrain_run(mode, _stack_images(images), targets, model.image_encoder,
+                        model.text_encoder, steps=cfg.pretrain_steps, seed=seed,
                         batch_size=cfg.pretrain_batch_size, peak_lr=cfg.pretrain_peak_lr)
 
 

@@ -2,9 +2,12 @@
 pair contrastive alignment, and masked unimodal modeling (masked patches
 for images, masked tokens for text).
 
-Masked losses are computed over masked positions only; gradients with
-respect to reconstruction targets at unmasked positions are exactly zero
-by construction (the loss never reads them).
+``pretrain_run`` takes the arrays its regime reads; ``pipeline.pretrain_stage``
+alone chooses the corpus that fills them.
+
+Masked losses are computed over masked positions only, from one [B, N] 0/1
+mask per step; gradients with respect to reconstruction targets at unmasked
+positions are exactly zero by construction (the loss never reads them).
 
 ``train`` is the one training loop, shared with multitask fine-tuning.
 Each step runs the objectives in list order: each draws its own batch,
@@ -26,11 +29,12 @@ from . import tensor as T
 from .encoders import EncoderConfig, ImageEncoder, TextEncoder, patchify
 from .nn import Linear, Module, Parameter, init_rng, trunc_normal
 from .optim import AdamW
+from .shapeworld import SHAPES
 from .tensor import Tape, Tensor
 
 __all__ = ["PretrainMode", "MimHead", "MlmHead", "mim_loss", "mlm_loss",
            "info_nce", "contrastive_loss", "supervised_cls_loss",
-           "cross_entropy", "pool_sequence", "pretrain_run", "train",
+           "cross_entropy", "masked_nll", "pool_sequence", "pretrain_run", "train",
            "CorpusMismatchError", "CONTRASTIVE_TEMPERATURE", "MIM_RATIO", "MLM_RATIO"]
 
 CONTRASTIVE_TEMPERATURE = 0.07
@@ -85,12 +89,23 @@ class MlmHead(Module):
 
 
 def _mask_positions(rng: np.random.Generator, batch: int, n: int, ratio: float) -> np.ndarray:
+    """[batch, n] 0/1 mask with ceil(ratio * n) distinct ones per row."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"mask ratio must lie in (0, 1), got {ratio}")
     k = math.ceil(ratio * n)
     if k == 0:
         raise ValueError(f"ratio {ratio} masks zero of {n} positions")
-    return np.stack([rng.choice(n, size=k, replace=False) for _ in range(batch)])
+    mask = np.zeros((batch, n))
+    np.put_along_axis(mask, np.stack([rng.choice(n, size=k, replace=False)
+                                      for _ in range(batch)]), 1.0, axis=1)
+    return mask
+
+
+def masked_nll(logits: Tensor, ids: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Mean negative log-likelihood of ``ids`` over the positions where the
+    0/1 ``mask`` is 1."""
+    picked = T.gather(T.log_softmax(logits), ids)
+    return T.scale(T.sum_(T.mul(picked, Tensor(mask))), -1.0 / mask.sum())
 
 
 def mim_loss(encoder: ImageEncoder, head: MimHead, images: np.ndarray,
@@ -106,12 +121,7 @@ def mim_loss(encoder: ImageEncoder, head: MimHead, images: np.ndarray,
     """
     flat = np.stack([patchify(img, encoder.config.patch_size) for img in images])
     b, n, patch_dim = flat.shape
-    rng = np.random.default_rng(seed)
-    pos_idx = _mask_positions(rng, b, n, mask_ratio)
-    k = pos_idx.shape[1]
-    masked = np.zeros((b, n))
-    for i in range(b):
-        masked[i, pos_idx[i]] = 1.0
+    masked = _mask_positions(np.random.default_rng(seed), b, n, mask_ratio)
 
     hidden = encoder(images, mask=(head.mask_token, masked))
     recon = head.recon(hidden)
@@ -121,7 +131,7 @@ def mim_loss(encoder: ImageEncoder, head: MimHead, images: np.ndarray,
     diff = T.add(recon, T.scale(targets, -1.0))
     sq = T.mul(diff, diff)
     masked_sq = T.mul(sq, Tensor(masked[..., None]))
-    return T.scale(T.sum_(masked_sq), 1.0 / (b * k * patch_dim))
+    return T.scale(T.sum_(masked_sq), 1.0 / (masked.sum() * patch_dim))
 
 
 def mlm_loss(encoder: TextEncoder, head: MlmHead, ids: np.ndarray,
@@ -132,21 +142,9 @@ def mlm_loss(encoder: TextEncoder, head: MlmHead, ids: np.ndarray,
         raise ValueError(f"sequence length {n} < 2")
     if not 0 <= mask_id < encoder.config.vocab_size:
         raise ValueError(f"mask id {mask_id} outside vocabulary of {encoder.config.vocab_size}")
-    rng = np.random.default_rng(seed)
-    pos_idx = _mask_positions(rng, b, n, mask_ratio)
-    k = pos_idx.shape[1]
-    corrupted = ids.copy()
-    mask = np.zeros((b, n))
-    for i in range(b):
-        corrupted[i, pos_idx[i]] = mask_id
-        mask[i, pos_idx[i]] = 1.0
-
-    hidden = encoder(corrupted)
-    logits = head.logits(hidden, encoder.tok.table)
-    logp = T.log_softmax(logits)
-    picked = T.gather(logp, ids)
-    picked_masked = T.mul(picked, Tensor(mask))
-    return T.scale(T.sum_(picked_masked), -1.0 / (b * k))
+    mask = _mask_positions(np.random.default_rng(seed), b, n, mask_ratio)
+    hidden = encoder(np.where(mask == 1.0, mask_id, ids))
+    return masked_nll(head.logits(hidden, encoder.tok.table), ids, mask)
 
 
 def info_nce(image_vecs: Tensor, text_vecs: Tensor, temperature: float) -> Tensor:
@@ -200,32 +198,21 @@ def _batch_indices(rng: np.random.Generator, n: int, batch_size: int) -> np.ndar
     return rng.choice(n, size=min(batch_size, n), replace=False)
 
 
-_CORPUS_KEYS = {
-    PretrainMode.SUPERVISED: ("images", "labels", "n_classes"),
-    PretrainMode.PAIR_CONTRASTIVE: ("images", "token_ids"),
-    PretrainMode.MASKED_UNIMODAL: ("images", "token_ids"),
-}
-
-
-def pretrain_run(mode: PretrainMode, corpora: dict, image_encoder: ImageEncoder,
-                 text_encoder: TextEncoder, steps: int, seed: int, batch_size: int = 8,
+def pretrain_run(mode: PretrainMode, images: np.ndarray, targets: np.ndarray,
+                 image_encoder: ImageEncoder, text_encoder: TextEncoder, steps: int,
+                 seed: int, batch_size: int = 8,
                  peak_lr: float = 1e-3) -> dict[str, list[float]]:
     """Train the given encoders in place under one regime; return the
     per-step loss traces by name.
 
-    ``corpora`` keys by mode:
-      supervised       — images [N,H,W,3], labels [N], n_classes
-      pair-contrastive — images [N,H,W,3], token_ids [N,T] (aligned pairs)
-      masked-unimodal  — images [N,H,W,3], token_ids [M,T] (independent)
+    What ``images`` and ``targets`` hold, by mode:
+      supervised       — images [N,H,W,3], class labels [N], each an index
+                         into shapeworld.SHAPES (the head has len(SHAPES) outputs)
+      pair-contrastive — images [N,H,W,3], token ids [N,T] (aligned pairs)
+      masked-unimodal  — images [N,H,W,3], token ids [M,T] (independent)
     """
-    if mode not in _CORPUS_KEYS:
-        raise CorpusMismatchError(f"unknown pretrain mode {mode!r}")
-    for key in _CORPUS_KEYS[mode]:
-        if key not in corpora:
-            raise CorpusMismatchError(f"{mode.value} mode needs {key!r}")
     config = image_encoder.config
     rng = np.random.default_rng(seed)
-    images = corpora["images"]
 
     def make_opt(*modules: Module) -> AdamW:
         params = [p for m in modules for p in m.parameters()]
@@ -233,21 +220,19 @@ def pretrain_run(mode: PretrainMode, corpora: dict, image_encoder: ImageEncoder,
                      warmup_steps=min(50, max(steps // 10, 1)), schedule="cosine")
 
     if mode is PretrainMode.SUPERVISED:
-        labels = np.asarray(corpora["labels"])
-        head = Linear(init_rng(f"cls:{seed}"), config.width, int(corpora["n_classes"]))
+        head = Linear(init_rng(f"cls:{seed}"), config.width, len(SHAPES))
 
         def supervised(step):
-            idx = _batch_indices(rng, len(labels), batch_size)
+            idx = _batch_indices(rng, len(targets), batch_size)
             return "supervised", supervised_cls_loss(image_encoder, head, images[idx],
-                                                     labels[idx])
+                                                     targets[idx])
 
         objectives = [(supervised, make_opt(image_encoder, head))]
 
     elif mode is PretrainMode.PAIR_CONTRASTIVE:
-        token_ids = np.asarray(corpora["token_ids"])
-        if len(images) != len(token_ids):
+        if len(images) != len(targets):
             raise CorpusMismatchError(
-                f"pair corpus misaligned: {len(images)} images vs {len(token_ids)} texts")
+                f"pair corpus misaligned: {len(images)} images vs {len(targets)} texts")
         if len(images) < 2:
             raise CorpusMismatchError("pair corpus needs >= 2 pairs")
         bs = max(batch_size, 2)
@@ -255,12 +240,11 @@ def pretrain_run(mode: PretrainMode, corpora: dict, image_encoder: ImageEncoder,
         def contrastive(step):
             idx = _batch_indices(rng, len(images), bs)
             return "contrastive", contrastive_loss(image_encoder, text_encoder, images[idx],
-                                                   token_ids[idx])
+                                                   targets[idx])
 
         objectives = [(contrastive, make_opt(image_encoder, text_encoder))]
 
     else:
-        token_ids = np.asarray(corpora["token_ids"])
         mim_head = MimHead(config, seed=f"mim:{seed}")
         mlm_head = MlmHead(config.vocab_size)
         mim_head.rename_parameters("mim_head.")
@@ -272,8 +256,8 @@ def pretrain_run(mode: PretrainMode, corpora: dict, image_encoder: ImageEncoder,
                                    seed=seed * 100003 + step)
 
         def mlm(step):
-            tdx = _batch_indices(rng, len(token_ids), batch_size)
-            return "mlm", mlm_loss(text_encoder, mlm_head, token_ids[tdx],
+            tdx = _batch_indices(rng, len(targets), batch_size)
+            return "mlm", mlm_loss(text_encoder, mlm_head, targets[tdx],
                                    seed=seed * 100019 + step)
 
         objectives = [(mim, make_opt(image_encoder, mim_head)),

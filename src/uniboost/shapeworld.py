@@ -359,9 +359,14 @@ def ingest_manifest(manifest_path: str | Path,
     path = Path(manifest_path)
     if not path.exists():
         raise ManifestError(f"{path}: no such manifest")
+    if not path.is_file():
+        raise ManifestError(f"{path}: manifest is not a regular file")
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: manifest is not UTF-8 text: {exc}") from None
     base = path.parent
     tasks: dict[str, list[Sample]] = {}
-    lines = [ln for ln in path.read_text().splitlines()]
     if not any(ln.strip() for ln in lines):
         raise ManifestError(f"{path}: no records")
     for lineno, line in enumerate(lines, start=1):

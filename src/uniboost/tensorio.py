@@ -102,10 +102,14 @@ def save_checkpoint(dirpath: str | Path, named_values: dict[str, np.ndarray],
 def load_checkpoint(dirpath: str | Path) -> dict[str, np.ndarray]:
     d = Path(dirpath)
     manifest = d / "manifest.tsv"
-    if not manifest.exists():
+    if not manifest.is_file():
         raise TensorFormatError(f"{dirpath}: no manifest.tsv")
+    try:
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise TensorFormatError(f"{manifest} is not UTF-8 text: {exc}") from None
     out: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(manifest.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         parts = line.split("\t")

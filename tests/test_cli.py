@@ -141,6 +141,13 @@ def test_config_errors_exit_2(workspace, tmp_path, monkeypatch):
     text = BASE_CFG.format(mode="masked-unimodal")
     for old, new in [("width = 16\nheads = 2", "width = 30\nheads = 4"),
                      ("heads = 2", "heads = 0"),
+                     # model sizes below their minimum
+                     ("width = 16\nheads = 2", "width = 0\nheads = 2"),
+                     ("width = 16\nheads = 2", "width = -4\nheads = 2"),
+                     ("heads = 2", "heads = -2"),
+                     ("common_width = 16", "common_width = 0"),
+                     ("fusion_heads = 2", "fusion_heads = 0"),
+                     ("fusion_layers = 1", "fusion_layers = -1"),
                      ("[data]", "[data]\ngrid_size = 12"),
                      ("[data]", "[data]\nnovel_shapes = ring, blob"),
                      ("paired_fraction = 0.5", "paired_fraction = 1.5"),
@@ -190,6 +197,13 @@ def test_data_errors_exit_3(workspace):
     broken.write_text(BASE_CFG.format(mode="masked-unimodal").replace(
         "[data]", "[data]\nmanifest = /nowhere/manifest.tsv"))
     assert main(["pretrain", "--config", str(broken)]) == EXIT_DATA
+    # ... a directory, or a file that is not UTF-8 text
+    (tmp / "manifest-dir").mkdir()
+    (tmp / "latin1.tsv").write_bytes("caf\xe9\n".encode("latin-1"))
+    for manifest in ("manifest-dir", "latin1.tsv"):
+        broken.write_text(BASE_CFG.format(mode="masked-unimodal").replace(
+            "[data]", f"[data]\nmanifest = {tmp / manifest}"))
+        assert main(["pretrain", "--config", str(broken)]) == EXIT_DATA, manifest
     # a pair-contrastive corpus of one pair cannot form a contrastive batch
     broken.write_text(BASE_CFG.format(mode="pair-contrastive").replace(
         "samples_per_corpus = 16\npaired_fraction = 0.5",
@@ -322,6 +336,9 @@ def test_unreadable_audit_exits_4(workspace):
                  '{"tokens": [["red"]], "mask_labels": []}'):
         audit_path.write_text(text)
         assert main(["eval", "--config", str(cfg), "--split", "novel"]) == EXIT_INVARIANT
+    # valid JSON in every byte but one that is not UTF-8
+    audit_path.write_bytes('{"tokens": ["caf\xe9"], "mask_labels": []}'.encode("latin-1"))
+    assert main(["eval", "--config", str(cfg), "--split", "novel"]) == EXIT_INVARIANT
     assert not (out / "eval-novel.json").exists()
 
 
@@ -339,6 +356,9 @@ def test_checkpoint_that_does_not_fit_the_config_exits_3(workspace):
     deeper.write_text(BASE_CFG.format(mode="masked-unimodal").replace(
         "layers = 1", "layers = 2"))
     assert main(["eval", "--config", str(deeper), "--split", "base"]) == EXIT_DATA
+    manifest = out / "model-masked-unimodal-seed0" / "manifest.tsv"
+    manifest.write_bytes(manifest.read_bytes().replace(b"\t", b"\xe9\t", 1))
+    assert main(["eval", "--config", str(cfg), "--split", "base"]) == EXIT_DATA
 
 
 def test_truncated_comparison_record_exits_3(workspace):

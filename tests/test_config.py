@@ -114,6 +114,13 @@ def test_semantic_validation():
         parse_config("[task a]\nhead = cls\n")
     with pytest.raises(ConfigError, match="encoder_lr_ratio"):
         parse_config("[optimizer]\nencoder_lr_ratio = 0\n")
+    # model sizes below their minimum, named before any sub-config divides by them
+    for section, key, value in [("encoder", "width", 0), ("encoder", "width", -4),
+                                ("encoder", "heads", 0), ("encoder", "heads", -2),
+                                ("neck", "common_width", 0), ("neck", "fusion_heads", 0),
+                                ("neck", "fusion_layers", -1)]:
+        with pytest.raises(ConfigError, match=f"^{key} {value} must be >= "):
+            parse_config(f"[{section}]\n{key} = {value}\n")
 
 
 def test_serialize_then_reparse_round_trips():

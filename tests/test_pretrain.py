@@ -15,6 +15,7 @@ from uniboost.pretrain import (CONTRASTIVE_TEMPERATURE, CorpusMismatchError,
                                pretrain_run, supervised_cls_loss, train)
 from uniboost.nn import Linear, Parameter, init_rng
 from uniboost.optim import AdamW
+from uniboost.shapeworld import SHAPES
 from uniboost import tensor as T
 from uniboost.tensor import Tape, Tensor
 
@@ -38,17 +39,24 @@ def test_mask_position_counts():
     rng = np.random.default_rng(0)
     # ceil(0.75 * 16) = 12, ceil(0.15 * 20) = 3
     a = _mask_positions(rng, batch=4, n=16, ratio=0.75)
-    assert a.shape == (4, 12)
+    assert a.shape == (4, 16)
+    assert a.sum(axis=1).tolist() == [12] * 4
     b = _mask_positions(rng, batch=3, n=20, ratio=0.15)
-    assert b.shape == (3, 3)
+    assert b.shape == (3, 20)
+    assert b.sum(axis=1).tolist() == [3] * 3
 
 
 def test_mask_positions_distinct_and_in_range():
+    """The mask is 0/1 with exactly ceil(ratio * n) ones per row, at the
+    positions that one draw of ``n`` choose ``k`` per row picks, in row
+    order."""
+    mask = _mask_positions(np.random.default_rng(1), batch=8, n=10, ratio=0.5)
+    assert mask.shape == (8, 10)
+    assert set(np.unique(mask).tolist()) <= {0.0, 1.0}
+    assert mask.sum(axis=1).tolist() == [5] * 8
     rng = np.random.default_rng(1)
-    idx = _mask_positions(rng, batch=8, n=10, ratio=0.5)
-    for row in idx:
-        assert len(set(row.tolist())) == len(row)
-        assert row.min() >= 0 and row.max() < 10
+    for row in mask:
+        assert np.flatnonzero(row).tolist() == sorted(rng.choice(10, size=5, replace=False))
 
 
 @pytest.mark.parametrize("ratio", [0.0, 1.0, -0.1, 1.5])
@@ -200,26 +208,27 @@ def test_supervised_initial_loss_is_log_k():
 # ---------------------------------------------------------------- corpora
 
 def _supervised_corpus(n=32):
+    """Labels over every class of the head, one image level per class, so
+    the loss can only fall well below ln(len(SHAPES)) by telling the
+    images apart."""
     rng = np.random.default_rng(20)
-    labels = rng.integers(0, 2, size=n)
-    base = np.where(labels[:, None, None, None] == 0, 0.2, 0.8)
+    labels = rng.integers(0, len(SHAPES), size=n)
+    base = (labels[:, None, None, None] + 0.5) / len(SHAPES)
     images = base + rng.normal(scale=0.02, size=(n, 8, 8, 3))
-    return {"images": np.clip(images, 0, 1), "labels": labels, "n_classes": 2}
+    return np.clip(images, 0, 1), labels
 
 
 def _pair_corpus(n=16):
     values = np.arange(n) / n
     images = np.ones((n, 8, 8, 3)) * values[:, None, None, None]
-    token_ids = np.stack([np.full(2, 3 + i) for i in range(n)])
-    return {"images": images, "token_ids": token_ids}
+    return images, np.stack([np.full(2, 3 + i) for i in range(n)])
 
 
 def _masked_corpus(n=32):
     rng = np.random.default_rng(21)
     values = rng.uniform(size=n)
     images = np.ones((n, 8, 8, 3)) * values[:, None, None, None]
-    token_ids = rng.choice([3, 4, 5, 6], size=(n, 8))
-    return {"images": images, "token_ids": token_ids}
+    return images, rng.choice([3, 4, 5, 6], size=(n, 8))
 
 
 def _drop(trace):
@@ -229,15 +238,16 @@ def _drop(trace):
 
 
 def test_pretrain_supervised_learns():
-    losses = pretrain_run(PretrainMode.SUPERVISED, _supervised_corpus(),
+    losses = pretrain_run(PretrainMode.SUPERVISED, *_supervised_corpus(),
                           *encoders(), steps=200, seed=0)
     trace = losses["supervised"]
     assert len(trace) == 200
+    # starts near ln 8; matching the label frequencies alone leaves it near 2.0
     assert _drop(trace) > 0.3
 
 
 def test_pretrain_contrastive_learns():
-    losses = pretrain_run(PretrainMode.PAIR_CONTRASTIVE, _pair_corpus(),
+    losses = pretrain_run(PretrainMode.PAIR_CONTRASTIVE, *_pair_corpus(),
                           *encoders(), steps=200, seed=0)
     trace = losses["contrastive"]
     assert len(trace) == 200
@@ -245,7 +255,7 @@ def test_pretrain_contrastive_learns():
 
 
 def test_pretrain_masked_learns():
-    losses = pretrain_run(PretrainMode.MASKED_UNIMODAL, _masked_corpus(),
+    losses = pretrain_run(PretrainMode.MASKED_UNIMODAL, *_masked_corpus(),
                           *encoders(), steps=200, seed=0)
     assert list(losses) == ["mim", "mlm"]
     assert len(losses["mim"]) == len(losses["mlm"]) == 200
@@ -303,7 +313,7 @@ def test_train_step_graph_is_freed_without_the_cyclic_gc():
 def test_pretrain_zero_steps_returns_initialized_encoders():
     img, txt = encoders()
     before = img.state_dict()
-    losses = pretrain_run(PretrainMode.SUPERVISED, _supervised_corpus(), img, txt,
+    losses = pretrain_run(PretrainMode.SUPERVISED, *_supervised_corpus(), img, txt,
                           steps=0, seed=0)
     assert losses == {"supervised": []}
     assert all(np.array_equal(v, before[k]) for k, v in img.state_dict().items())
@@ -311,20 +321,12 @@ def test_pretrain_zero_steps_returns_initialized_encoders():
 
 def test_pretrain_corpus_mismatch_errors():
     pair = encoders()
-    with pytest.raises(CorpusMismatchError, match="supervised mode needs"):
-        pretrain_run(PretrainMode.SUPERVISED, {"images": np.zeros((2, 8, 8, 3))},
-                     *pair, steps=1, seed=0)
-    bad_pair = {"images": np.zeros((3, 8, 8, 3)),
-                "token_ids": np.zeros((2, 2), dtype=int)}
     with pytest.raises(CorpusMismatchError, match="misaligned"):
-        pretrain_run(PretrainMode.PAIR_CONTRASTIVE, bad_pair, *pair, steps=1, seed=0)
-    tiny = {"images": np.zeros((1, 8, 8, 3)),
-            "token_ids": np.zeros((1, 2), dtype=int)}
+        pretrain_run(PretrainMode.PAIR_CONTRASTIVE, np.zeros((3, 8, 8, 3)),
+                     np.zeros((2, 2), dtype=int), *pair, steps=1, seed=0)
     with pytest.raises(CorpusMismatchError, match=">= 2 pairs"):
-        pretrain_run(PretrainMode.PAIR_CONTRASTIVE, tiny, *pair, steps=1, seed=0)
-    with pytest.raises(CorpusMismatchError, match="masked-unimodal mode needs"):
-        pretrain_run(PretrainMode.MASKED_UNIMODAL, {"images": np.zeros((2, 8, 8, 3))},
-                     *pair, steps=1, seed=0)
+        pretrain_run(PretrainMode.PAIR_CONTRASTIVE, np.zeros((1, 8, 8, 3)),
+                     np.zeros((1, 2), dtype=int), *pair, steps=1, seed=0)
 
 
 def test_pretrain_is_seed_deterministic():
@@ -332,7 +334,7 @@ def test_pretrain_is_seed_deterministic():
 
     def run(seed):
         img, txt = encoders(seed)
-        losses = pretrain_run(PretrainMode.SUPERVISED, corp, img, txt, steps=5, seed=seed)
+        losses = pretrain_run(PretrainMode.SUPERVISED, *corp, img, txt, steps=5, seed=seed)
         return img.patch_proj.weight.values, losses["supervised"]
 
     (wa, la), (wb, lb), (wc, _) = run(9), run(9), run(10)

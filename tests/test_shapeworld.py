@@ -258,6 +258,11 @@ def test_manifest_errors_carry_line_numbers(tmp_path):
 
     with pytest.raises(ManifestError, match="no such manifest"):
         ingest_manifest(tmp_path / "nowhere.tsv")
+    with pytest.raises(ManifestError, match="bad: manifest is not a regular file"):
+        ingest_manifest(bad)
+    (bad / "manifest.tsv").write_bytes(lines[0].encode() + b"\xe9\n")
+    with pytest.raises(ManifestError, match="manifest.tsv: manifest is not UTF-8 text"):
+        ingest_manifest(bad / "manifest.tsv")
     empty = tmp_path / "empty"
     empty.mkdir()
     (empty / "manifest.tsv").write_text("\n")

@@ -108,6 +108,17 @@ def test_checkpoint_missing_manifest(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(TensorFormatError, match="manifest"):
         load_checkpoint(tmp_path / "empty")
+    (tmp_path / "empty" / "manifest.tsv").mkdir()
+    with pytest.raises(TensorFormatError, match="no manifest.tsv"):
+        load_checkpoint(tmp_path / "empty")
+
+
+def test_checkpoint_manifest_that_is_not_utf8_is_refused(tmp_path):
+    save_checkpoint(tmp_path / "ckpt", {"w": np.zeros((2, 3))})
+    manifest = tmp_path / "ckpt" / "manifest.tsv"
+    manifest.write_bytes(b"w\xe9\t2,3\tp0000.ubtn\n")
+    with pytest.raises(TensorFormatError, match="manifest.tsv is not UTF-8 text"):
+        load_checkpoint(tmp_path / "ckpt")
 
 
 def test_checkpoint_shape_cross_check(tmp_path):
