@@ -22,15 +22,18 @@ the same order, on operands of the same memory layout, so its values and
 gradients are bit-identical to the chain's; only fewer intermediates are
 kept. Work done in place (``out=``, ``*=``) keeps each operation and its
 operands, so it changes no bit either.
+
+GELU's ``erf`` is a numpy port of Cephes ``ndtr.c``, the routine behind
+``scipy.special.erf``, and gives the same bits.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -329,10 +332,87 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYER_NORM_E
     return _emit("layer-norm", (x, gamma, beta), out, grad_fn)
 
 
+# Cephes ndtr.c (Moshier, 1989): erf(x) = x T(x^2) / U(x^2) for |x| <= 1,
+# otherwise 1 - erfc(|x|) with erfc = exp(-x^2) P(x) / Q(x) below 8 and
+# exp(-x^2) R(x) / S(x) above. U, Q and S have an implicit leading 1.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_MAXLOG = 7.09782712893383996843E2
+
+
+def _polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """Cephes ``polevl``: Horner's rule, ``ans = ans * x + c`` per coefficient."""
+    ans = x * coef[0]
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x: np.ndarray, coef: tuple[float, ...],
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Cephes ``p1evl``: ``polevl`` with an implicit leading coefficient of 1."""
+    ans = np.add(x, coef[0], out=out)
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _erf_tail(x: np.ndarray) -> np.ndarray:
+    """erf where |x| > 1 or x is nan, as Cephes computes it."""
+    a = np.abs(x)
+    y = np.ones_like(a)  # erfc underflows to 0 past MAXLOG
+    with np.errstate(over="ignore"):  # a * a overflows to inf, as in C
+        live = -a * a >= -_MAXLOG  # false for nan and inf
+    a = a[live]
+    # libm's exp, as the C code calls it; numpy's own exp differs in the
+    # last bit on some inputs.
+    z = np.fromiter(map(math.exp, (-a * a).tolist()), np.float64, a.size)
+    near = a < 8.0
+    p = np.where(near, _polevl(a, _ERFC_P), _polevl(a, _ERFC_R))
+    q = np.where(near, _p1evl(a, _ERFC_Q), _p1evl(a, _ERFC_S))
+    y[live] = 1.0 - z * p / q
+    np.copysign(y, x, out=y)
+    y[np.isnan(x)] = np.nan
+    return y
+
+
+def _erf(x: np.ndarray) -> None:
+    """Replace ``x`` with ``erf(x)``, bit-identical to Cephes ``erf`` in
+    ``ndtr.c``. Working in place needs two scratch arrays, not three."""
+    with np.errstate(over="ignore"):  # only a tail element overflows
+        z = x * x
+    tail = None
+    if z.size and not z.max() <= 1.0:  # z <= 1 exactly when |x| <= 1; nan fails
+        tail = ~(z <= 1.0)
+        x_tail = x[tail]
+        x[tail] = z[tail] = 0.0
+    y = _polevl(z, _ERF_T)
+    y *= x
+    # x is not read again: its buffer takes the denominator, then erf.
+    np.divide(y, _p1evl(z, _ERF_U, out=x), out=x)
+    if tail is not None:
+        x[tail] = _erf_tail(x_tail)
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf) GELU."""
     cdf = x.values * _INV_SQRT2
-    erf(cdf, out=cdf)
+    _erf(cdf)
     np.add(1.0, cdf, out=cdf)
     np.multiply(0.5, cdf, out=cdf)
     out = x.values * cdf

@@ -49,7 +49,10 @@ def save_tensor(path: str | Path, values: np.ndarray) -> None:
 
 
 def load_tensor(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except IsADirectoryError:
+        raise TensorFormatError(f"{path}: is a directory, not a tensor file") from None
     if len(raw) < 8 or raw[:4] != MAGIC:
         raise TensorFormatError(f"{path}: missing UBTN magic")
     dtype_code, rank = struct.unpack_from("<BBxx", raw, 4)
@@ -116,8 +119,13 @@ def load_checkpoint(dirpath: str | Path) -> dict[str, np.ndarray]:
         if len(parts) != 3:
             raise TensorFormatError(f"{manifest}:{lineno}: expected 3 tab-separated fields")
         name, dims_text, fname = parts
+        try:
+            dims = tuple(int(x) for x in dims_text.split(",")) if dims_text else ()
+        except ValueError:
+            raise TensorFormatError(
+                f"{manifest}:{lineno}: dims {dims_text!r} are not comma-separated "
+                f"integers") from None
         arr = load_tensor(d / fname)
-        dims = tuple(int(x) for x in dims_text.split(",")) if dims_text else ()
         if arr.shape != dims:
             raise TensorFormatError(
                 f"{manifest}:{lineno}: {name} has shape {arr.shape}, manifest says {dims}")

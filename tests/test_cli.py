@@ -357,7 +357,16 @@ def test_checkpoint_that_does_not_fit_the_config_exits_3(workspace):
         "layers = 1", "layers = 2"))
     assert main(["eval", "--config", str(deeper), "--split", "base"]) == EXIT_DATA
     manifest = out / "model-masked-unimodal-seed0" / "manifest.tsv"
-    manifest.write_bytes(manifest.read_bytes().replace(b"\t", b"\xe9\t", 1))
+    good = manifest.read_bytes()
+    manifest.write_bytes(good.replace(b"\t", b"\xe9\t", 1))
+    assert main(["eval", "--config", str(cfg), "--split", "base"]) == EXIT_DATA
+    # dims that are not integers, and a payload that is a directory
+    name, dims, payload = good.decode().splitlines()[0].split("\t")
+    manifest.write_bytes(good.replace(f"\t{dims}\t".encode(), f"\t{dims},x\t".encode(), 1))
+    assert main(["eval", "--config", str(cfg), "--split", "base"]) == EXIT_DATA
+    manifest.write_bytes(good)
+    (manifest.parent / payload).unlink()
+    (manifest.parent / payload).mkdir()
     assert main(["eval", "--config", str(cfg), "--split", "base"]) == EXIT_DATA
 
 

@@ -1,6 +1,7 @@
 """Every name a ``uniboost`` module exports through ``__all__`` exists,
-every name the benchmark's span tracer patches still resolves, and every op
-tag a training loss tapes is one the tracer knows."""
+every name the benchmark's span tracer patches still resolves, every op
+tag a training loss tapes is one the tracer knows, and the command line
+does not import scipy."""
 
 import importlib
 import json
@@ -45,6 +46,18 @@ def test_traced_import_resolves_every_hook(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert len(list(tmp_path.glob("spans-*.json"))) == 1
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # Importing scipy.special costs a process about a third of a second and
+    # 25 MB; the runtime needs numpy alone.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys, uniboost.cli, uniboost.pipeline; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 CHAIN_CFG = """

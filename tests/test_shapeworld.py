@@ -11,6 +11,7 @@ from uniboost.shapeworld import (COLORS, FAMILIES, FAMILY_COLOR, SHAPES,
                                  build_vocabulary, class_id,
                                  gen_shapeworld, gen_single_shape_corpus,
                                  ingest_manifest, shape_stencil, write_manifest)
+from uniboost.tensorio import TensorFormatError
 
 
 def tiny_config(**kw):
@@ -268,6 +269,15 @@ def test_manifest_errors_carry_line_numbers(tmp_path):
     (empty / "manifest.tsv").write_text("\n")
     with pytest.raises(ManifestError, match="no records"):
         ingest_manifest(empty / "manifest.tsv")
+
+
+def test_manifest_image_that_is_a_directory_is_refused(tmp_path):
+    path = write_manifest(tmp_path, {"seg": gen_shapeworld(tiny_config()).paired[:1]})
+    image = tmp_path / path.read_text().split("\t")[2]
+    image.unlink()
+    image.mkdir()
+    with pytest.raises(TensorFormatError, match=f"{image.name}: is a directory"):
+        ingest_manifest(path)
 
 
 def test_manifest_grid_check(tmp_path):

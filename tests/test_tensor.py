@@ -455,3 +455,19 @@ def test_gelu_bits_match_the_plain_formula():
     cdf = 0.5 * (1.0 + scipy.special.erf(x * float(1.0 / np.sqrt(2.0))))
     pdf = np.exp(-0.5 * x * x) * float(1.0 / np.sqrt(2.0 * np.pi))
     assert _forward_backward(T.gelu, [x], g) == _bits(x * cdf, g * (cdf + x * pdf))
+
+
+def test_erf_bits_match_scipy():
+    # GELU's erf is a port of the Cephes routine behind scipy.special.erf.
+    special = pytest.importorskip("scipy.special")
+    tiny = np.finfo(np.float64).tiny
+    edges = [0.0, 1.0, *np.nextafter(1.0, [0.0, 2.0]), 8.0, *np.nextafter(8.0, [7.0, 9.0]),
+             26.64, 26.65, tiny, tiny / 4, 5e-324, 1e300, np.inf, np.nan]
+    # |x| from 1e-3 to 30 reaches each branch: x T/U up to 1, exp P/Q below
+    # 8, exp R/S up to the MAXLOG cut-off near 26.64, and 1 past it.
+    sweep = 10.0 ** np.random.default_rng(25).uniform(-3.0, np.log10(30.0), 200_000)
+    x = np.concatenate([edges, sweep])
+    x = np.concatenate([x, -x])
+    got = x.copy()
+    T._erf(got)
+    assert np.array_equal(got.view(np.uint64), special.erf(x).view(np.uint64))

@@ -121,6 +121,23 @@ def test_checkpoint_manifest_that_is_not_utf8_is_refused(tmp_path):
         load_checkpoint(tmp_path / "ckpt")
 
 
+def test_checkpoint_dims_that_are_not_integers_are_refused(tmp_path):
+    save_checkpoint(tmp_path / "ckpt", {"w": np.zeros((2, 3))})
+    (tmp_path / "ckpt" / "manifest.tsv").write_text("w\t2,x\tp0000.ubtn\n")
+    with pytest.raises(TensorFormatError,
+                       match=r"manifest.tsv:1: dims '2,x' are not comma-separated integers"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_payload_that_is_a_directory_is_refused(tmp_path):
+    save_checkpoint(tmp_path / "ckpt", {"w": np.zeros((2, 3))})
+    payload = tmp_path / "ckpt" / "p0000.ubtn"
+    payload.unlink()
+    payload.mkdir()
+    with pytest.raises(TensorFormatError, match="p0000.ubtn: is a directory"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
 def test_checkpoint_shape_cross_check(tmp_path):
     save_checkpoint(tmp_path / "ckpt", {"w": np.zeros((2, 3))})
     manifest = tmp_path / "ckpt" / "manifest.tsv"
