@@ -189,33 +189,51 @@ def upsample_patch_grid(per_patch: np.ndarray, height: int, width: int,
     return grid.repeat(p, axis=-2).repeat(p, axis=-1)
 
 
-def lm_generate(neck: Neck, image_seq: Tensor, prefix_ids: list[int],
-                embed_text, mask_id: int, eos_id: int, vocab_len: int,
-                max_len: int) -> list[int]:
-    """Greedy mask-slot decoding.
+def lm_generate(neck: Neck, image_seq: Tensor, prefix_ids, embed_text, mask_id: int,
+                eos_id: int, vocab_len: int, max_len: int) -> list[list[int]]:
+    """Greedy mask-slot decoding of a batch; one token list per image row.
 
-    Each step appends a MASK slot to the running text, re-embeds, runs the
-    fused sequence under the generative mask, and reads the LM head at the
-    slot; the argmax over the vocabulary's ids ``0..vocab_len-1`` (ties to
-    the lowest id) becomes the next token, so LM-head outputs past the
-    vocabulary are never emitted. Stops at EOS or after ``max_len`` tokens.
-    ``embed_text`` maps a list of n token ids to their projected [1, n, width]
+    ``image_seq`` is [B, n, width] and ``prefix_ids`` a [B, p] array of
+    equal-length prefixes. Each step appends a MASK slot to every live row's
+    running text, re-embeds, runs the fused sequence under the generative
+    mask, and reads the LM head at the slot; the argmax over the
+    vocabulary's ids ``0..vocab_len-1`` (ties to the lowest id) becomes the
+    row's next token, so LM-head outputs past the vocabulary are never
+    emitted. A row stops at EOS or after ``max_len`` tokens and leaves the
+    batch, so each step runs only the live rows, each on exactly the
+    sequence a one-row decode would see. Ragged prefixes are refused, not
+    padded: padding would change what each slot attends to.
+    ``embed_text`` maps a [b, m] id array to its projected [b, m, width]
     text embeddings.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     if eos_id < 0 or eos_id >= vocab_len:
         raise ValueError(f"vocabulary lacks EOS id {eos_id}")
-    out: list[int] = []
+    try:
+        prefix = np.asarray(prefix_ids, dtype=np.int64)
+    except ValueError as err:
+        raise ValueError(f"prefixes must all have the same length: {err}") from None
+    if prefix.ndim != 2 or len(prefix) != image_seq.shape[0]:
+        raise ValueError(f"need a [{image_seq.shape[0]}, p] prefix array, one row per "
+                         f"image row, got shape {prefix.shape}")
+    out: list[list[int]] = [[] for _ in prefix]
+    live = np.arange(len(prefix))
+    ids = prefix
     for _ in range(max_len):
-        ids = list(prefix_ids) + out + [mask_id]
-        txt_seq = embed_text(ids)
-        fused = neck.route_forward(RouteKind.DEEP_FUSION, image_seq, txt_seq)
+        ids = np.concatenate([ids, np.full((len(live), 1), mask_id)], axis=1)
+        img = Tensor(image_seq.values[live])
+        fused = neck.route_forward(RouteKind.DEEP_FUSION, img, embed_text(ids))
         slot = fused.shape[1] - 1
         hidden = T.slice_(fused, (slice(None), slice(slot, slot + 1)))
         logits = neck.lm_head(hidden)
-        next_id = int(np.argmax(logits.values[0, 0, :vocab_len]))
-        if next_id == eos_id:
+        next_ids = np.argmax(logits.values[:, 0, :vocab_len], axis=-1)
+        go = next_ids != eos_id
+        for row, token in zip(live[go], next_ids[go]):
+            out[row].append(int(token))
+        live = live[go]
+        if not len(live):
             break
-        out.append(next_id)
+        ids = ids[go]
+        ids[:, -1] = next_ids[go]
     return out

@@ -281,11 +281,17 @@ def eval_stage(cfg: ExperimentConfig, model: TaskModel, split: str,
     class_names = ["background"] + classes
     ids = [class_id(c) for c in classes]
     counts = ConfusionCounts((0, *ids))
+    prompts = model.class_prompts(class_names)
+    answers: list[str] = []
     chunk = 16
     for i in range(0, len(corpus), chunk):
         part = corpus[i:i + chunk]
-        pred = model.seg_predict(_stack_images(part), class_names)
+        img = model.image_seq(_stack_images(part))  # shared by both heads
+        pred = model.seg_predict(img, prompts, class_names)
         counts.accumulate(pred, np.stack([s.mask for s in part]))
+        if eval_vqa:
+            questions = np.array([model.vocab.encode(s.question) for s in part])
+            answers += model.generate_answer(img, questions)
     report = {
         "split": split,
         "classes": classes,
@@ -296,10 +302,7 @@ def eval_stage(cfg: ExperimentConfig, model: TaskModel, split: str,
         "samples": len(corpus),
     }
     if eval_vqa:
-        records = []
-        for s in corpus:
-            answer = model.generate_answer(s.image, model.vocab.encode(s.question))
-            records.append(("other", answer, s.answer))
+        records = [("other", answer, s.answer) for answer, s in zip(answers, corpus)]
         per_type, mean = vqa_accuracy(records)
         report["vqa_exact_match"] = per_type.get("other", 0.0)
     return report

@@ -58,6 +58,21 @@ def test_patch_majority_ties_go_to_lowest_label():
     assert got.tolist() == [0, 1, 3, 4]
 
 
+def test_patch_majority_labels_batch_matches_the_per_row_count():
+    rng = np.random.default_rng(0)
+    # Few labels over 2x2 patches, so many patches tie two labels two-all.
+    masks = rng.integers(0, 4, size=(5, 8, 12))
+    got = patch_majority_labels(masks, 2)
+    assert got.shape == (5, 24)
+    ties = 0
+    for mask, row in zip(masks, got):
+        blocks = mask.reshape(4, 2, 6, 2).transpose(0, 2, 1, 3).reshape(-1, 4)
+        counts = [np.bincount(b, minlength=4) for b in blocks]
+        ties += sum(int((c == c.max()).sum() > 1) for c in counts)
+        assert row.tolist() == [int(c.argmax()) for c in counts]
+    assert ties > 10
+
+
 def test_config_mappings():
     cfg = tiny_cfg()
     enc = encoder_config(cfg)
@@ -91,7 +106,7 @@ def test_seg_loss_rejects_uncovered_labels(model, eval_samples):
 def test_seg_predict_returns_pixel_labels(model, eval_samples):
     names = ["background", "square", "circle"]
     images = np.stack([s.image for s in eval_samples[:3]])
-    pred = model.seg_predict(images, names)
+    pred = model.seg_predict(model.image_seq(images), model.class_prompts(names), names)
     assert pred.shape == (3, 16, 16)
     allowed = {0, class_id("square"), class_id("circle")}
     assert set(np.unique(pred).tolist()) <= allowed
@@ -102,7 +117,7 @@ def test_seg_predict_returns_pixel_labels(model, eval_samples):
 
 def test_class_prompts_shape_and_distinctness(model):
     prompts = model.class_prompts(["square", "circle", "ring"])
-    assert prompts.shape == (3, 16)
+    assert prompts.shape == (3, 1, 16)
     assert not np.allclose(prompts.values[0], prompts.values[1])
 
 
@@ -165,12 +180,13 @@ def test_recovery_prefix_must_leave_targets(model, eval_samples):
 
 def test_generate_answer_is_deterministic_text(model, eval_samples):
     s = eval_samples[0]
-    q_ids = model.vocab.encode(s.question)
-    a = model.generate_answer(s.image, q_ids, max_len=2)
-    b = model.generate_answer(s.image, q_ids, max_len=2)
+    img = model.image_seq(s.image[None])
+    q_ids = np.array([model.vocab.encode(s.question)])
+    a = model.generate_answer(img, q_ids, max_len=2)
+    b = model.generate_answer(img, q_ids, max_len=2)
     assert a == b
-    assert isinstance(a, str)
-    for word in a.split():
+    assert len(a) == 1 and isinstance(a[0], str)
+    for word in a[0].split():
         assert word in model.vocab.word_to_id
 
 
@@ -182,5 +198,6 @@ def test_generate_answer_decodes_when_the_lm_head_favours_an_id_past_the_vocabul
     model.neck.lm_head.bias.values[:] = 0.0
     model.neck.lm_head.bias.values[40] = 10.0
     s = eval_samples[0]
-    answer = model.generate_answer(s.image, vocab.encode(s.question), max_len=2)
-    assert answer == f"{vocab.id_to_word[0]} {vocab.id_to_word[0]}"
+    answer = model.generate_answer(model.image_seq(s.image[None]),
+                                   np.array([vocab.encode(s.question)]), max_len=2)
+    assert answer == [f"{vocab.id_to_word[0]} {vocab.id_to_word[0]}"]

@@ -214,14 +214,14 @@ def test_upsample_patch_grid_nearest():
 
 # ---------------------------------------------------------------- decoding
 
-def _decoder_fixture(seed=9):
+def _decoder_fixture(seed=9, rows=1):
     neck = small_neck()
     rng = np.random.default_rng(seed)
     table = rng.normal(size=(neck.config.vocab_size, 8))
-    img = rand_seq(rng, 3)
+    img = Tensor(rng.normal(size=(rows, 3, 8)))
 
     def embed_text(ids):
-        return neck.project_text(Tensor(table[np.asarray(ids)][None]))
+        return neck.project_text(Tensor(table[np.asarray(ids)]))
 
     return neck, img, embed_text
 
@@ -231,9 +231,9 @@ def test_lm_generate_stops_at_eos():
     neck.lm_head.weight.values[:] = 0.0
     neck.lm_head.bias.values[:] = 0.0
     neck.lm_head.bias.values[2] = 10.0
-    out = lm_generate(neck, img, prefix_ids=[3], embed_text=embed_text,
+    out = lm_generate(neck, img, prefix_ids=[[3]], embed_text=embed_text,
                       mask_id=1, eos_id=2, vocab_len=12, max_len=8)
-    assert out == []
+    assert out == [[]]
 
 
 def test_lm_generate_caps_at_max_len():
@@ -241,38 +241,63 @@ def test_lm_generate_caps_at_max_len():
     neck.lm_head.weight.values[:] = 0.0
     neck.lm_head.bias.values[:] = 0.0
     neck.lm_head.bias.values[5] = 10.0
-    out = lm_generate(neck, img, prefix_ids=[3], embed_text=embed_text,
+    out = lm_generate(neck, img, prefix_ids=[[3]], embed_text=embed_text,
                       mask_id=1, eos_id=2, vocab_len=12, max_len=4)
-    assert out == [5, 5, 5, 5]
+    assert out == [[5, 5, 5, 5]]
 
 
 def test_lm_generate_ties_break_to_lowest_id():
     neck, img, embed_text = _decoder_fixture()
     neck.lm_head.weight.values[:] = 0.0
     neck.lm_head.bias.values[:] = 0.0
-    out = lm_generate(neck, img, prefix_ids=[3], embed_text=embed_text,
+    out = lm_generate(neck, img, prefix_ids=[[3]], embed_text=embed_text,
                       mask_id=1, eos_id=2, vocab_len=12, max_len=3)
-    assert out == [0, 0, 0]
+    assert out == [[0, 0, 0]]
 
 
 def test_lm_generate_is_deterministic():
     neck, img, embed_text = _decoder_fixture()
-    a = lm_generate(neck, img, [3, 4], embed_text, mask_id=1, eos_id=2,
+    a = lm_generate(neck, img, [[3, 4]], embed_text, mask_id=1, eos_id=2,
                     vocab_len=12, max_len=6)
-    b = lm_generate(neck, img, [3, 4], embed_text, mask_id=1, eos_id=2,
+    b = lm_generate(neck, img, [[3, 4]], embed_text, mask_id=1, eos_id=2,
                     vocab_len=12, max_len=6)
     assert a == b
-    assert all(0 <= t < neck.config.vocab_size for t in a)
+    assert all(0 <= t < neck.config.vocab_size for t in a[0])
+
+
+def test_batched_lm_generate_matches_one_row_decoding():
+    # Rows emit different tokens and leave the batch at different steps:
+    # one at EOS on the first step, one on the third, the rest at the
+    # max_len cap.
+    neck, img, embed_text = _decoder_fixture(seed=96, rows=6)
+    rng = np.random.default_rng(97)
+    neck.lm_head.weight.values[:] = 3.0 * rng.normal(size=(8, 12))
+    neck.lm_head.bias.values[2] = 2.5
+    prefixes = rng.integers(3, 12, size=(6, 2))
+    out = lm_generate(neck, img, prefixes, embed_text, mask_id=1, eos_id=2,
+                      vocab_len=12, max_len=3)
+    assert out == [[4, 4, 4], [4, 4, 4], [10, 10], [4, 4, 4], [10, 10, 10], []]
+    for row in range(6):
+        one = lm_generate(neck, Tensor(img.values[row:row + 1]), prefixes[row:row + 1],
+                          embed_text, mask_id=1, eos_id=2, vocab_len=12, max_len=3)
+        assert one == [out[row]], row
 
 
 def test_lm_generate_validation():
-    neck, img, embed_text = _decoder_fixture()
+    neck, img, embed_text = _decoder_fixture(rows=2)
     with pytest.raises(ValueError, match="max_len"):
-        lm_generate(neck, img, [3], embed_text, mask_id=1, eos_id=2,
+        lm_generate(neck, img, [[3], [3]], embed_text, mask_id=1, eos_id=2,
                     vocab_len=12, max_len=0)
     with pytest.raises(ValueError, match="EOS"):
-        lm_generate(neck, img, [3], embed_text, mask_id=1, eos_id=8,
+        lm_generate(neck, img, [[3], [3]], embed_text, mask_id=1, eos_id=8,
                     vocab_len=8, max_len=2)
+    with pytest.raises(ValueError, match="same length"):
+        lm_generate(neck, img, [[3], [3, 4]], embed_text, mask_id=1, eos_id=2,
+                    vocab_len=12, max_len=2)
+    for prefixes in ([[3]], [[3], [3], [3]], [3, 3]):
+        with pytest.raises(ValueError, match="one row per image row"):
+            lm_generate(neck, img, prefixes, embed_text, mask_id=1, eos_id=2,
+                        vocab_len=12, max_len=2)
 
 
 def test_lm_generate_never_emits_an_id_past_the_vocabulary():
@@ -281,6 +306,6 @@ def test_lm_generate_never_emits_an_id_past_the_vocabulary():
     neck.lm_head.bias.values[:] = 0.0
     neck.lm_head.bias.values[9] = 10.0
     neck.lm_head.bias.values[4] = 5.0
-    out = lm_generate(neck, img, prefix_ids=[3], embed_text=embed_text,
+    out = lm_generate(neck, img, prefix_ids=[[3]], embed_text=embed_text,
                       mask_id=1, eos_id=2, vocab_len=8, max_len=2)
-    assert out == [4, 4]
+    assert out == [[4, 4]]

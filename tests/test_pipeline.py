@@ -17,7 +17,7 @@ import pytest
 from uniboost.config import (ConfigError, ExperimentConfig, TaskSpec, config_fingerprint,
                              world_config)
 from uniboost import pipeline
-from uniboost.metrics import round_half_up
+from uniboost.metrics import round_half_up, vqa_accuracy
 from uniboost.model import TaskModel
 from uniboost.pipeline import (DataError, LeakageError, RunRecord, audit_leakage,
                                build_corpora, compare_streams, comparison_csv,
@@ -26,7 +26,8 @@ from uniboost.pipeline import (DataError, LeakageError, RunRecord, audit_leakage
                                run_stream, save_encoders, save_model, tune_allocator,
                                write_corpora_manifest)
 from uniboost.scheduler import apply_augmentation
-from uniboost.shapeworld import build_vocabulary, class_id, write_manifest
+from uniboost.shapeworld import (build_vocabulary, class_id, gen_single_shape_corpus,
+                                 write_manifest)
 from uniboost.tensorio import load_checkpoint
 
 
@@ -234,14 +235,37 @@ def test_eval_stage_oracle_predictor_scores_one(corpus_and_vocab, monkeypatch):
                                      prefix="novel-eval")
     truth = iter([s.mask for s in corpus])
 
-    def oracle(images, class_names):
-        return np.stack([next(truth) for _ in range(len(images))])
+    def oracle(img, prompts, class_names):
+        return np.stack([next(truth) for _ in range(img.shape[0])])
 
     monkeypatch.setattr(model, "seg_predict", oracle)
     report = eval_stage(cfg, model, "novel", training_tokens=set(), training_labels=set())
     assert report["miou"] == 1.0
     assert report["fb_iou"] == 1.0
     assert report["pix_acc"] == 1.0
+
+
+def test_eval_stage_vqa_matches_one_image_decoding(corpus_and_vocab, monkeypatch):
+    cfg, _, vocab = corpus_and_vocab
+    cfg = replace(cfg, eval_samples=20)  # a full chunk of 16 and a partial one
+    model = TaskModel(cfg, vocab, seed=0)
+    generate, batches = model.generate_answer, []
+
+    def recording(img, questions):
+        batches.append(generate(img, questions))
+        return batches[-1]
+
+    monkeypatch.setattr(model, "generate_answer", recording)
+    report = eval_stage(cfg, model, "base", eval_vqa=True)
+    assert [len(b) for b in batches] == [16, 4]
+    corpus = gen_single_shape_corpus(world_config(cfg), tuple(report["classes"]),
+                                     cfg.eval_samples, seed=11, prefix="base-eval")
+    answers = [generate(model.image_seq(s.image[None]),
+                        np.array([vocab.encode(s.question)]))[0] for s in corpus]
+    assert sum(batches, []) == answers
+    per_type, _ = vqa_accuracy([("other", a, s.answer) for a, s in zip(answers, corpus)])
+    want = dict(eval_stage(cfg, model, "base"), vqa_exact_match=per_type.get("other", 0.0))
+    assert report == want
 
 
 # ---------------------------------------------------------------- streams
