@@ -1,7 +1,8 @@
 """Command-line harness.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 invariant
-or leakage violation. The UNIBOOST_OUT environment variable overrides
+or leakage violation, including a diverged run (a non-finite or missing
+gradient). The UNIBOOST_OUT environment variable overrides
 --out wherever an output directory is taken.
 """
 
@@ -18,6 +19,7 @@ from . import pipeline
 from .config import ConfigError, ExperimentConfig, parse_config
 from .metrics import MetricError
 from .model import TaskModel
+from .optim import MissingGradError, NonFiniteGradError
 from .pipeline import ComparisonReport, ComparisonRow, DataError, LeakageError
 from .pretrain import CorpusMismatchError
 from .scheduler import SchedulerError
@@ -34,8 +36,10 @@ EXIT_INVARIANT = 4
 
 
 def _load_config(path: str, args, steps_field: str = "steps") -> ExperimentConfig:
-    """The config at ``path`` with the --seed, --steps (into ``steps_field``)
-    and --out overrides applied, validated again with them."""
+    """The config at ``path`` with the --seed and --steps (into
+    ``steps_field``) overrides applied, validated again with them. --out
+    picks the output directory only (``_out_dir``), so it changes neither
+    the config fingerprint nor a checkpoint's ``config.txt``."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -48,8 +52,6 @@ def _load_config(path: str, args, steps_field: str = "steps") -> ExperimentConfi
         cfg.seed = args.seed
     if args.steps is not None:
         setattr(cfg, steps_field, args.steps)
-    if args.out:
-        cfg.out = args.out
     return cfg.validate()
 
 
@@ -226,12 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="desk-scale multitask pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True, multi_config=False):
+    def common(p, multi_config=False):
         if multi_config:
             p.add_argument("--config", action="append", default=[],
                            help="config file (repeat for each stream)")
         else:
-            p.add_argument("--config", required=config_required, help="config file")
+            p.add_argument("--config", required=True, help="config file")
         p.add_argument("--seed", type=int, default=None, help="override [run] seed")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--steps", type=int, default=None, help="override step count")
@@ -290,7 +292,8 @@ def main(argv: list[str] | None = None) -> int:
             FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (LeakageError, SchedulerError, MetricError) as exc:
+    except (LeakageError, SchedulerError, MetricError, NonFiniteGradError,
+            MissingGradError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

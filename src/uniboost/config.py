@@ -23,7 +23,7 @@ import math
 from dataclasses import Field, dataclass, field, fields as dc_fields
 
 from .encoders import EncoderConfig
-from .neck import NeckConfig, RouteKind
+from .neck import ANSWER_TOKENS, NeckConfig, RouteKind
 from .optim import schedule_factor
 from .pretrain import PretrainMode
 from .scheduler import RebalancePolicy
@@ -36,9 +36,9 @@ __all__ = ["ExperimentConfig", "TaskSpec", "ConfigError", "parse_config",
 # The head alone picks the neck route (see ``model.py``); ``route`` must name it.
 HEAD_ROUTES = {"cls": RouteKind.IMAGE_ONLY, "seg": RouteKind.LANGUAGE_GUIDED_VISION,
                "caption": RouteKind.IMAGE_TO_TEXT_GEN, "vqa": RouteKind.DEEP_FUSION}
-# The longest text the text encoder reads: a five-word question plus three
+# The longest text the text encoder reads: a five-word question plus the
 # greedy VQA decoding slots (training reads at most question, answer, EOS).
-MAX_TEXT_TOKENS = 8
+MAX_TEXT_TOKENS = 5 + ANSWER_TOKENS
 # Lower bounds on the counts and seeds that no sub-config checks.
 _MINIMUMS = {"width": 1, "heads": 1, "fusion_layers": 0, "fusion_heads": 1,
              "common_width": 1, "pretrain_steps": 0, "pretrain_batch_size": 1,
@@ -123,8 +123,11 @@ class ExperimentConfig:
         for name, low in _MINIMUMS.items():
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} {getattr(self, name)} must be >= {low}")
-        if self.encoder_lr_ratio <= 0:
-            raise ConfigError("encoder_lr_ratio must be positive")
+        for name in ("peak_lr", "pretrain_peak_lr", "encoder_lr_ratio"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} {getattr(self, name)} must be positive")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay {self.weight_decay} must be >= 0")
         try:
             schedule_factor(0, 1, 0, self.schedule)  # raises on an unknown schedule
             encoder_config(self)

@@ -21,11 +21,13 @@ from .nn import Embedding, EncoderBlock, LayerNorm, Linear, Module, ModuleList, 
 from .tensor import Tensor
 
 __all__ = ["EncoderConfig", "ImageEncoder", "TextEncoder", "Vocabulary",
-           "patchify"]
+           "patchify", "MASK_ID"]
 
 UNK_TOKEN = "<unk>"
 MASK_TOKEN = "<mask>"
 EOS_TOKEN = "</s>"
+SPECIAL_TOKENS = (UNK_TOKEN, MASK_TOKEN, EOS_TOKEN)
+MASK_ID = SPECIAL_TOKENS.index(MASK_TOKEN)
 
 
 @dataclass(frozen=True)
@@ -148,16 +150,15 @@ class Vocabulary:
     """
 
     def __init__(self, words: list[str]):
-        specials = [UNK_TOKEN, MASK_TOKEN, EOS_TOKEN]
-        for s in specials:
+        for s in SPECIAL_TOKENS:
             if s in words:
                 raise ValueError(f"reserved token {s!r} in word list")
         if len(set(words)) != len(words):
             raise ValueError("duplicate words in vocabulary")
-        self.id_to_word = specials + list(words)
+        self.id_to_word = list(SPECIAL_TOKENS) + list(words)
         self.word_to_id = {w: i for i, w in enumerate(self.id_to_word)}
         self.unk_id = self.word_to_id[UNK_TOKEN]
-        self.mask_id = self.word_to_id[MASK_TOKEN]
+        self.mask_id = MASK_ID
         self.eos_id = self.word_to_id[EOS_TOKEN]
 
     def __len__(self):

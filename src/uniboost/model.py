@@ -19,7 +19,8 @@ import numpy as np
 from . import tensor as T
 from .config import ExperimentConfig, encoder_config, neck_config
 from .encoders import ImageEncoder, TextEncoder, Vocabulary
-from .neck import Neck, RouteKind, causal_mask, lm_generate, seg_logits, upsample_patch_grid
+from .neck import (ANSWER_TOKENS, Neck, RouteKind, causal_mask, lm_generate, seg_logits,
+                   upsample_patch_grid)
 from .nn import Linear, Module, init_rng
 from .pretrain import cross_entropy, masked_nll
 from .shapeworld import SHAPES, class_id
@@ -106,7 +107,7 @@ class TaskModel(Module):
     def seg_loss(self, images: np.ndarray, masks: np.ndarray,
                  class_names: list[str]) -> Tensor:
         logits = self.seg_patch_logits(images, class_names)
-        labels = self._class_labels(class_names)
+        labels = np.array([class_id(name) for name in class_names])
         per_patch = patch_majority_labels(masks, self.cfg.patch_size)  # [B, P]
         unknown = np.setdiff1d(per_patch, labels)
         if unknown.size:
@@ -121,14 +122,8 @@ class TaskModel(Module):
         sequence and the ``class_prompts`` of ``class_names``."""
         idx = np.argmax(self._route_seg_logits(img, prompts).values, axis=-1)  # [B, P]
         g = self.cfg.grid_size
-        return upsample_patch_grid(self._class_labels(class_names)[idx], g, g,
-                                   self.cfg.patch_size)
-
-    @staticmethod
-    def _class_labels(class_names: list[str]) -> np.ndarray:
-        """[K] mask label of each class name."""
-        return np.array([0 if name == "background" else class_id(name)
-                         for name in class_names])
+        labels = np.array([class_id(name) for name in class_names])
+        return upsample_patch_grid(labels[idx], g, g, self.cfg.patch_size)
 
     # -- classification (image-only route) -----------------------------------
 
@@ -173,12 +168,12 @@ class TaskModel(Module):
         return self._recovery_loss(RouteKind.DEEP_FUSION, images, qa_ids,
                                    prefix_len=prefix_len, seed=seed)
 
-    def generate_answer(self, img: Tensor, question_ids: np.ndarray,
-                        max_len: int = 3) -> list[str]:
-        """Greedy answer per row of the [B, n, width] image sequence, after
-        that row's question in the [B, p] ``question_ids``."""
+    def generate_answer(self, img: Tensor, question_ids: np.ndarray) -> list[str]:
+        """Greedy answer of at most ``ANSWER_TOKENS`` tokens per row of the
+        [B, n, width] image sequence, after that row's question in the
+        [B, p] ``question_ids``."""
         out_ids = lm_generate(self.neck, img, question_ids,
                               lambda ids: self.text_seq(ids, causal=True),
                               mask_id=self.vocab.mask_id, eos_id=self.vocab.eos_id,
-                              vocab_len=len(self.vocab), max_len=max_len)
+                              vocab_len=len(self.vocab), max_len=ANSWER_TOKENS)
         return [self.vocab.decode(ids) for ids in out_ids]

@@ -33,9 +33,10 @@ from .tensor import Tensor
 
 __all__ = ["RouteKind", "NeckConfig", "Neck", "attention_mask", "causal_mask",
            "seg_logits", "upsample_patch_grid", "lm_generate", "RouteInputError",
-           "SEG_TEMPERATURE"]
+           "SEG_TEMPERATURE", "ANSWER_TOKENS"]
 
 SEG_TEMPERATURE = 0.07
+ANSWER_TOKENS = 3  # the most tokens greedy VQA decoding emits per answer
 
 
 class RouteInputError(ValueError):
@@ -163,11 +164,8 @@ class Neck(Module):
         raise RouteInputError(f"unknown route {route!r}")
 
 
-def seg_logits(patch_embeddings: Tensor, class_embeddings: Tensor,
-               temperature: float = SEG_TEMPERATURE) -> Tensor:
-    """[..., P, W] x [K, W] -> [..., P, K] cosine similarities / temperature."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+def seg_logits(patch_embeddings: Tensor, class_embeddings: Tensor) -> Tensor:
+    """[..., P, W] x [K, W] -> [..., P, K] cosine similarities / SEG_TEMPERATURE."""
     if class_embeddings.shape[0] < 1:
         raise ValueError("need at least one class embedding")
     if patch_embeddings.shape[-1] != class_embeddings.shape[-1]:
@@ -176,7 +174,7 @@ def seg_logits(patch_embeddings: Tensor, class_embeddings: Tensor,
             f"vs classes {class_embeddings.shape[-1]}")
     p_norm = T.l2_normalize(patch_embeddings)
     c_norm = T.l2_normalize(class_embeddings)
-    return T.scale(T.matmul(p_norm, T.transpose(c_norm)), 1.0 / temperature)
+    return T.scale(T.matmul(p_norm, T.transpose(c_norm)), 1.0 / SEG_TEMPERATURE)
 
 
 def upsample_patch_grid(per_patch: np.ndarray, height: int, width: int,

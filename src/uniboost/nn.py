@@ -1,7 +1,7 @@
 """Parameter containers and transformer building blocks.
 
 Initialization follows standard transformer practice: truncated normal
-(std 0.02, clipped at two standard deviations) for weights, zeros for
+(std ``INIT_STD``, clipped at two standard deviations) for weights, zeros for
 biases and shifts, ones for layer-norm scales. Each parameter carries a
 dotted name so checkpoints and optimizer groups can address it.
 """
@@ -15,7 +15,9 @@ from .tensor import Tensor
 
 __all__ = ["Parameter", "Module", "ModuleList", "Linear", "Embedding",
            "LayerNorm", "MultiHeadSelfAttention", "FeedForward", "EncoderBlock",
-           "trunc_normal", "init_rng"]
+           "trunc_normal", "init_rng", "INIT_STD"]
+
+INIT_STD = 0.02
 
 
 def init_rng(seed: int | str) -> np.random.Generator:
@@ -25,14 +27,13 @@ def init_rng(seed: int | str) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def trunc_normal(rng: np.random.Generator, shape: tuple[int, ...],
-                 std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) samples redrawn until they land within two sigma."""
-    out = rng.normal(0.0, std, size=shape)
-    bound = 2.0 * std
+def trunc_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Normal(0, INIT_STD) samples redrawn until they land within two sigma."""
+    out = rng.normal(0.0, INIT_STD, size=shape)
+    bound = 2.0 * INIT_STD
     bad = np.abs(out) > bound
     while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
         bad = np.abs(out) > bound
     return out
 
@@ -106,7 +107,6 @@ class ModuleList(Module):
 class Linear(Module):
     def __init__(self, rng, in_dim: int, out_dim: int):
         super().__init__()
-        self.in_dim = in_dim
         self.out_dim = out_dim
         self.weight = Parameter(trunc_normal(rng, (in_dim, out_dim)))
         self.bias = Parameter(np.zeros(out_dim))
@@ -118,8 +118,6 @@ class Linear(Module):
 class Embedding(Module):
     def __init__(self, rng, rows: int, width: int):
         super().__init__()
-        self.rows = rows
-        self.width = width
         self.table = Parameter(trunc_normal(rng, (rows, width)))
 
     def __call__(self, ids: np.ndarray) -> Tensor:
@@ -143,7 +141,6 @@ class MultiHeadSelfAttention(Module):
         super().__init__()
         if width % heads:
             raise ValueError(f"width {width} not divisible by heads {heads}")
-        self.width = width
         self.heads = heads
         self.qkv = Linear(rng, width, 3 * width)
         self.out = Linear(rng, width, width)

@@ -18,6 +18,9 @@ from .tensor import Tensor
 
 __all__ = ["AdamW", "MissingGradError", "NonFiniteGradError", "schedule_factor"]
 
+BETAS = (0.9, 0.999)  # first- and second-moment decay rates
+EPS = 1e-8
+
 
 class MissingGradError(RuntimeError):
     """A tracked parameter had no gradient when ``step`` was called."""
@@ -65,8 +68,7 @@ class AdamW:
     """
 
     def __init__(self, groups: dict[str, tuple[Sequence[Tensor], float]],
-                 peak_lr: float = 1e-3, betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.01,
+                 peak_lr: float = 1e-3, weight_decay: float = 0.01,
                  total_steps: int = 1000, warmup_steps: int = 50,
                  schedule: str = "cosine"):
         self.groups = {}
@@ -81,8 +83,6 @@ class AdamW:
                 seen.add(id(p))
             self.groups[gname] = (plist, float(mult))
         self.peak_lr = float(peak_lr)
-        self.betas = betas
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.total_steps = int(total_steps)
         self.warmup_steps = int(warmup_steps)
@@ -104,7 +104,7 @@ class AdamW:
     def step(self) -> None:
         factor = schedule_factor(self.step_count, self.total_steps,
                                  self.warmup_steps, self.schedule)
-        b1, b2 = self.betas
+        b1, b2 = BETAS
         t = self.step_count + 1
         bc1 = 1.0 - b1 ** t
         bc2 = 1.0 - b2 ** t
@@ -131,7 +131,7 @@ class AdamW:
                 v += (1.0 - b2) * (g * g)
                 mhat = m / bc1
                 vhat = v / bc2
-                p.values -= lr * (mhat / (np.sqrt(vhat) + self.eps)
+                p.values -= lr * (mhat / (np.sqrt(vhat) + EPS)
                                   + self.weight_decay * p.values)
         self.step_count += 1
         self.zero_grad()

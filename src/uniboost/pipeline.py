@@ -280,7 +280,7 @@ def eval_stage(cfg: ExperimentConfig, model: TaskModel, split: str,
                                      prefix=f"{split}-eval")
     class_names = ["background"] + classes
     ids = [class_id(c) for c in classes]
-    counts = ConfusionCounts((0, *ids))
+    counts = ConfusionCounts([class_id(c) for c in class_names])
     prompts = model.class_prompts(class_names)
     answers: list[str] = []
     chunk = 16

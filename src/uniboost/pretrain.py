@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .encoders import EncoderConfig, ImageEncoder, TextEncoder, patchify
+from .encoders import MASK_ID, EncoderConfig, ImageEncoder, TextEncoder, patchify
 from .nn import Linear, Module, Parameter, init_rng, trunc_normal
 from .optim import AdamW
 from .shapeworld import SHAPES
@@ -90,11 +90,7 @@ class MlmHead(Module):
 
 def _mask_positions(rng: np.random.Generator, batch: int, n: int, ratio: float) -> np.ndarray:
     """[batch, n] 0/1 mask with ceil(ratio * n) distinct ones per row."""
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"mask ratio must lie in (0, 1), got {ratio}")
     k = math.ceil(ratio * n)
-    if k == 0:
-        raise ValueError(f"ratio {ratio} masks zero of {n} positions")
     mask = np.zeros((batch, n))
     np.put_along_axis(mask, np.stack([rng.choice(n, size=k, replace=False)
                                       for _ in range(batch)]), 1.0, axis=1)
@@ -109,54 +105,46 @@ def masked_nll(logits: Tensor, ids: np.ndarray, mask: np.ndarray) -> Tensor:
 
 
 def mim_loss(encoder: ImageEncoder, head: MimHead, images: np.ndarray,
-             mask_ratio: float = MIM_RATIO, seed: int = 0,
-             targets: Tensor | None = None) -> Tensor:
-    """Masked-patch reconstruction error.
+             seed: int = 0) -> Tensor:
+    """Masked-patch reconstruction error over ``MIM_RATIO`` of the patches.
 
     Masked patch embeddings are replaced by the learned mask token before
     position embeddings; the loss is the mean squared error between the
     reconstruction and the original patch pixels at masked positions only.
-    ``targets`` defaults to the patchified input and exists so tests can
-    probe the masked-only contract.
     """
     flat = np.stack([patchify(img, encoder.config.patch_size) for img in images])
     b, n, patch_dim = flat.shape
-    masked = _mask_positions(np.random.default_rng(seed), b, n, mask_ratio)
+    masked = _mask_positions(np.random.default_rng(seed), b, n, MIM_RATIO)
 
     hidden = encoder(images, mask=(head.mask_token, masked))
     recon = head.recon(hidden)
 
-    if targets is None:
-        targets = Tensor(flat)
-    diff = T.add(recon, T.scale(targets, -1.0))
+    diff = T.add(recon, T.scale(Tensor(flat), -1.0))
     sq = T.mul(diff, diff)
     masked_sq = T.mul(sq, Tensor(masked[..., None]))
     return T.scale(T.sum_(masked_sq), 1.0 / (masked.sum() * patch_dim))
 
 
-def mlm_loss(encoder: TextEncoder, head: MlmHead, ids: np.ndarray,
-             mask_ratio: float = MLM_RATIO, seed: int = 0, mask_id: int = 1) -> Tensor:
-    """Masked-token prediction: cross-entropy at masked positions only."""
+def mlm_loss(encoder: TextEncoder, head: MlmHead, ids: np.ndarray, seed: int = 0) -> Tensor:
+    """Masked-token prediction: ``MLM_RATIO`` of the positions become
+    ``MASK_ID``; cross-entropy at masked positions only."""
     b, n = ids.shape
     if n < 2:
         raise ValueError(f"sequence length {n} < 2")
-    if not 0 <= mask_id < encoder.config.vocab_size:
-        raise ValueError(f"mask id {mask_id} outside vocabulary of {encoder.config.vocab_size}")
-    mask = _mask_positions(np.random.default_rng(seed), b, n, mask_ratio)
-    hidden = encoder(np.where(mask == 1.0, mask_id, ids))
+    mask = _mask_positions(np.random.default_rng(seed), b, n, MLM_RATIO)
+    hidden = encoder(np.where(mask == 1.0, MASK_ID, ids))
     return masked_nll(head.logits(hidden, encoder.tok.table), ids, mask)
 
 
-def info_nce(image_vecs: Tensor, text_vecs: Tensor, temperature: float) -> Tensor:
+def info_nce(image_vecs: Tensor, text_vecs: Tensor) -> Tensor:
     """Symmetric cross-entropy over the similarity matrix of two batches of
-    unit vectors; diagonal entries are the positives."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    unit vectors, scaled by 1 / ``CONTRASTIVE_TEMPERATURE``; diagonal entries
+    are the positives."""
     b = image_vecs.shape[0]
     if b < 2:
         raise ValueError(f"contrastive batch of {b} is degenerate; need >= 2 pairs")
     sim = T.matmul(image_vecs, T.transpose(text_vecs))
-    logits = T.scale(sim, 1.0 / temperature)
+    logits = T.scale(sim, 1.0 / CONTRASTIVE_TEMPERATURE)
     diag = np.arange(b)
     loss_i2t = cross_entropy(logits, diag)
     loss_t2i = cross_entropy(T.transpose(logits), diag)
@@ -164,10 +152,9 @@ def info_nce(image_vecs: Tensor, text_vecs: Tensor, temperature: float) -> Tenso
 
 
 def contrastive_loss(image_encoder: ImageEncoder, text_encoder: TextEncoder,
-                     images: np.ndarray, token_ids: np.ndarray,
-                     temperature: float = CONTRASTIVE_TEMPERATURE) -> Tensor:
+                     images: np.ndarray, token_ids: np.ndarray) -> Tensor:
     return info_nce(pool_sequence(image_encoder(images)),
-                    pool_sequence(text_encoder(token_ids)), temperature)
+                    pool_sequence(text_encoder(token_ids)))
 
 
 def supervised_cls_loss(encoder: ImageEncoder, head: Linear,

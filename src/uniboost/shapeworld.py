@@ -68,15 +68,19 @@ FAMILY_COLOR = {
     "bar": "yellow", "pole": "yellow",
 }
 
+NOISE = 0.05  # background pixels are uniform in [0, NOISE) per channel
 STENCIL = 7
 _HALF = STENCIL // 2
 _OUTER_R = 3.35
 _INNER_R = 2.0
 
 
-def class_id(shape: str) -> int:
-    """1-based mask label; 0 is background."""
-    return SHAPES.index(shape) + 1
+_CLASSES = ("background",) + SHAPES
+
+
+def class_id(name: str) -> int:
+    """Mask label of a class: 0 for ``background``, 1-based for a shape."""
+    return _CLASSES.index(name)
 
 
 @functools.cache
@@ -124,28 +128,20 @@ def analytic_area(shape: str) -> float:
 @dataclass(frozen=True)
 class ShapeWorldConfig:
     grid_size: int = 16
-    shapes: tuple[str, ...] = SHAPES
-    colors: tuple[str, ...] = tuple(COLORS)
     samples_per_corpus: int = 2048
     paired_fraction: float = 0.25
     novel_shapes: tuple[str, ...] = ("ring", "diamond")
     family_affinity: float = 0.5
     color_affinity: float = 0.6
-    noise: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
         if self.grid_size < 2 * (STENCIL + 1):
             raise ValueError(
                 f"grid {self.grid_size} too small for two {STENCIL}x{STENCIL} shapes")
-        if len(self.shapes) > self.grid_size * self.grid_size:
-            raise ValueError("more shape classes than grid cells")
-        unknown = set(self.shapes) - set(SHAPES)
-        if unknown:
-            raise ValueError(f"unknown shapes {sorted(unknown)}")
-        if not set(self.novel_shapes) <= set(self.shapes):
-            raise ValueError("novel shapes must be a subset of shapes")
-        if len(set(self.shapes) - set(self.novel_shapes)) < 2:
+        if not set(self.novel_shapes) <= set(SHAPES):
+            raise ValueError("novel shapes must be a subset of SHAPES")
+        if len(set(SHAPES) - set(self.novel_shapes)) < 2:
             raise ValueError("need at least two base shapes for two-shape scenes")
         if not 0.0 <= self.paired_fraction <= 1.0:
             raise ValueError(f"paired fraction {self.paired_fraction} outside [0, 1]")
@@ -156,7 +152,7 @@ class ShapeWorldConfig:
 
     @property
     def base_shapes(self) -> tuple[str, ...]:
-        return tuple(s for s in self.shapes if s not in self.novel_shapes)
+        return tuple(s for s in SHAPES if s not in self.novel_shapes)
 
     @property
     def n_paired(self) -> int:
@@ -190,7 +186,7 @@ def _render(config: ShapeWorldConfig, rng: np.random.Generator,
     grid; later placements would win overlaps, but placement geometry keeps
     the shapes disjoint."""
     g = config.grid_size
-    img = rng.uniform(0.0, config.noise, size=(g, g, 3))
+    img = rng.uniform(0.0, NOISE, size=(g, g, 3))
     mask = np.zeros((g, g), dtype=np.int64)
     for shape, color, cr, cc in placements:
         stencil = shape_stencil(shape)
@@ -214,11 +210,10 @@ def _pick_pair(rng: np.random.Generator, allowed: tuple[str, ...],
 
 def _pick_color(rng: np.random.Generator, config: ShapeWorldConfig,
                 shape: str, exclude: str | None = None) -> str:
-    sig = FAMILY_COLOR.get(shape)
-    if (sig in config.colors and sig != exclude
-            and rng.uniform() < config.color_affinity):
+    sig = FAMILY_COLOR[shape]
+    if sig != exclude and rng.uniform() < config.color_affinity:
         return sig
-    pool = [c for c in config.colors if c != exclude]
+    pool = [c for c in COLORS if c != exclude]
     return pool[rng.integers(len(pool))]
 
 
@@ -271,12 +266,12 @@ def gen_shapeworld(config: ShapeWorldConfig) -> CorpusTriple:
 
     rng = np.random.default_rng([config.seed, 2])
     for i in range(config.samples_per_corpus):
-        s = _make_scene(config, rng, f"img{i:05d}", config.shapes)
+        s = _make_scene(config, rng, f"img{i:05d}", SHAPES)
         triple.image_only.append(Sample(s.sample_id, s.image, s.mask))
 
     rng = np.random.default_rng([config.seed, 3])
     for i in range(config.samples_per_corpus):
-        s = _make_scene(config, rng, f"txt{i:05d}", config.shapes)
+        s = _make_scene(config, rng, f"txt{i:05d}", SHAPES)
         triple.text_only.append(Sample(s.sample_id, None, None, s.caption,
                                        s.question, s.answer))
     return triple

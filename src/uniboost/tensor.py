@@ -305,7 +305,7 @@ def log_softmax(x: Tensor) -> Tensor:
     return _emit("log-softmax", (x,), y, grad_fn)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit population variance, then
     apply the learned elementwise scale and shift."""
     d = x.shape[-1]
@@ -315,7 +315,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYER_NORM_E
     mu = x.values.mean(axis=-1, keepdims=True)
     xc = x.values - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     out = xhat * gamma.values + beta.values
 

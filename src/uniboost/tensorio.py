@@ -17,6 +17,9 @@ A checkpoint is a directory of ``.ubtn`` payloads plus ``manifest.tsv``
 ``config.txt`` echo of the run configuration. It is whole or absent: a save
 writes a sibling temporary directory and then swaps it into place, so a
 save that stops partway never leaves a manifest over a mix of payloads.
+Every file and the temporary directory are fsynced before the swap, and
+the parent directory after it, so a crash or power loss after a save
+returns cannot leave a renamed directory over unwritten payloads.
 """
 
 from __future__ import annotations
@@ -73,6 +76,15 @@ def load_tensor(path: str | Path) -> np.ndarray:
     return flat.astype(np.float64).reshape(dims)
 
 
+def _fsync(path: Path) -> None:
+    """Flush ``path``, a file or a directory, to disk."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def save_checkpoint(dirpath: str | Path, named_values: dict[str, np.ndarray],
                     config_text: str = "") -> None:
     d = Path(dirpath)
@@ -93,12 +105,16 @@ def save_checkpoint(dirpath: str | Path, named_values: dict[str, np.ndarray],
             lines.append(f"{name}\t{dims}\t{fname}")
         (tmp / "manifest.tsv").write_text("\n".join(lines) + "\n")
         (tmp / "config.txt").write_text(config_text)
+        for f in tmp.iterdir():
+            _fsync(f)
+        _fsync(tmp)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
     if d.exists():
         os.replace(d, old)
     os.replace(tmp, d)
+    _fsync(d.parent)
     shutil.rmtree(old, ignore_errors=True)
 
 

@@ -301,6 +301,29 @@ def test_failures_inside_compare_workers_keep_their_exit_code(workspace, capsys)
         assert not (out / "pretrain-pair-contrastive-seed0").exists()
 
 
+def test_diverged_run_exits_4(workspace, capsys):
+    """A learning rate that drives the gradients to inf or NaN stops the run
+    with an invariant violation, in the command and inside compare workers."""
+    tmp, out, cfg = workspace
+    configs = []
+    for mode in ("masked-unimodal", "pair-contrastive"):
+        path = tmp / f"{mode}.cfg"
+        path.write_text(BASE_CFG.format(mode=mode).replace(
+            "steps = 2\n", "steps = 8\npeak_lr = 1e30\n", 1))
+        configs += ["--config", str(path)]
+    capsys.readouterr()
+    # numpy warns as the values overflow; the test filter would make that an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["pretrain", "--config", configs[-1]]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: non-finite gradient") and "Traceback" not in err
+    assert not (out / "pretrain-pair-contrastive-seed0").exists()
+    assert main(["compare", *configs, "--seeds", "0"]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: non-finite gradient") and "Traceback" not in err
+    assert not (out / "comparison.csv").exists()
+
+
 def test_leakage_audit_exits_4(workspace):
     tmp, out, cfg = workspace
     assert main(["pretrain", "--config", str(cfg)]) == EXIT_OK
@@ -404,6 +427,21 @@ def test_out_flag_used_without_env(tmp_path, monkeypatch):
     dest = tmp_path / "elsewhere"
     assert main(["split", "--config", str(cfg), "--out", str(dest)]) == EXIT_OK
     assert (dest / "splits.json").exists()
+
+
+def test_out_flag_leaves_the_config_unchanged(tmp_path, monkeypatch):
+    """--out picks a directory only: two runs that differ in it record the
+    same config, as runs that differ in UNIBOOST_OUT do."""
+    monkeypatch.delenv("UNIBOOST_OUT", raising=False)
+    cfg = tmp_path / "mu.cfg"
+    cfg.write_text(BASE_CFG.format(mode="masked-unimodal"))
+    texts = []
+    for name in ("a", "b"):
+        dest = tmp_path / name
+        assert main(["pretrain", "--config", str(cfg), "--out", str(dest)]) == EXIT_OK
+        texts.append((dest / "pretrain-masked-unimodal-seed0" / "config.txt").read_text())
+    assert texts[0] == texts[1]
+    assert "out = runs\n" in texts[0]
 
 
 def test_env_overrides_out_flag(tmp_path, monkeypatch):

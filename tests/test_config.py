@@ -1,6 +1,5 @@
 """Config parsing, validation, canonical serialization, fingerprints."""
 
-import inspect
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -10,7 +9,7 @@ import pytest
 from uniboost.config import (MAX_TEXT_TOKENS, ConfigError, ExperimentConfig, TaskSpec,
                              config_fingerprint, diff_configs, parse_config,
                              serialize_config, world_config)
-from uniboost.model import TaskModel
+from uniboost.neck import ANSWER_TOKENS
 from uniboost.shapeworld import SHAPES, build_vocabulary, gen_shapeworld, gen_single_shape_corpus
 
 
@@ -114,6 +113,17 @@ def test_semantic_validation():
         parse_config("[task a]\nhead = cls\n")
     with pytest.raises(ConfigError, match="encoder_lr_ratio"):
         parse_config("[optimizer]\nencoder_lr_ratio = 0\n")
+    # learning rates must be positive and weight decay not negative
+    with pytest.raises(ConfigError, match="^peak_lr -5.0 must be positive"):
+        parse_config("[optimizer]\npeak_lr = -5\nweight_decay = -3\n[pretrain]\npeak_lr = -1\n")
+    for section, key, value, message in [
+            ("optimizer", "peak_lr", 0, "peak_lr 0.0 must be positive"),
+            ("pretrain", "peak_lr", -1, "pretrain_peak_lr -1.0 must be positive"),
+            ("pretrain", "peak_lr", 0, "pretrain_peak_lr 0.0 must be positive"),
+            ("optimizer", "weight_decay", -3, "weight_decay -3.0 must be >= 0")]:
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(f"[{section}]\n{key} = {value}\n")
+    assert parse_config("[optimizer]\nweight_decay = 0\n").weight_decay == 0.0
     # model sizes below their minimum, named before any sub-config divides by them
     for section, key, value in [("encoder", "width", 0), ("encoder", "width", -4),
                                 ("encoder", "heads", 0), ("encoder", "heads", -2),
@@ -230,11 +240,10 @@ def test_max_text_tokens_is_the_longest_text_the_encoder_reads():
     triple = gen_shapeworld(world)
     samples = triple.paired + triple.text_only + gen_single_shape_corpus(world, SHAPES, 64, 0)
     vocab = build_vocabulary()
-    decode_slots = inspect.signature(TaskModel.generate_answer).parameters["max_len"].default
     lengths = [n for s in samples for n in (
         len(vocab.encode(s.caption)) + 1,  # caption head: caption + EOS
         len(vocab.encode(s.question)) + len(vocab.encode(s.answer)) + 1,  # VQA head
-        len(vocab.encode(s.question)) + decode_slots)]  # greedy VQA decoding
+        len(vocab.encode(s.question)) + ANSWER_TOKENS)]  # greedy VQA decoding
     assert max(lengths) == MAX_TEXT_TOKENS
 
 

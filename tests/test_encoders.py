@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from uniboost.encoders import (EncoderConfig, ImageEncoder, TextEncoder,
+from uniboost.encoders import (MASK_ID, EncoderConfig, ImageEncoder, TextEncoder,
                                Vocabulary, patchify)
 from uniboost.tensor import Tensor
 
@@ -198,7 +198,7 @@ def test_image_encoder_forward_is_deterministic():
 
 def test_vocabulary_special_ids_come_first():
     v = Vocabulary(["red", "circle"])
-    assert v.unk_id == 0 and v.mask_id == 1 and v.eos_id == 2
+    assert v.unk_id == 0 and v.mask_id == MASK_ID == 1 and v.eos_id == 2
     assert v.encode("red circle") == [3, 4]
     assert len(v) == 5
 

@@ -7,6 +7,7 @@ import pytest
 
 from uniboost.config import ExperimentConfig, encoder_config, neck_config
 from uniboost.model import MASK_RECOVERY_PROB, TaskModel, patch_majority_labels
+from uniboost.neck import ANSWER_TOKENS
 from uniboost.optim import AdamW
 from uniboost.shapeworld import (SHAPES, ShapeWorldConfig, build_vocabulary,
                                  class_id, gen_single_shape_corpus)
@@ -182,8 +183,8 @@ def test_generate_answer_is_deterministic_text(model, eval_samples):
     s = eval_samples[0]
     img = model.image_seq(s.image[None])
     q_ids = np.array([model.vocab.encode(s.question)])
-    a = model.generate_answer(img, q_ids, max_len=2)
-    b = model.generate_answer(img, q_ids, max_len=2)
+    a = model.generate_answer(img, q_ids)
+    b = model.generate_answer(img, q_ids)
     assert a == b
     assert len(a) == 1 and isinstance(a[0], str)
     for word in a[0].split():
@@ -199,5 +200,5 @@ def test_generate_answer_decodes_when_the_lm_head_favours_an_id_past_the_vocabul
     model.neck.lm_head.bias.values[40] = 10.0
     s = eval_samples[0]
     answer = model.generate_answer(model.image_seq(s.image[None]),
-                                   np.array([vocab.encode(s.question)]), max_len=2)
-    assert answer == [f"{vocab.id_to_word[0]} {vocab.id_to_word[0]}"]
+                                   np.array([vocab.encode(s.question)]))
+    assert answer == [" ".join([vocab.id_to_word[0]] * ANSWER_TOKENS)]

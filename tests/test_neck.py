@@ -171,11 +171,11 @@ def test_seg_logits_cosine_oracle():
     rng = np.random.default_rng(7)
     patches = rng.normal(size=(2, 5, 8))
     classes = rng.normal(size=(3, 8))
-    got = seg_logits(Tensor(patches), Tensor(classes), temperature=0.25).values
+    got = seg_logits(Tensor(patches), Tensor(classes)).values
     p = patches / np.linalg.norm(patches, axis=-1, keepdims=True)
     c = classes / np.linalg.norm(classes, axis=-1, keepdims=True)
-    assert np.allclose(got, (p @ c.T) / 0.25, atol=1e-12)
     assert SEG_TEMPERATURE == 0.07
+    assert np.allclose(got, (p @ c.T) / 0.07, atol=1e-12)
 
 
 def test_seg_argmax_invariant_under_positive_class_rescaling():
@@ -190,9 +190,6 @@ def test_seg_argmax_invariant_under_positive_class_rescaling():
 
 def test_seg_logits_validation():
     p = Tensor(np.ones((2, 8)))
-    c = Tensor(np.ones((3, 8)))
-    with pytest.raises(ValueError, match="temperature"):
-        seg_logits(p, c, temperature=0.0)
     with pytest.raises(ValueError, match="at least one class"):
         seg_logits(p, Tensor(np.ones((0, 8))))
     with pytest.raises(ValueError, match="width mismatch"):

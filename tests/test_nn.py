@@ -5,7 +5,7 @@ import pytest
 
 from uniboost import tensor as T
 from uniboost.gradcheck import grad_check
-from uniboost.nn import (Embedding, EncoderBlock, FeedForward, LayerNorm,
+from uniboost.nn import (INIT_STD, Embedding, EncoderBlock, FeedForward, LayerNorm,
                          Linear, Module, ModuleList, MultiHeadSelfAttention,
                          init_rng, trunc_normal)
 from uniboost.tensor import Tape, Tensor
@@ -21,7 +21,8 @@ def test_init_rng_accepts_strings_and_is_stable():
 
 def test_trunc_normal_respects_two_sigma_bound():
     rng = init_rng(0)
-    x = trunc_normal(rng, (10000,), std=0.02)
+    assert INIT_STD == 0.02
+    x = trunc_normal(rng, (10000,))
     assert np.all(np.abs(x) <= 0.04)
     # truncation at 2 sigma shrinks the std to sqrt(1 - 4*phi(2)/(2*Phi(2)-1))
     phi2 = np.exp(-2.0) / np.sqrt(2 * np.pi)

@@ -7,8 +7,9 @@ import weakref
 import numpy as np
 import pytest
 
-from uniboost.encoders import EncoderConfig, ImageEncoder, TextEncoder, patchify
-from uniboost.pretrain import (CONTRASTIVE_TEMPERATURE, CorpusMismatchError,
+from uniboost.encoders import MASK_ID, EncoderConfig, ImageEncoder, TextEncoder, patchify
+from uniboost.pretrain import (CONTRASTIVE_TEMPERATURE, MIM_RATIO, MLM_RATIO,
+                               CorpusMismatchError,
                                MimHead, MlmHead, PretrainMode, _mask_positions,
                                contrastive_loss, cross_entropy, info_nce,
                                mim_loss, mlm_loss, pool_sequence,
@@ -38,10 +39,11 @@ def encoders(seed=0):
 def test_mask_position_counts():
     rng = np.random.default_rng(0)
     # ceil(0.75 * 16) = 12, ceil(0.15 * 20) = 3
-    a = _mask_positions(rng, batch=4, n=16, ratio=0.75)
+    assert (MIM_RATIO, MLM_RATIO) == (0.75, 0.15)
+    a = _mask_positions(rng, batch=4, n=16, ratio=MIM_RATIO)
     assert a.shape == (4, 16)
     assert a.sum(axis=1).tolist() == [12] * 4
-    b = _mask_positions(rng, batch=3, n=20, ratio=0.15)
+    b = _mask_positions(rng, batch=3, n=20, ratio=MLM_RATIO)
     assert b.shape == (3, 20)
     assert b.sum(axis=1).tolist() == [3] * 3
 
@@ -59,36 +61,31 @@ def test_mask_positions_distinct_and_in_range():
         assert np.flatnonzero(row).tolist() == sorted(rng.choice(10, size=5, replace=False))
 
 
-@pytest.mark.parametrize("ratio", [0.0, 1.0, -0.1, 1.5])
-def test_mask_ratio_must_be_fractional(ratio):
-    rng = np.random.default_rng(2)
-    with pytest.raises(ValueError, match="mask ratio"):
-        _mask_positions(rng, batch=1, n=8, ratio=ratio)
-
-
 def test_mim_gradient_touches_masked_targets_only():
-    """The reconstruction loss must never read targets at unmasked patches:
-    their gradient is exactly zero, and exactly ceil(ratio * n) patches per
-    image carry gradient."""
+    """The reconstruction loss must never read unmasked patches: it equals
+    a numpy oracle over the masked patches alone, the gradient at unmasked
+    reconstructions is exactly zero, and exactly ceil(MIM_RATIO * n)
+    patches per image carry gradient."""
     cfg = small_config(patch_size=2)
     enc = ImageEncoder(cfg, seed=0)
     head = MimHead(cfg, seed=1)
     images = np.random.default_rng(3).uniform(size=(2, 8, 8, 3))
     flat = np.stack([patchify(img, cfg.patch_size) for img in images])
-    targets = Tensor(flat, requires_grad=True, name="targets")
+    b, n, _ = flat.shape
+    masked = _mask_positions(np.random.default_rng(7), b, n, MIM_RATIO) == 1.0
+    recon = head.recon(enc(images, mask=(head.mask_token, masked))).values
+    want = np.mean((recon[masked] - flat[masked]) ** 2)
 
+    leaf = Tensor(recon, requires_grad=True, name="recon")
+    head.recon = lambda hidden: leaf  # the loss reads the reconstruction from here
     with Tape() as tape:
-        loss = mim_loss(enc, head, images, mask_ratio=0.75, seed=7,
-                        targets=targets)
-        default = mim_loss(enc, head, images, mask_ratio=0.75, seed=7)
-    tape.backward(loss, params=[targets])
+        loss = mim_loss(enc, head, images, seed=7)
+    tape.backward(loss, params=[leaf])
 
-    assert loss.item() == pytest.approx(default.item(), abs=1e-12)
-    n = flat.shape[1]
-    k = math.ceil(0.75 * n)
-    for img_grad in targets.grad:
-        touched = np.any(img_grad != 0.0, axis=-1)
-        assert int(touched.sum()) == k
+    assert loss.item() == pytest.approx(want, rel=1e-12)
+    touched = np.any(leaf.grad != 0.0, axis=-1)
+    assert np.array_equal(touched, masked)
+    assert touched.sum(axis=1).tolist() == [math.ceil(MIM_RATIO * n)] * b
 
 
 def test_mim_initial_loss_matches_pixel_power():
@@ -111,14 +108,27 @@ def test_mlm_initial_loss_is_log_vocab():
     assert loss == pytest.approx(math.log(cfg.vocab_size), rel=0.05)
 
 
+def test_mlm_loss_is_the_nll_of_masked_tokens_read_as_mask_id():
+    """Oracle: ceil(MLM_RATIO * n) tokens per row become MASK_ID, and the
+    loss is the mean negative log-likelihood of the original ids there."""
+    cfg = small_config()
+    enc = TextEncoder(cfg, seed=12)
+    head = MlmHead(cfg.vocab_size)
+    ids = np.random.default_rng(13).integers(3, cfg.vocab_size, size=(4, 10))
+    mask = _mask_positions(np.random.default_rng(5), *ids.shape, MLM_RATIO) == 1.0
+    assert mask.sum(axis=1).tolist() == [math.ceil(MLM_RATIO * 10)] * 4
+    logits = head.logits(enc(np.where(mask, MASK_ID, ids)), enc.tok.table).values
+    logp = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    want = -np.mean(np.take_along_axis(logp, ids[..., None], axis=-1)[..., 0][mask])
+    assert mlm_loss(enc, head, ids, seed=5).item() == pytest.approx(want, rel=1e-12)
+
+
 def test_mlm_input_validation():
     cfg = small_config()
     enc = TextEncoder(cfg, seed=10)
     head = MlmHead(cfg.vocab_size)
     with pytest.raises(ValueError, match="< 2"):
         mlm_loss(enc, head, np.array([[5]]))
-    with pytest.raises(ValueError, match="mask id"):
-        mlm_loss(enc, head, np.array([[5, 6, 7]]), mask_id=cfg.vocab_size)
 
 
 # ---------------------------------------------------------------- info-NCE
@@ -126,16 +136,18 @@ def test_mlm_input_validation():
 def test_info_nce_identical_vectors_gives_log_batch():
     v = np.zeros((6, 4))
     v[:, 0] = 1.0
-    loss = info_nce(Tensor(v), Tensor(v), temperature=0.1)
+    loss = info_nce(Tensor(v), Tensor(v))
     assert loss.item() == pytest.approx(math.log(6), abs=1e-10)
 
 
 def test_info_nce_orthonormal_oracle():
-    b, tau = 4, 0.5
+    b, tau = 4, CONTRASTIVE_TEMPERATURE
+    assert tau == 0.07
     eye = np.eye(b)
-    loss = info_nce(Tensor(eye), Tensor(eye), temperature=tau)
-    p = math.exp(1.0 / tau) / (math.exp(1.0 / tau) + (b - 1))
-    assert loss.item() == pytest.approx(-math.log(p), abs=1e-10)
+    loss = info_nce(Tensor(eye), Tensor(eye))
+    # -log p with p = e^(1/tau) / (e^(1/tau) + b - 1)
+    assert loss.item() == pytest.approx(math.log1p((b - 1) * math.exp(-1.0 / tau)),
+                                        rel=1e-9)
 
 
 def test_info_nce_is_symmetric_in_its_arguments():
@@ -144,18 +156,15 @@ def test_info_nce_is_symmetric_in_its_arguments():
     b = rng.normal(size=(5, 8))
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     b /= np.linalg.norm(b, axis=1, keepdims=True)
-    ab = info_nce(Tensor(a), Tensor(b), CONTRASTIVE_TEMPERATURE).item()
-    ba = info_nce(Tensor(b), Tensor(a), CONTRASTIVE_TEMPERATURE).item()
+    ab = info_nce(Tensor(a), Tensor(b)).item()
+    ba = info_nce(Tensor(b), Tensor(a)).item()
     assert ab == pytest.approx(ba, abs=1e-12)
 
 
 def test_info_nce_validation():
-    v = Tensor(np.eye(2))
-    with pytest.raises(ValueError, match="temperature"):
-        info_nce(v, v, temperature=0.0)
     one = Tensor(np.ones((1, 4)))
     with pytest.raises(ValueError, match="degenerate"):
-        info_nce(one, one, temperature=0.1)
+        info_nce(one, one)
 
 
 # ---------------------------------------------------------------- losses

@@ -172,6 +172,23 @@ def test_torn_save_leaves_the_previous_checkpoint_whole(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
 
 
+def test_a_save_fsyncs_every_file_then_its_directory_then_the_parent(tmp_path, monkeypatch):
+    names = ["a", "b", "c"]
+    renamed = []  # per fsync call: has the checkpoint been swapped into place yet
+    real_fsync = os.fsync
+
+    def counting(fd):
+        renamed.append((tmp_path / "ckpt").exists())
+        real_fsync(fd)
+
+    monkeypatch.setattr(tensorio.os, "fsync", counting)
+    save_checkpoint(tmp_path / "ckpt", {n: np.ones(2) for n in names}, config_text="x\n")
+    # three payloads, manifest.tsv and config.txt, the temporary directory,
+    # and the parent after the rename
+    assert renamed == [False] * 6 + [True]
+    assert sorted(load_checkpoint(tmp_path / "ckpt")) == names
+
+
 def test_a_save_replaces_the_whole_checkpoint_and_ignores_leftovers(tmp_path):
     # a temporary directory left by a save that was killed is never read
     leftover = tmp_path / f".ckpt.tmp{os.getpid() + 1}"
