@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 invariant
 or leakage violation, including a diverged run (a non-finite or missing
-gradient). The UNIBOOST_OUT environment variable overrides
+gradient, or a numpy overflow raised by ``-W error::RuntimeWarning`` or
+``np.seterr``). The UNIBOOST_OUT environment variable overrides
 --out wherever an output directory is taken.
 """
 
@@ -101,9 +102,9 @@ def cmd_split(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg = _load_config(args.config, args, steps_field="pretrain_steps")
     out = _out_dir(args, cfg)
-    triple = pipeline.build_corpora(cfg)
+    corpora = pipeline.build_corpora(cfg)
     model = TaskModel(cfg, build_vocabulary(), cfg.seed)
-    losses = pipeline.pretrain_stage(cfg, cfg.seed, triple, model)
+    losses = pipeline.pretrain_stage(cfg, cfg.seed, corpora, model)
     ckpt = _pretrain_dir(out, cfg)
     pipeline.save_encoders(model, cfg, ckpt)
     (ckpt / "losses.json").write_text(json.dumps(losses))
@@ -123,8 +124,8 @@ def _finetune(args, only_task: str | None) -> int:
         cfg.tasks = keep
     out = _out_dir(args, cfg)
     model = pipeline.load_encoders(cfg, _pretrain_dir(out, cfg), cfg.seed)
-    triple = pipeline.build_corpora(cfg)
-    fin = pipeline.finetune_stage(cfg, cfg.seed, triple, model)
+    corpora = pipeline.build_corpora(cfg)
+    fin = pipeline.finetune_stage(cfg, cfg.seed, corpora, model)
     mdir = _model_dir(out, cfg)
     pipeline.save_model(model, cfg, mdir)
     (mdir / "schedule_trace.tsv").write_text("\n".join(fin.trace) + "\n")
@@ -295,6 +296,9 @@ def main(argv: list[str] | None = None) -> int:
     except (LeakageError, SchedulerError, MetricError, NonFiniteGradError,
             MissingGradError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except (FloatingPointError, RuntimeWarning) as exc:  # numpy errors set to raise
+        print(f"invariant violation: numeric fault: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

@@ -1,12 +1,12 @@
 """Toy transformer encoders for images and text.
 
-The image encoder patchifies an H x W x C grid into flattened patches,
-projects them to the model width, adds learned positions, and runs a
-stack of pre-norm blocks. The text encoder does the same from token ids.
-Calling either stack returns its final, normalized layer as a
-[B, n, width] tensor. ``run_layers`` runs the blocks on embedded inputs and
-returns a {layer: tensor} dict of every requested layer (1-based), which is
-what the neck consumes as multi-layer image features.
+The image encoder cuts a [B, H, W, C] batch into flattened patches with
+one ``patchify`` call, projects them to the model width, adds learned
+positions, and runs a stack of pre-norm blocks. The text encoder does the
+same from token ids. Calling either stack returns its final, normalized
+layer as a [B, n, width] tensor. ``run_layers`` runs the blocks on embedded
+inputs and returns a {layer: tensor} dict of every requested layer
+(1-based), which is what the neck consumes as multi-layer image features.
 """
 
 from __future__ import annotations
@@ -46,17 +46,18 @@ class EncoderConfig:
             raise ValueError("layers and patch_size must be positive")
 
 
-def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
-    """[H, W, C] -> [(H/p)*(W/p), p*p*C] in row-major patch order."""
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 3:
-        raise ValueError(f"expected H x W x C image, got shape {img.shape}")
-    h, w, c = img.shape
+def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
+    """[..., H, W, C] -> [..., (H/p)*(W/p), p*p*C] in row-major patch order,
+    a whole batch in one reshape; the dtype is kept."""
+    img = np.asarray(images)
+    if img.ndim < 3:
+        raise ValueError(f"expected [..., H x W x C] images, got shape {img.shape}")
+    *lead, h, w, c = img.shape
     p = patch_size
     if h % p or w % p:
         raise ValueError(f"patch size {p} does not divide image dims {h}x{w}")
-    grid = img.reshape(h // p, p, w // p, p, c)
-    return grid.transpose(0, 2, 1, 3, 4).reshape((h // p) * (w // p), p * p * c)
+    grid = img.reshape(*lead, h // p, p, w // p, p, c).swapaxes(-4, -3)
+    return grid.reshape(*lead, (h // p) * (w // p), p * p * c)
 
 
 class _Stack(Module):
@@ -113,8 +114,7 @@ class ImageEncoder(_Stack):
         masked patch embeddings are replaced by the token before positions
         are added, so masked pixels never reach the output.
         """
-        flat = np.stack([patchify(img, self.config.patch_size) for img in images])
-        x = self.patch_proj(Tensor(flat))
+        x = self.patch_proj(Tensor(patchify(images, self.config.patch_size)))
         if mask is not None:
             token, masked = mask
             masked = np.asarray(masked, dtype=np.float64)[..., None]
@@ -158,7 +158,6 @@ class Vocabulary:
         self.id_to_word = list(SPECIAL_TOKENS) + list(words)
         self.word_to_id = {w: i for i, w in enumerate(self.id_to_word)}
         self.unk_id = self.word_to_id[UNK_TOKEN]
-        self.mask_id = MASK_ID
         self.eos_id = self.word_to_id[EOS_TOKEN]
 
     def __len__(self):

@@ -18,9 +18,8 @@ import numpy as np
 
 from . import tensor as T
 from .config import ExperimentConfig, encoder_config, neck_config
-from .encoders import ImageEncoder, TextEncoder, Vocabulary
-from .neck import (ANSWER_TOKENS, Neck, RouteKind, causal_mask, lm_generate, seg_logits,
-                   upsample_patch_grid)
+from .encoders import MASK_ID, ImageEncoder, TextEncoder, Vocabulary, patchify
+from .neck import Neck, RouteKind, causal_mask, lm_generate, seg_logits, upsample_patch_grid
 from .nn import Linear, Module, init_rng
 from .pretrain import cross_entropy, masked_nll
 from .shapeworld import SHAPES, class_id
@@ -37,16 +36,12 @@ def patch_majority_labels(masks: np.ndarray, patch_size: int) -> np.ndarray:
     One ``bincount`` over every patch of the batch: each patch row counts
     into its own block of ``n_labels`` bins.
     """
-    masks = np.asarray(masks)
-    *lead, h, w = masks.shape
-    p = patch_size
-    rows = (masks.reshape(*lead, h // p, p, w // p, p)
-            .swapaxes(-3, -2)
-            .reshape(-1, p * p))
+    per_patch = patchify(np.asarray(masks)[..., None], patch_size)  # [..., P, p*p]
+    rows = per_patch.reshape(-1, per_patch.shape[-1])
     n_labels = int(rows.max()) + 1
     bins = rows + n_labels * np.arange(len(rows))[:, None]
     counts = np.bincount(bins.ravel(), minlength=len(rows) * n_labels)
-    return counts.reshape(len(rows), n_labels).argmax(axis=1).reshape(*lead, -1)
+    return counts.reshape(len(rows), n_labels).argmax(axis=1).reshape(per_patch.shape[:-1])
 
 
 class TaskModel(Module):
@@ -149,7 +144,7 @@ class TaskModel(Module):
             pick = eligible[rng.uniform(size=len(eligible)) < MASK_RECOVERY_PROB]
             if len(pick) == 0:
                 pick = eligible[[rng.integers(len(eligible))]]
-            corrupted[i, pick] = self.vocab.mask_id
+            corrupted[i, pick] = MASK_ID
             masked[i, pick] = 1.0
 
         img = self.image_seq(images)
@@ -173,7 +168,5 @@ class TaskModel(Module):
         [B, n, width] image sequence, after that row's question in the
         [B, p] ``question_ids``."""
         out_ids = lm_generate(self.neck, img, question_ids,
-                              lambda ids: self.text_seq(ids, causal=True),
-                              mask_id=self.vocab.mask_id, eos_id=self.vocab.eos_id,
-                              vocab_len=len(self.vocab), max_len=ANSWER_TOKENS)
+                              lambda ids: self.text_seq(ids, causal=True), self.vocab)
         return [self.vocab.decode(ids) for ids in out_ids]

@@ -15,9 +15,11 @@ token embeddings. Routes and outputs:
 
 The generative mask lets image tokens attend among themselves and lets
 text token j attend to every image token and to text tokens at or before
-j. Segmentation logits are temperature-scaled cosine similarities between
-patch embeddings and class embeddings, upsampled to pixels by nearest
-patch.
+j: its text block is ``causal_mask``. Greedy decoding reads the EOS id
+and the id count from the ``Vocabulary``, and the MASK id and answer cap
+from their constants. Segmentation logits are temperature-scaled cosine
+similarities between patch embeddings and class embeddings, upsampled to
+pixels by nearest patch.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .encoders import MASK_ID, Vocabulary
 from .nn import EncoderBlock, LayerNorm, Linear, Module, ModuleList, init_rng
 from .tensor import Tensor
 
@@ -76,10 +79,8 @@ def attention_mask(n_image: int, n_text: int) -> np.ndarray:
     """Generative allow-matrix over the fused sequence (True = may attend)."""
     n = n_image + n_text
     allow = np.zeros((n, n), dtype=bool)
-    allow[:n_image, :n_image] = True
-    for i in range(n_image, n):
-        allow[i, :n_image] = True
-        allow[i, n_image:i + 1] = True
+    allow[:, :n_image] = True
+    allow[n_image:, n_image:] = causal_mask(n_text)
     return allow
 
 
@@ -187,27 +188,23 @@ def upsample_patch_grid(per_patch: np.ndarray, height: int, width: int,
     return grid.repeat(p, axis=-2).repeat(p, axis=-1)
 
 
-def lm_generate(neck: Neck, image_seq: Tensor, prefix_ids, embed_text, mask_id: int,
-                eos_id: int, vocab_len: int, max_len: int) -> list[list[int]]:
+def lm_generate(neck: Neck, image_seq: Tensor, prefix_ids, embed_text,
+                vocab: Vocabulary) -> list[list[int]]:
     """Greedy mask-slot decoding of a batch; one token list per image row.
 
     ``image_seq`` is [B, n, width] and ``prefix_ids`` a [B, p] array of
-    equal-length prefixes. Each step appends a MASK slot to every live row's
-    running text, re-embeds, runs the fused sequence under the generative
-    mask, and reads the LM head at the slot; the argmax over the
-    vocabulary's ids ``0..vocab_len-1`` (ties to the lowest id) becomes the
+    equal-length prefixes. Each step appends a ``MASK_ID`` slot to every
+    live row's running text, re-embeds, runs the fused sequence under the
+    generative mask, and reads the LM head at the slot; the argmax over the
+    vocabulary's ids ``0..len(vocab)-1`` (ties to the lowest id) becomes the
     row's next token, so LM-head outputs past the vocabulary are never
-    emitted. A row stops at EOS or after ``max_len`` tokens and leaves the
-    batch, so each step runs only the live rows, each on exactly the
-    sequence a one-row decode would see. Ragged prefixes are refused, not
-    padded: padding would change what each slot attends to.
+    emitted. A row stops at ``vocab.eos_id`` or after ``ANSWER_TOKENS``
+    tokens and leaves the batch, so each step runs only the live rows, each
+    on exactly the sequence a one-row decode would see. Ragged prefixes are
+    refused, not padded: padding would change what each slot attends to.
     ``embed_text`` maps a [b, m] id array to its projected [b, m, width]
     text embeddings.
     """
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
-    if eos_id < 0 or eos_id >= vocab_len:
-        raise ValueError(f"vocabulary lacks EOS id {eos_id}")
     try:
         prefix = np.asarray(prefix_ids, dtype=np.int64)
     except ValueError as err:
@@ -218,15 +215,15 @@ def lm_generate(neck: Neck, image_seq: Tensor, prefix_ids, embed_text, mask_id: 
     out: list[list[int]] = [[] for _ in prefix]
     live = np.arange(len(prefix))
     ids = prefix
-    for _ in range(max_len):
-        ids = np.concatenate([ids, np.full((len(live), 1), mask_id)], axis=1)
+    for _ in range(ANSWER_TOKENS):
+        ids = np.concatenate([ids, np.full((len(live), 1), MASK_ID)], axis=1)
         img = Tensor(image_seq.values[live])
         fused = neck.route_forward(RouteKind.DEEP_FUSION, img, embed_text(ids))
         slot = fused.shape[1] - 1
         hidden = T.slice_(fused, (slice(None), slice(slot, slot + 1)))
         logits = neck.lm_head(hidden)
-        next_ids = np.argmax(logits.values[:, 0, :vocab_len], axis=-1)
-        go = next_ids != eos_id
+        next_ids = np.argmax(logits.values[:, 0, :len(vocab)], axis=-1)
+        go = next_ids != vocab.eos_id
         for row, token in zip(live[go], next_ids[go]):
             out[row].append(int(token))
         live = live[go]

@@ -1,6 +1,9 @@
 """Experiment orchestration: corpora assembly, the pretrain / finetune /
 eval stages, stream comparison, and report emission.
 
+The corpora keep their manifest form throughout: a {task id: samples} dict
+of the ``paired``, ``image-only`` and ``text-only`` corpora.
+
 Determinism contract: every number any stage emits is a pure function of
 (config, seed). Randomness is drawn from generators seeded by stable
 derivations of those two values, corpora are regenerated or ingested
@@ -35,9 +38,8 @@ from .optim import AdamW
 from .pretrain import PretrainMode, pretrain_run, train
 from .scheduler import (DataQueue, RebalancePolicy, TaskDataset, apply_augmentation,
                         rebalance)
-from .shapeworld import (SHAPES, CorpusTriple, Sample, build_vocabulary, class_id,
-                         gen_shapeworld, gen_single_shape_corpus, ingest_manifest,
-                         write_manifest)
+from .shapeworld import (SHAPES, Sample, build_vocabulary, class_id, gen_shapeworld,
+                         gen_single_shape_corpus, ingest_manifest, write_manifest)
 from .tensorio import load_checkpoint, save_checkpoint
 
 __all__ = ["LeakageError", "DataError", "RunRecord", "ComparisonRow",
@@ -66,39 +68,38 @@ class RunRecord:
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
 
-# The sample fields the stages read from each corpus.
+# The corpora, each with the sample fields the stages read from it.
 _CORPUS_FIELDS = {"paired": ("image", "mask", "caption", "question", "answer"),
                   "image-only": ("image",),
                   "text-only": ("caption",)}
 
 
-def build_corpora(cfg: ExperimentConfig) -> CorpusTriple:
-    """Corpus triple from the config: generated, or ingested if a manifest
-    path is configured. Each corpus must hold what the stages read of it,
-    and its paired corpus, which every stage may train on, must pass the
-    leakage audit."""
+def build_corpora(cfg: ExperimentConfig) -> dict[str, list[Sample]]:
+    """The corpora from the config: generated, or the ``_CORPUS_FIELDS``
+    corpora of the manifest if a manifest path is configured. Each corpus
+    must hold what the stages read of it, and the paired corpus, which every
+    stage may train on, must pass the leakage audit."""
     if not cfg.manifest:
-        triple = gen_shapeworld(world_config(cfg))
+        corpora = gen_shapeworld(world_config(cfg))
     else:
         tasks = ingest_manifest(cfg.manifest, expected_grid=cfg.grid_size)
-        missing = {"paired", "image-only", "text-only"} - set(tasks)
+        missing = set(_CORPUS_FIELDS) - set(tasks)
         if missing:
             raise DataError(f"manifest lacks corpora {sorted(missing)}")
-        triple = CorpusTriple(paired=tasks["paired"], image_only=tasks["image-only"],
-                              text_only=tasks["text-only"])
-    _check_corpora(triple)
-    audit_leakage(cfg.novel_shapes, *_audit_content(triple.paired))
-    return triple
+        corpora = {name: tasks[name] for name in _CORPUS_FIELDS}
+    _check_corpora(corpora)
+    audit_leakage(cfg.novel_shapes, *_audit_content(corpora["paired"]))
+    return corpora
 
 
-def _check_corpora(triple: CorpusTriple) -> None:
+def _check_corpora(corpora: dict[str, list[Sample]]) -> None:
     """Every sample has the fields the stages read, each text field has one
     token count across its corpus (batches stack them), and each paired
     caption's second word is the shape that supervised pretraining and the
     cls head take as its label."""
     for name, fields in _CORPUS_FIELDS.items():
         n_tokens: dict[str, int] = {}
-        for s in getattr(triple, name.replace("-", "_")):
+        for s in corpora[name]:
             where = f"corpus {name!r} sample {s.sample_id!r}"
             for f in fields:
                 value = getattr(s, f)
@@ -123,14 +124,14 @@ def _stack_images(samples: list[Sample]) -> np.ndarray:
     return np.stack([s.image for s in samples])
 
 
-def pretrain_stage(cfg: ExperimentConfig, seed: int, triple: CorpusTriple,
+def pretrain_stage(cfg: ExperimentConfig, seed: int, corpora: dict[str, list[Sample]],
                    model: TaskModel) -> dict[str, list[float]]:
     """Pretrain ``model``'s encoders in place; return the loss traces."""
     mode = PretrainMode(cfg.pretrain_mode)
     if mode is PretrainMode.MASKED_UNIMODAL:
-        images, texts = triple.image_only, triple.text_only
+        images, texts = corpora["image-only"], corpora["text-only"]
     else:
-        images = texts = triple.paired
+        images = texts = corpora["paired"]
     if mode is PretrainMode.SUPERVISED:
         targets = np.array([_label_of(s) for s in texts])
     else:
@@ -163,15 +164,14 @@ class FinetuneResult:
     training_labels: set[int]
 
 
-def finetune_stage(cfg: ExperimentConfig, seed: int, triple: CorpusTriple,
+def finetune_stage(cfg: ExperimentConfig, seed: int, corpora: dict[str, list[Sample]],
                    model: TaskModel) -> FinetuneResult:
     """Multitask intermediate fine-tuning over the configured task roster."""
     if not cfg.tasks:
         raise ConfigError("no [task <id>] sections configured")
     vocab = model.vocab
-    store: dict[str, Sample] = {s.sample_id: s for s in triple.paired}
-    base_names = [s for s in SHAPES if s not in cfg.novel_shapes]
-    seg_classes = ["background"] + base_names
+    store: dict[str, Sample] = {s.sample_id: s for s in corpora["paired"]}
+    seg_classes = ["background", *world_config(cfg).base_shapes]
 
     datasets = []
     policy = RebalancePolicy(threshold=cfg.rebalance_threshold)
@@ -180,7 +180,7 @@ def finetune_stage(cfg: ExperimentConfig, seed: int, triple: CorpusTriple,
     merged_plan = {}
     for spec in cfg.tasks:
         ds = TaskDataset(spec.task_id, spec.route,
-                         tuple(s.sample_id for s in triple.paired),
+                         tuple(s.sample_id for s in corpora["paired"]),
                          spec.batch_size, _task_rng_seed(seed, spec.task_id))
         ds, plan = rebalance(ds, policy)
         merged_plan.update(plan)
@@ -272,7 +272,7 @@ def eval_stage(cfg: ExperimentConfig, model: TaskModel, split: str,
             raise LeakageError("novel eval needs the training tokens and labels to audit")
         audit_leakage(classes, training_tokens, training_labels)
     else:
-        classes = [s for s in SHAPES if s not in cfg.novel_shapes]
+        classes = list(world.base_shapes)
     if not classes:
         raise DataError(f"split {split!r} has no classes")
     corpus = gen_single_shape_corpus(world, tuple(classes), cfg.eval_samples,
@@ -308,12 +308,13 @@ def eval_stage(cfg: ExperimentConfig, model: TaskModel, split: str,
     return report
 
 
-def run_stream(cfg: ExperimentConfig, seed: int, triple: CorpusTriple) -> RunRecord:
+def run_stream(cfg: ExperimentConfig, seed: int,
+               corpora: dict[str, list[Sample]]) -> RunRecord:
     """Pretrain, finetune and novel eval for one (config, seed) on its corpora."""
     start = time.perf_counter()
     model = TaskModel(cfg, build_vocabulary(), seed)
-    pre_losses = pretrain_stage(cfg, seed, triple, model)
-    fin = finetune_stage(cfg, seed, triple, model)
+    pre_losses = pretrain_stage(cfg, seed, corpora, model)
+    fin = finetune_stage(cfg, seed, corpora, model)
     novel = eval_stage(cfg, model, "novel", fin.training_tokens, fin.training_labels)
     record = RunRecord(config_hash=config_fingerprint(cfg), seed=seed)
     record.losses = {f"pretrain/{k}": v for k, v in pre_losses.items()}
@@ -353,8 +354,8 @@ def tune_allocator() -> None:
     mallopt(-2, 512 << 20)  # M_TOP_PAD
 
 
-# A pool worker's corpus triples, keyed on everything build_corpora reads.
-_corpora: dict[tuple, CorpusTriple] = {}
+# A pool worker's corpora, keyed on everything build_corpora reads.
+_corpora: dict[tuple, dict[str, list[Sample]]] = {}
 
 
 def _pool_job(cfg: ExperimentConfig, seed: int) -> RunRecord:
@@ -362,12 +363,12 @@ def _pool_job(cfg: ExperimentConfig, seed: int) -> RunRecord:
     read-only, so a job writing into it raises instead of changing the next."""
     key = (cfg.manifest, world_config(cfg))
     if key not in _corpora:
-        triple = build_corpora(cfg)
-        for s in (*triple.paired, *triple.image_only, *triple.text_only):
+        corpora = build_corpora(cfg)
+        for s in (s for corpus in corpora.values() for s in corpus):
             for arr in (s.image, s.mask):
                 if arr is not None:
                     arr.flags.writeable = False
-        _corpora[key] = triple
+        _corpora[key] = corpora
     return run_stream(cfg, seed, _corpora[key])
 
 
@@ -522,7 +523,4 @@ def load_encoders(cfg: ExperimentConfig, directory: str | Path, seed: int) -> Ta
 
 
 def write_corpora_manifest(cfg: ExperimentConfig, directory: str | Path) -> Path:
-    triple = build_corpora(cfg)
-    return write_manifest(directory, {"paired": triple.paired,
-                                      "image-only": triple.image_only,
-                                      "text-only": triple.text_only})
+    return write_manifest(directory, build_corpora(cfg))

@@ -112,7 +112,7 @@ def mim_loss(encoder: ImageEncoder, head: MimHead, images: np.ndarray,
     position embeddings; the loss is the mean squared error between the
     reconstruction and the original patch pixels at masked positions only.
     """
-    flat = np.stack([patchify(img, encoder.config.patch_size) for img in images])
+    flat = patchify(images, encoder.config.patch_size)
     b, n, patch_dim = flat.shape
     masked = _mask_positions(np.random.default_rng(seed), b, n, MIM_RATIO)
 

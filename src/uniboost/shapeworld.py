@@ -27,7 +27,7 @@ read-only by every render after it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ import numpy as np
 from .encoders import Vocabulary
 from .tensorio import load_tensor, save_tensor
 
-__all__ = ["ShapeWorldConfig", "Sample", "CorpusTriple", "SHAPES", "COLORS",
+__all__ = ["ShapeWorldConfig", "Sample", "SHAPES", "COLORS",
            "RELATIONS", "FAMILIES", "gen_shapeworld", "gen_single_shape_corpus",
            "build_vocabulary", "write_manifest", "ingest_manifest", "ManifestError",
            "shape_stencil", "analytic_area", "class_id"]
@@ -169,13 +169,6 @@ class Sample:
     answer: str = ""
 
 
-@dataclass
-class CorpusTriple:
-    paired: list[Sample] = field(default_factory=list)
-    image_only: list[Sample] = field(default_factory=list)
-    text_only: list[Sample] = field(default_factory=list)
-
-
 def _quantize(img: np.ndarray) -> np.ndarray:
     return img.astype(np.float32).astype(np.float64)
 
@@ -255,26 +248,25 @@ def _make_scene(config: ShapeWorldConfig, rng: np.random.Generator,
     return Sample(sid, image, mask, caption, question, answer)
 
 
-def gen_shapeworld(config: ShapeWorldConfig) -> CorpusTriple:
-    """Generate the paired / image-only / text-only corpus triple."""
-    triple = CorpusTriple()
+def gen_shapeworld(config: ShapeWorldConfig) -> dict[str, list[Sample]]:
+    """The ``paired``, ``image-only`` and ``text-only`` corpora, by task id."""
     base = config.base_shapes
-
     rng = np.random.default_rng([config.seed, 1])
-    for i in range(config.n_paired):
-        triple.paired.append(_make_scene(config, rng, f"pair{i:05d}", base))
+    paired = [_make_scene(config, rng, f"pair{i:05d}", base)
+              for i in range(config.n_paired)]
 
     rng = np.random.default_rng([config.seed, 2])
+    image_only = []
     for i in range(config.samples_per_corpus):
         s = _make_scene(config, rng, f"img{i:05d}", SHAPES)
-        triple.image_only.append(Sample(s.sample_id, s.image, s.mask))
+        image_only.append(Sample(s.sample_id, s.image, s.mask))
 
     rng = np.random.default_rng([config.seed, 3])
+    text_only = []
     for i in range(config.samples_per_corpus):
         s = _make_scene(config, rng, f"txt{i:05d}", SHAPES)
-        triple.text_only.append(Sample(s.sample_id, None, None, s.caption,
-                                       s.question, s.answer))
-    return triple
+        text_only.append(Sample(s.sample_id, None, None, s.caption, s.question, s.answer))
+    return {"paired": paired, "image-only": image_only, "text-only": text_only}
 
 
 def gen_single_shape_corpus(config: ShapeWorldConfig, shapes: tuple[str, ...],
@@ -395,7 +387,14 @@ def ingest_manifest(manifest_path: str | Path,
             full = base / mask_path
             if not full.exists():
                 raise ManifestError(f"{path}:{lineno}: missing mask file {mask_path}")
-            mask = load_tensor(full).astype(np.int64)
+            labels = load_tensor(full)
+            bad = labels[(labels != np.round(labels)) | (labels < 0)
+                         | (labels > len(SHAPES))]
+            if bad.size:
+                raise ManifestError(
+                    f"{path}:{lineno}: mask {mask_path} holds {float(bad[0])}, not a "
+                    f"class id in 0..{len(SHAPES)}")
+            mask = labels.astype(np.int64)
             if expected_grid and mask.shape != (expected_grid, expected_grid):
                 raise ManifestError(
                     f"{path}:{lineno}: mask {mask_path} is {mask.shape}, "

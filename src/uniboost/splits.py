@@ -14,6 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+from .metrics import VQA_ANSWER_TYPES
+
 __all__ = ["ClassFoldSpec", "VqaSplitSpec", "VqaRecord", "fold_split",
            "vqa_token_split", "count_source_tokens", "load_vqa_v2_records",
            "SplitError"]
@@ -54,9 +56,6 @@ def fold_split(spec: ClassFoldSpec, classes=None) -> tuple[list, list]:
     return base, novel
 
 
-ANSWER_TYPES = ("number", "yes/no", "other")
-
-
 @dataclass(frozen=True)
 class VqaSplitSpec:
     answer_type: str
@@ -64,7 +63,7 @@ class VqaSplitSpec:
     upper: int = 40
 
     def __post_init__(self):
-        if self.answer_type not in ANSWER_TYPES:
+        if self.answer_type not in VQA_ANSWER_TYPES:
             raise SplitError(f"unknown answer-type {self.answer_type!r}")
         if not self.lower < self.upper:
             raise SplitError(f"frequency band [{self.lower}, {self.upper}) is empty")

@@ -1,13 +1,18 @@
 """Command-line harness: subcommand flow, exit codes, output routing."""
 
+import argparse
+import contextlib
 import json
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uniboost.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INVARIANT, EXIT_OK, main
+from uniboost.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INVARIANT, EXIT_OK, build_parser, main
 from uniboost.shapeworld import class_id
-from uniboost.tensorio import save_tensor
+from uniboost.tensorio import load_tensor, save_tensor
 
 BASE_CFG = """
 [encoder]
@@ -252,6 +257,29 @@ def test_ingested_corpus_the_stages_cannot_read_exits_3(workspace, capsys, mode,
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", [9.0, -1.0, 1.5])
+def test_ingested_mask_that_is_not_a_class_id_exits_3(workspace, capsys, value):
+    # A label past the last shape, a negative one and a fraction: each would
+    # otherwise reach training (or be truncated) instead of being refused.
+    tmp, out, cfg = workspace
+    assert main(["gen-data", "--config", str(cfg)]) == EXIT_OK
+    manifest = out / "data" / "manifest.tsv"
+    lines = manifest.read_text().splitlines()
+    lineno = 1 + next(i for i, l in enumerate(lines) if l.startswith("paired\t"))
+    mask_path = lines[lineno - 1].split("\t")[3]
+    mask = load_tensor(manifest.parent / mask_path)
+    mask[0, 0] = value
+    save_tensor(manifest.parent / mask_path, mask)
+    path = tmp / "edited.cfg"
+    path.write_text(BASE_CFG.format(mode="masked-unimodal").replace(
+        "[data]", f"[data]\nmanifest = {manifest}"))
+    capsys.readouterr()
+    assert main(["pretrain", "--config", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == (f"data error: {manifest}:{lineno}: mask {mask_path} holds {value}, "
+                   f"not a class id in 0..8\n")
+
+
 def test_failures_inside_compare_workers_keep_their_exit_code(workspace, capsys):
     tmp, out, cfg = workspace
     assert main(["gen-data", "--config", str(cfg)]) == EXIT_OK
@@ -301,6 +329,13 @@ def test_failures_inside_compare_workers_keep_their_exit_code(workspace, capsys)
         assert not (out / "pretrain-pair-contrastive-seed0").exists()
 
 
+@contextlib.contextmanager
+def _warnings_as_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        yield
+
+
 def test_diverged_run_exits_4(workspace, capsys):
     """A learning rate that drives the gradients to inf or NaN stops the run
     with an invariant violation, in the command and inside compare workers."""
@@ -318,6 +353,16 @@ def test_diverged_run_exits_4(workspace, capsys):
     err = capsys.readouterr().err
     assert err.startswith("invariant violation: non-finite gradient") and "Traceback" not in err
     assert not (out / "pretrain-pair-contrastive-seed0").exists()
+    # numpy's overflow raised as an exception: a RuntimeWarning, as under
+    # `python -W error::RuntimeWarning`, or a FloatingPointError under np.seterr
+    for raise_numeric_errors in (_warnings_as_errors,
+                                 lambda: np.errstate(over="raise", invalid="raise")):
+        with raise_numeric_errors():
+            assert main(["pretrain", "--config", configs[-1]]) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation: numeric fault: overflow")
+        assert "Traceback" not in err
+        assert not (out / "pretrain-pair-contrastive-seed0").exists()
     assert main(["compare", *configs, "--seeds", "0"]) == EXIT_INVARIANT
     err = capsys.readouterr().err
     assert err.startswith("invariant violation: non-finite gradient") and "Traceback" not in err
@@ -453,3 +498,12 @@ def test_env_overrides_out_flag(tmp_path, monkeypatch):
     assert main(["split", "--config", str(cfg), "--out", str(ignored)]) == EXIT_OK
     assert (env_dir / "splits.json").exists()
     assert not ignored.exists()
+
+
+def test_readme_subcommand_table_lists_exactly_the_parser_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n### Subcommands\n", 1)[1].split("\n#", 1)[0]
+    listed = re.findall(r"^\| `([\w-]+)", section, flags=re.MULTILINE)
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert sorted(listed) == sorted(subparsers.choices)

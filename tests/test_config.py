@@ -237,8 +237,9 @@ def test_duplicate_task_ids_rejected_at_validate():
 
 def test_max_text_tokens_is_the_longest_text_the_encoder_reads():
     world = world_config(ExperimentConfig(samples_per_corpus=256))
-    triple = gen_shapeworld(world)
-    samples = triple.paired + triple.text_only + gen_single_shape_corpus(world, SHAPES, 64, 0)
+    corpora = gen_shapeworld(world)
+    samples = (corpora["paired"] + corpora["text-only"]
+               + gen_single_shape_corpus(world, SHAPES, 64, 0))
     vocab = build_vocabulary()
     lengths = [n for s in samples for n in (
         len(vocab.encode(s.caption)) + 1,  # caption head: caption + EOS

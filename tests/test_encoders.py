@@ -63,6 +63,22 @@ def test_patchify_orders_patches_row_major_on_rectangular_image():
             assert np.array_equal(patches[r * 3 + c], block.reshape(-1))
 
 
+@pytest.mark.parametrize("shape, dtype", [((3, 8, 12, 1), np.int64),
+                                          ((3, 8, 12, 3), np.float64),
+                                          ((2, 2, 8, 8, 3), np.float64)],
+                         ids=["int-rectangular", "float64-rectangular",
+                              "float64-two-lead-axes"])
+def test_batched_patchify_equals_stacked_per_image_patchify(shape, dtype):
+    rng = np.random.default_rng(3)
+    images = (rng.integers(0, 9, size=shape) if dtype == np.int64
+              else rng.standard_normal(shape))
+    batched = patchify(images, 4)
+    per_image = np.stack([patchify(img, 4) for img in images.reshape(-1, *shape[-3:])])
+    assert batched.dtype == dtype
+    assert batched.shape == (*shape[:-3], *per_image.shape[1:])
+    assert np.array_equal(batched.reshape(per_image.shape), per_image)
+
+
 def test_patchify_validates_input():
     with pytest.raises(ValueError, match="H x W x C"):
         patchify(np.zeros((4, 4)), 2)
@@ -198,7 +214,8 @@ def test_image_encoder_forward_is_deterministic():
 
 def test_vocabulary_special_ids_come_first():
     v = Vocabulary(["red", "circle"])
-    assert v.unk_id == 0 and v.mask_id == MASK_ID == 1 and v.eos_id == 2
+    assert v.unk_id == 0 and v.eos_id == 2
+    assert MASK_ID == 1 and v.decode([MASK_ID]) == "<mask>"
     assert v.encode("red circle") == [3, 4]
     assert len(v) == 5
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from uniboost.neck import (Neck, NeckConfig, RouteInputError, RouteKind,
+from uniboost.encoders import Vocabulary
+from uniboost.neck import (ANSWER_TOKENS, Neck, NeckConfig, RouteInputError, RouteKind,
                            SEG_TEMPERATURE, attention_mask, causal_mask,
                            lm_generate, seg_logits, upsample_patch_grid)
 from uniboost.tensor import ShapeMismatchError, Tensor
@@ -211,6 +212,11 @@ def test_upsample_patch_grid_nearest():
 
 # ---------------------------------------------------------------- decoding
 
+def _vocab(n_ids):
+    """A real ``Vocabulary`` of ``n_ids`` entries: the three specials, then words."""
+    return Vocabulary([f"w{i}" for i in range(n_ids - 3)])
+
+
 def _decoder_fixture(seed=9, rows=1):
     neck = small_neck()
     rng = np.random.default_rng(seed)
@@ -223,86 +229,77 @@ def _decoder_fixture(seed=9, rows=1):
     return neck, img, embed_text
 
 
+def _bias_only(neck, bias=None):
+    """Make the LM head's logits its bias: ``bias[id]`` at each listed id, 0
+    elsewhere."""
+    neck.lm_head.weight.values[:] = 0.0
+    neck.lm_head.bias.values[:] = 0.0
+    for i, value in (bias or {}).items():
+        neck.lm_head.bias.values[i] = value
+
+
 def test_lm_generate_stops_at_eos():
     neck, img, embed_text = _decoder_fixture()
-    neck.lm_head.weight.values[:] = 0.0
-    neck.lm_head.bias.values[:] = 0.0
-    neck.lm_head.bias.values[2] = 10.0
-    out = lm_generate(neck, img, prefix_ids=[[3]], embed_text=embed_text,
-                      mask_id=1, eos_id=2, vocab_len=12, max_len=8)
-    assert out == [[]]
+    vocab = _vocab(12)
+    _bias_only(neck, {vocab.eos_id: 10.0})
+    assert lm_generate(neck, img, [[3]], embed_text, vocab) == [[]]
 
 
-def test_lm_generate_caps_at_max_len():
+def test_lm_generate_caps_at_answer_tokens():
     neck, img, embed_text = _decoder_fixture()
-    neck.lm_head.weight.values[:] = 0.0
-    neck.lm_head.bias.values[:] = 0.0
-    neck.lm_head.bias.values[5] = 10.0
-    out = lm_generate(neck, img, prefix_ids=[[3]], embed_text=embed_text,
-                      mask_id=1, eos_id=2, vocab_len=12, max_len=4)
-    assert out == [[5, 5, 5, 5]]
+    _bias_only(neck, {5: 10.0})
+    out = lm_generate(neck, img, [[3]], embed_text, _vocab(12))
+    assert out == [[5] * ANSWER_TOKENS]
 
 
 def test_lm_generate_ties_break_to_lowest_id():
     neck, img, embed_text = _decoder_fixture()
-    neck.lm_head.weight.values[:] = 0.0
-    neck.lm_head.bias.values[:] = 0.0
-    out = lm_generate(neck, img, prefix_ids=[[3]], embed_text=embed_text,
-                      mask_id=1, eos_id=2, vocab_len=12, max_len=3)
-    assert out == [[0, 0, 0]]
+    _bias_only(neck)
+    out = lm_generate(neck, img, [[3]], embed_text, _vocab(12))
+    assert out == [[0] * ANSWER_TOKENS]
 
 
 def test_lm_generate_is_deterministic():
     neck, img, embed_text = _decoder_fixture()
-    a = lm_generate(neck, img, [[3, 4]], embed_text, mask_id=1, eos_id=2,
-                    vocab_len=12, max_len=6)
-    b = lm_generate(neck, img, [[3, 4]], embed_text, mask_id=1, eos_id=2,
-                    vocab_len=12, max_len=6)
+    vocab = _vocab(12)
+    a = lm_generate(neck, img, [[3, 4]], embed_text, vocab)
+    b = lm_generate(neck, img, [[3, 4]], embed_text, vocab)
     assert a == b
-    assert all(0 <= t < neck.config.vocab_size for t in a[0])
+    assert all(0 <= t < len(vocab) for t in a[0])
 
 
 def test_batched_lm_generate_matches_one_row_decoding():
     # Rows emit different tokens and leave the batch at different steps:
     # one at EOS on the first step, one on the third, the rest at the
-    # max_len cap.
+    # ANSWER_TOKENS cap.
+    assert ANSWER_TOKENS == 3
     neck, img, embed_text = _decoder_fixture(seed=96, rows=6)
+    vocab = _vocab(12)
     rng = np.random.default_rng(97)
     neck.lm_head.weight.values[:] = 3.0 * rng.normal(size=(8, 12))
-    neck.lm_head.bias.values[2] = 2.5
+    neck.lm_head.bias.values[vocab.eos_id] = 2.5
     prefixes = rng.integers(3, 12, size=(6, 2))
-    out = lm_generate(neck, img, prefixes, embed_text, mask_id=1, eos_id=2,
-                      vocab_len=12, max_len=3)
+    out = lm_generate(neck, img, prefixes, embed_text, vocab)
     assert out == [[4, 4, 4], [4, 4, 4], [10, 10], [4, 4, 4], [10, 10, 10], []]
     for row in range(6):
         one = lm_generate(neck, Tensor(img.values[row:row + 1]), prefixes[row:row + 1],
-                          embed_text, mask_id=1, eos_id=2, vocab_len=12, max_len=3)
+                          embed_text, vocab)
         assert one == [out[row]], row
 
 
 def test_lm_generate_validation():
     neck, img, embed_text = _decoder_fixture(rows=2)
-    with pytest.raises(ValueError, match="max_len"):
-        lm_generate(neck, img, [[3], [3]], embed_text, mask_id=1, eos_id=2,
-                    vocab_len=12, max_len=0)
-    with pytest.raises(ValueError, match="EOS"):
-        lm_generate(neck, img, [[3], [3]], embed_text, mask_id=1, eos_id=8,
-                    vocab_len=8, max_len=2)
+    vocab = _vocab(12)
     with pytest.raises(ValueError, match="same length"):
-        lm_generate(neck, img, [[3], [3, 4]], embed_text, mask_id=1, eos_id=2,
-                    vocab_len=12, max_len=2)
+        lm_generate(neck, img, [[3], [3, 4]], embed_text, vocab)
     for prefixes in ([[3]], [[3], [3], [3]], [3, 3]):
         with pytest.raises(ValueError, match="one row per image row"):
-            lm_generate(neck, img, prefixes, embed_text, mask_id=1, eos_id=2,
-                        vocab_len=12, max_len=2)
+            lm_generate(neck, img, prefixes, embed_text, vocab)
 
 
 def test_lm_generate_never_emits_an_id_past_the_vocabulary():
+    # The LM head has 12 outputs; an 8-entry vocabulary never emits ids 8..11.
     neck, img, embed_text = _decoder_fixture()
-    neck.lm_head.weight.values[:] = 0.0
-    neck.lm_head.bias.values[:] = 0.0
-    neck.lm_head.bias.values[9] = 10.0
-    neck.lm_head.bias.values[4] = 5.0
-    out = lm_generate(neck, img, prefix_ids=[[3]], embed_text=embed_text,
-                      mask_id=1, eos_id=2, vocab_len=8, max_len=2)
-    assert out == [[4, 4]]
+    _bias_only(neck, {9: 10.0, 4: 5.0})
+    out = lm_generate(neck, img, [[3]], embed_text, _vocab(8))
+    assert out == [[4] * ANSWER_TOKENS]

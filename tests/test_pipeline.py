@@ -71,24 +71,27 @@ def test_world_config_copies_fields():
 
 
 def test_build_corpora_sizes(corpus_and_vocab):
-    cfg, triple, _ = corpus_and_vocab
-    assert len(triple.paired) == 8
-    assert len(triple.image_only) == 32
-    assert len(triple.text_only) == 32
+    cfg, corpora, _ = corpus_and_vocab
+    assert len(corpora["paired"]) == 8
+    assert len(corpora["image-only"]) == 32
+    assert len(corpora["text-only"]) == 32
 
 
 def test_manifest_round_trip_through_build_corpora(tmp_path):
     cfg = tiny_cfg(samples_per_corpus=8, paired_fraction=0.5)
     manifest = write_corpora_manifest(cfg, tmp_path)
     again = replace(cfg, manifest=str(manifest))
-    triple = build_corpora(again)
+    corpora = build_corpora(again)
     direct = build_corpora(cfg)
-    assert len(triple.paired) == len(direct.paired) == 4
-    assert np.array_equal(triple.paired[0].image, direct.paired[0].image)
-    assert triple.text_only[1].caption == direct.text_only[1].caption
+    assert len(corpora["paired"]) == len(direct["paired"]) == 4
+    assert np.array_equal(corpora["paired"][0].image, direct["paired"][0].image)
+    assert corpora["text-only"][1].caption == direct["text-only"][1].caption
+    # a manifest's other tasks are not corpora
+    extra = write_manifest(tmp_path / "extra", {**direct, "seg": direct["paired"][:1]})
+    assert set(build_corpora(replace(cfg, manifest=str(extra)))) == set(direct)
 
     partial = tmp_path / "partial"
-    write_manifest(partial, {"paired": direct.paired})
+    write_manifest(partial, {"paired": direct["paired"]})
     broken = replace(cfg, manifest=str(partial / "manifest.tsv"))
     with pytest.raises(DataError, match="manifest lacks corpora"):
         build_corpora(broken)
@@ -99,7 +102,7 @@ def test_manifest_round_trip_through_build_corpora(tmp_path):
 def test_pretrain_stage_all_modes(corpus_and_vocab):
     """Each mode trains the model's own encoder tensors in place and leaves
     the neck and heads untouched."""
-    cfg, triple, vocab = corpus_and_vocab
+    cfg, corpora, vocab = corpus_and_vocab
     both = ("image_encoder.", "text_encoder.")
     for mode, keys, trained in [("supervised", {"supervised"}, ("image_encoder.",)),
                                 ("pair-contrastive", {"contrastive"}, both),
@@ -107,7 +110,7 @@ def test_pretrain_stage_all_modes(corpus_and_vocab):
         mode_cfg = replace(cfg, pretrain_mode=mode)
         model = TaskModel(mode_cfg, vocab, seed=0)
         before = {name: (p, p.values.copy()) for name, p in model.named_parameters()}
-        losses = pretrain_stage(mode_cfg, 0, triple, model)
+        losses = pretrain_stage(mode_cfg, 0, corpora, model)
         assert set(losses) == keys
         for trace in losses.values():
             assert len(trace) == cfg.pretrain_steps
@@ -119,9 +122,9 @@ def test_pretrain_stage_all_modes(corpus_and_vocab):
 
 
 def test_finetune_stage_trains_and_tracks_tokens(corpus_and_vocab):
-    cfg, triple, vocab = corpus_and_vocab
+    cfg, corpora, vocab = corpus_and_vocab
     model = TaskModel(cfg, vocab, seed=0)
-    fin = finetune_stage(cfg, 0, triple, model)
+    fin = finetune_stage(cfg, 0, corpora, model)
     assert len(fin.trace) == cfg.steps
     assert len(fin.losses["seg"]) == cfg.steps
     # rebalance inflated 8 paired samples to >= 16 via augmented copies
@@ -133,11 +136,11 @@ def test_finetune_stage_trains_and_tracks_tokens(corpus_and_vocab):
 
 
 def test_frozen_finetune_never_tapes_the_encoders(corpus_and_vocab):
-    cfg, triple, vocab = corpus_and_vocab
+    cfg, corpora, vocab = corpus_and_vocab
     frozen = replace(cfg, freeze_encoders=True)
     model = TaskModel(frozen, vocab, seed=0)
     before = {name: p.values.copy() for name, p in model.named_parameters()}
-    fin = finetune_stage(frozen, 0, triple, model)
+    fin = finetune_stage(frozen, 0, corpora, model)
     assert len(fin.losses["seg"]) == frozen.steps
     assert all(p.grad is None for p in model.parameters())
     moved = {name for name, p in model.named_parameters()
@@ -146,25 +149,25 @@ def test_frozen_finetune_never_tapes_the_encoders(corpus_and_vocab):
 
 
 def test_finetune_requires_tasks(corpus_and_vocab):
-    cfg, triple, vocab = corpus_and_vocab
+    cfg, corpora, vocab = corpus_and_vocab
     bare = replace(cfg, tasks=[])
     model = TaskModel(cfg, vocab, seed=0)
     with pytest.raises(ConfigError, match="no \\[task"):
-        finetune_stage(bare, 0, triple, model)
+        finetune_stage(bare, 0, corpora, model)
 
 
 def test_multihead_roster_smoke(corpus_and_vocab):
-    cfg, triple, vocab = corpus_and_vocab
+    cfg, corpora, vocab = corpus_and_vocab
     roster = tiny_cfg(steps=4, tasks=FOUR_TASKS)
     model = TaskModel(roster, vocab, seed=0)
-    fin = finetune_stage(roster, 0, triple, model)
+    fin = finetune_stage(roster, 0, corpora, model)
     ran = {line.split("\t")[2] for line in fin.trace}
     assert ran <= {"seg", "cls", "cap", "vqa"}
     assert sum(len(v) for v in fin.losses.values()) == 4
 
 
 def test_each_derived_sample_is_augmented_once(corpus_and_vocab, monkeypatch):
-    cfg, triple, vocab = corpus_and_vocab
+    cfg, corpora, vocab = corpus_and_vocab
     roster = tiny_cfg(steps=1, tasks=FOUR_TASKS)
     calls = []
 
@@ -173,11 +176,11 @@ def test_each_derived_sample_is_augmented_once(corpus_and_vocab, monkeypatch):
         return apply_augmentation(arr, spec)
 
     monkeypatch.setattr(pipeline, "apply_augmentation", counting)
-    finetune_stage(roster, 0, triple, TaskModel(roster, vocab, seed=0))
+    finetune_stage(roster, 0, corpora, TaskModel(roster, vocab, seed=0))
     # every task doubles the 8 paired samples under the same 8 derived ids;
     # each derived sample's image and mask are augmented once
-    assert len(triple.paired) == 8 and roster.rebalance_threshold == 16
-    assert sorted(calls) == sorted(2 * [s.sample_id for s in triple.paired])
+    assert len(corpora["paired"]) == 8 and roster.rebalance_threshold == 16
+    assert sorted(calls) == sorted(2 * [s.sample_id for s in corpora["paired"]])
 
 
 # ---------------------------------------------------------------- leakage
@@ -271,8 +274,8 @@ def test_eval_stage_vqa_matches_one_image_decoding(corpus_and_vocab, monkeypatch
 # ---------------------------------------------------------------- streams
 
 def test_run_stream_record(corpus_and_vocab):
-    cfg, triple, _ = corpus_and_vocab
-    record = run_stream(cfg, 0, triple)
+    cfg, corpora, _ = corpus_and_vocab
+    record = run_stream(cfg, 0, corpora)
     assert record.config_hash == config_fingerprint(cfg)
     assert record.seed == 0
     assert "finetune/seg" in record.losses
@@ -417,11 +420,11 @@ def test_workers_get_one_blas_thread_and_the_caller_keeps_its_setting(monkeypatc
 
 def test_pool_job_reuses_one_read_only_corpus_per_process(monkeypatch):
     monkeypatch.setattr(pipeline, "_corpora", {})
-    monkeypatch.setattr(pipeline, "run_stream", lambda cfg, seed, triple: triple)
+    monkeypatch.setattr(pipeline, "run_stream", lambda cfg, seed, corpora: corpora)
     a = pipeline._pool_job(tiny_cfg(pretrain_mode="pair-contrastive"), 0)
     assert pipeline._pool_job(tiny_cfg(pretrain_mode="masked-unimodal"), 1) is a
     assert pipeline._pool_job(tiny_cfg(data_seed=1), 0) is not a
-    for arr in (a.paired[0].image, a.paired[0].mask, a.image_only[0].image):
+    for arr in (a["paired"][0].image, a["paired"][0].mask, a["image-only"][0].image):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 1
 
@@ -464,9 +467,9 @@ def test_model_checkpoint_round_trip(tmp_path, corpus_and_vocab):
 
 
 def test_encoder_checkpoint_round_trip(tmp_path, corpus_and_vocab):
-    cfg, triple, vocab = corpus_and_vocab
+    cfg, corpora, vocab = corpus_and_vocab
     model = TaskModel(cfg, vocab, seed=1)
-    pretrain_stage(cfg, 1, triple, model)
+    pretrain_stage(cfg, 1, corpora, model)
     save_encoders(model, cfg, tmp_path / "enc")
     encoders = {p.name for p in model.encoder_parameters()}
     assert set(load_checkpoint(tmp_path / "enc")) == encoders

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from uniboost.shapeworld import (COLORS, FAMILIES, FAMILY_COLOR, SHAPES,
-                                 CorpusTriple, ManifestError, Sample,
+                                 ManifestError, Sample,
                                  ShapeWorldConfig, analytic_area,
                                  build_vocabulary, class_id,
                                  gen_shapeworld, gen_single_shape_corpus,
@@ -67,17 +67,17 @@ def test_families_and_signature_colors_are_involutive():
 
 def test_corpus_sizes_follow_config():
     cfg = tiny_config()
-    triple = gen_shapeworld(cfg)
-    assert len(triple.paired) == cfg.n_paired == 6
-    assert len(triple.image_only) == 24
-    assert len(triple.text_only) == 24
+    corpora = gen_shapeworld(cfg)
+    assert len(corpora["paired"]) == cfg.n_paired == 6
+    assert len(corpora["image-only"]) == 24
+    assert len(corpora["text-only"]) == 24
 
 
 def test_paired_corpus_never_leaks_novel_classes():
     cfg = tiny_config(samples_per_corpus=64)
-    triple = gen_shapeworld(cfg)
+    corpora = gen_shapeworld(cfg)
     novel_ids = {class_id(s) for s in cfg.novel_shapes}
-    for s in triple.paired:
+    for s in corpora["paired"]:
         assert set(np.unique(s.mask)) & novel_ids == set()
         words = set(s.caption.split()) | set(s.answer.split())
         assert words & set(cfg.novel_shapes) == set()
@@ -85,15 +85,15 @@ def test_paired_corpus_never_leaks_novel_classes():
 
 def test_unpaired_corpora_do_contain_novel_classes():
     cfg = tiny_config(samples_per_corpus=64)
-    triple = gen_shapeworld(cfg)
+    corpora = gen_shapeworld(cfg)
     novel_ids = {class_id(s) for s in cfg.novel_shapes}
     seen_img = set()
-    for s in triple.image_only:
+    for s in corpora["image-only"]:
         seen_img |= set(np.unique(s.mask).tolist())
         assert s.caption == "" and s.question == ""
     assert novel_ids <= seen_img
     seen_words = set()
-    for s in triple.text_only:
+    for s in corpora["text-only"]:
         assert s.image is None and s.mask is None
         seen_words |= set(s.caption.split())
     assert set(cfg.novel_shapes) <= seen_words
@@ -101,8 +101,8 @@ def test_unpaired_corpora_do_contain_novel_classes():
 
 def test_scene_captions_match_mask_geometry():
     cfg = tiny_config(samples_per_corpus=32)
-    triple = gen_shapeworld(cfg)
-    for s in triple.paired:
+    corpora = gen_shapeworld(cfg)
+    for s in corpora["paired"]:
         color1, shape1, relation, color2, shape2 = s.caption.split()
         id1, id2 = class_id(shape1), class_id(shape2)
         r1, c1 = [x.mean() for x in np.nonzero(s.mask == id1)]
@@ -120,8 +120,8 @@ def test_scene_captions_match_mask_geometry():
 
 def test_scene_pixels_show_the_named_colors():
     cfg = tiny_config(samples_per_corpus=16)
-    triple = gen_shapeworld(cfg)
-    s = triple.paired[0]
+    corpora = gen_shapeworld(cfg)
+    s = corpora["paired"][0]
     color1, shape1, _, _, _ = s.caption.split()
     inside = s.image[s.mask == class_id(shape1)]
     want = np.asarray(COLORS[color1])
@@ -134,18 +134,18 @@ def test_generation_is_bit_deterministic():
     a = gen_shapeworld(tiny_config(seed=5))
     b = gen_shapeworld(tiny_config(seed=5))
     c = gen_shapeworld(tiny_config(seed=6))
-    assert np.array_equal(a.paired[0].image, b.paired[0].image)
-    assert np.array_equal(a.image_only[3].mask, b.image_only[3].mask)
-    assert a.text_only[2].caption == b.text_only[2].caption
-    assert not np.array_equal(a.paired[0].image, c.paired[0].image)
+    assert np.array_equal(a["paired"][0].image, b["paired"][0].image)
+    assert np.array_equal(a["image-only"][3].mask, b["image-only"][3].mask)
+    assert a["text-only"][2].caption == b["text-only"][2].caption
+    assert not np.array_equal(a["paired"][0].image, c["paired"][0].image)
 
 
 def test_generated_corpora_do_not_drift():
     """Every id, pixel, label and string the generator emits for a small
     config, pinned: a faster render must draw the same bits."""
     cfg = tiny_config(samples_per_corpus=32)
-    triple = gen_shapeworld(cfg)
-    samples = (triple.paired + triple.image_only + triple.text_only
+    corpora = gen_shapeworld(cfg)
+    samples = (corpora["paired"] + corpora["image-only"] + corpora["text-only"]
                + gen_single_shape_corpus(cfg, cfg.base_shapes, 16, seed=11,
                                          prefix="base-eval")
                + gen_single_shape_corpus(cfg, cfg.novel_shapes, 16, seed=13,
@@ -206,8 +206,8 @@ def test_single_shape_corpus_masks_one_class():
 
 def test_vocabulary_covers_all_generated_text():
     vocab = build_vocabulary()
-    triple = gen_shapeworld(tiny_config(samples_per_corpus=32))
-    for s in triple.paired + triple.text_only:
+    corpora = gen_shapeworld(tiny_config(samples_per_corpus=32))
+    for s in corpora["paired"] + corpora["text-only"]:
         for text in (s.caption, s.question, s.answer):
             if text:
                 assert vocab.unk_id not in vocab.encode(text), text
@@ -217,26 +217,26 @@ def test_vocabulary_covers_all_generated_text():
 
 def test_manifest_round_trip(tmp_path):
     cfg = tiny_config()
-    triple = gen_shapeworld(cfg)
-    records = {"seg": triple.paired[:3], "txt": triple.text_only[:2]}
+    corpora = gen_shapeworld(cfg)
+    records = {"seg": corpora["paired"][:3], "txt": corpora["text-only"][:2]}
     path = write_manifest(tmp_path, records)
     assert path.name == "manifest.tsv"
     back = ingest_manifest(path, expected_grid=cfg.grid_size)
     assert set(back) == {"seg", "txt"}
-    for orig, loaded in zip(triple.paired[:3], back["seg"]):
+    for orig, loaded in zip(corpora["paired"][:3], back["seg"]):
         assert loaded.sample_id == orig.sample_id
         assert np.array_equal(loaded.image, orig.image)
         assert np.array_equal(loaded.mask, orig.mask)
         assert loaded.caption == orig.caption
-    for orig, loaded in zip(triple.text_only[:2], back["txt"]):
+    for orig, loaded in zip(corpora["text-only"][:2], back["txt"]):
         assert loaded.image is None and loaded.mask is None
         assert loaded.answer == orig.answer
 
 
 def test_manifest_errors_carry_line_numbers(tmp_path):
     cfg = tiny_config()
-    triple = gen_shapeworld(cfg)
-    path = write_manifest(tmp_path, {"seg": triple.paired[:2]})
+    corpora = gen_shapeworld(cfg)
+    path = write_manifest(tmp_path, {"seg": corpora["paired"][:2]})
 
     lines = path.read_text().splitlines()
     bad = tmp_path / "bad"
@@ -270,7 +270,7 @@ def test_manifest_errors_carry_line_numbers(tmp_path):
 
 
 def test_manifest_image_that_is_a_directory_is_refused(tmp_path):
-    path = write_manifest(tmp_path, {"seg": gen_shapeworld(tiny_config()).paired[:1]})
+    path = write_manifest(tmp_path, {"seg": gen_shapeworld(tiny_config())["paired"][:1]})
     image = tmp_path / path.read_text().split("\t")[2]
     image.unlink()
     image.mkdir()
@@ -280,8 +280,8 @@ def test_manifest_image_that_is_a_directory_is_refused(tmp_path):
 
 def test_manifest_grid_check(tmp_path):
     cfg = tiny_config()
-    triple = gen_shapeworld(cfg)
-    path = write_manifest(tmp_path, {"seg": triple.paired[:1]})
+    corpora = gen_shapeworld(cfg)
+    path = write_manifest(tmp_path, {"seg": corpora["paired"][:1]})
     with pytest.raises(ManifestError, match="config says 32"):
         ingest_manifest(path, expected_grid=32)
 
