@@ -8,8 +8,8 @@ Parsing, serialization and diffing walk their fields, in field order: a
 field belongs to the section that the last ``_opens`` field at or before it
 opened, its key is its name less a ``<section>_`` prefix (``pretrain_mode``
 is ``[pretrain] mode``), and its annotation is its type. Allowed values come
-from the modules that own them (``PretrainMode``, ``RouteKind``,
-``optim.schedule_factor``). Adding a key means adding one field.
+from the modules that own them (``PretrainMode``, ``RouteKind``). Adding a
+key means adding one field.
 
 Task sections use the header form ``[task <id>]`` and may repeat with
 distinct ids; all other sections appear at most once. A task without a
@@ -24,7 +24,6 @@ from dataclasses import Field, dataclass, field, fields as dc_fields
 
 from .encoders import EncoderConfig
 from .neck import ANSWER_TOKENS, NeckConfig, RouteKind
-from .optim import schedule_factor
 from .pretrain import PretrainMode
 from .scheduler import RebalancePolicy
 from .shapeworld import ShapeWorldConfig, build_vocabulary
@@ -100,11 +99,7 @@ class ExperimentConfig:
     data_seed: int = 0
     manifest: str = ""
     peak_lr: float = _opens("optimizer", 1e-3)
-    weight_decay: float = 0.01
     warmup_steps: int = 50
-    schedule: str = "cosine"
-    encoder_lr_ratio: float = 0.1
-    freeze_encoders: bool = False
     steps: int = _opens("run", 300)
     batch_size: int = 8
     seed: int = 0
@@ -123,13 +118,10 @@ class ExperimentConfig:
         for name, low in _MINIMUMS.items():
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} {getattr(self, name)} must be >= {low}")
-        for name in ("peak_lr", "pretrain_peak_lr", "encoder_lr_ratio"):
+        for name in ("peak_lr", "pretrain_peak_lr"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} {getattr(self, name)} must be positive")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay {self.weight_decay} must be >= 0")
         try:
-            schedule_factor(0, 1, 0, self.schedule)  # raises on an unknown schedule
             encoder_config(self)
             neck_config(self)
             world_config(self)
@@ -204,8 +196,6 @@ def _parse(kind: str, raw: str, where: str):
         if kind.startswith("tuple["):  # tuple[int, ...] or tuple[str, ...]
             item = kind.removeprefix("tuple[").removesuffix(", ...]")
             return tuple(_parse(item, x, where) for x in raw.split(",") if x.strip())
-        if kind == "bool" and raw.lower() in ("true", "false"):
-            return raw.lower() == "true"
         return {"int": int, "float": float, "str": str}[kind](raw)
     except (KeyError, ValueError):
         raise ConfigError(f"{where}: expected {kind}, got {raw!r}") from None
@@ -214,8 +204,6 @@ def _parse(kind: str, raw: str, where: str):
 def _format(kind: str, value) -> str:
     if kind.startswith("tuple["):
         return ",".join(str(v) for v in value)
-    if kind == "bool":
-        return "true" if value else "false"
     return repr(float(value)) if kind == "float" else str(value)
 
 

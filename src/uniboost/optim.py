@@ -1,10 +1,10 @@
-"""AdamW with decoupled weight decay, parameter groups, and LR schedules.
+"""AdamW with decoupled weight decay, parameter groups, and one LR schedule.
 
 The step size for a group at step ``t`` is ``schedule(t) * peak_lr *
 group_multiplier``; warmup is linear from zero over the first
-``warmup_steps`` steps, after which the chosen decay shape applies on the
-remaining horizon. Weight decay is applied directly to the parameter
-values (not folded into the gradient), scaled by the same effective rate.
+``warmup_steps`` steps, after which a half cosine decays to zero over the
+remaining horizon. Weight decay (``WEIGHT_DECAY``) is applied directly to the
+parameter values (not folded into the gradient), scaled by the same rate.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ __all__ = ["AdamW", "MissingGradError", "NonFiniteGradError", "schedule_factor"]
 
 BETAS = (0.9, 0.999)  # first- and second-moment decay rates
 EPS = 1e-8
+WEIGHT_DECAY = 0.01
 
 
 class MissingGradError(RuntimeError):
@@ -30,16 +31,13 @@ class NonFiniteGradError(RuntimeError):
     """A gradient contained NaN or Inf; optimization aborted."""
 
 
-def schedule_factor(step: int, total_steps: int, warmup_steps: int, shape: str) -> float:
+def schedule_factor(step: int, total_steps: int, warmup_steps: int) -> float:
     """Scalar multiplier on the peak learning rate at a given step.
 
     ``step`` counts completed steps, so the first update (step 0) uses a
     factor of 0 during warmup and the rate ramps linearly to 1.0 at the end
-    of warmup, then decays per ``shape``: ``cosine`` to zero, ``linear`` to
-    zero, or ``step`` with a single 10x cut at 80% of the horizon.
+    of warmup, then follows a half cosine to zero at ``total_steps``.
     """
-    if shape not in ("cosine", "linear", "step"):
-        raise ValueError(f"unknown schedule shape {shape!r}")
     if total_steps <= 0:
         raise ValueError(f"total_steps must be positive, got {total_steps}")
     if warmup_steps < 0 or warmup_steps > total_steps:
@@ -51,26 +49,19 @@ def schedule_factor(step: int, total_steps: int, warmup_steps: int, shape: str) 
         return 1.0
     frac = (step - warmup_steps) / span
     frac = min(frac, 1.0)
-    if shape == "cosine":
-        return 0.5 * (1.0 + math.cos(math.pi * frac))
-    if shape == "linear":
-        return 1.0 - frac
-    return 0.1 if frac >= 0.8 else 1.0
+    return 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
 class AdamW:
     """Decoupled-weight-decay Adam over named parameter groups.
 
-    ``groups`` maps a group name to ``(params, lr_multiplier)``; the
-    conventional split is ``encoder`` parameters at multiplier 0.1 and
-    everything else at 1.0. Gradients are consumed and cleared by each
-    ``step`` call.
+    ``groups`` maps a group name to ``(params, lr_multiplier)``; fine-tuning
+    puts the encoders at ``pipeline.ENCODER_LR_RATIO`` and everything else at
+    1.0. Gradients are consumed and cleared by each ``step`` call.
     """
 
     def __init__(self, groups: dict[str, tuple[Sequence[Tensor], float]],
-                 peak_lr: float = 1e-3, weight_decay: float = 0.01,
-                 total_steps: int = 1000, warmup_steps: int = 50,
-                 schedule: str = "cosine"):
+                 peak_lr: float = 1e-3, total_steps: int = 1000, warmup_steps: int = 50):
         self.groups = {}
         seen: set[int] = set()
         for gname, (params, mult) in groups.items():
@@ -83,11 +74,9 @@ class AdamW:
                 seen.add(id(p))
             self.groups[gname] = (plist, float(mult))
         self.peak_lr = float(peak_lr)
-        self.weight_decay = float(weight_decay)
         self.total_steps = int(total_steps)
         self.warmup_steps = int(warmup_steps)
-        self.schedule = schedule
-        schedule_factor(0, self.total_steps, self.warmup_steps, schedule)  # validate early
+        schedule_factor(0, self.total_steps, self.warmup_steps)  # validate early
         self.step_count = 0
         self._m: dict[int, np.ndarray] = {}
         self._v: dict[int, np.ndarray] = {}
@@ -98,12 +87,11 @@ class AdamW:
 
     def effective_lr(self, group: str) -> float:
         plist, mult = self.groups[group]
-        return schedule_factor(self.step_count, self.total_steps,
-                               self.warmup_steps, self.schedule) * self.peak_lr * mult
+        factor = schedule_factor(self.step_count, self.total_steps, self.warmup_steps)
+        return factor * self.peak_lr * mult
 
     def step(self) -> None:
-        factor = schedule_factor(self.step_count, self.total_steps,
-                                 self.warmup_steps, self.schedule)
+        factor = schedule_factor(self.step_count, self.total_steps, self.warmup_steps)
         b1, b2 = BETAS
         t = self.step_count + 1
         bc1 = 1.0 - b1 ** t
@@ -132,7 +120,7 @@ class AdamW:
                 mhat = m / bc1
                 vhat = v / bc2
                 p.values -= lr * (mhat / (np.sqrt(vhat) + EPS)
-                                  + self.weight_decay * p.values)
+                                  + WEIGHT_DECAY * p.values)
         self.step_count += 1
         self.zero_grad()
 

@@ -164,6 +164,10 @@ class FinetuneResult:
     training_labels: set[int]
 
 
+# Fine-tuning updates the encoders at this fraction of the heads' LR.
+ENCODER_LR_RATIO = 0.1
+
+
 def finetune_stage(cfg: ExperimentConfig, seed: int, corpora: dict[str, list[Sample]],
                    model: TaskModel) -> FinetuneResult:
     """Multitask intermediate fine-tuning over the configured task roster."""
@@ -190,16 +194,10 @@ def finetune_stage(cfg: ExperimentConfig, seed: int, corpora: dict[str, list[Sam
     queue = DataQueue(datasets, seed=_task_rng_seed(seed, "queue"))
     head_by_task = {spec.task_id: spec.head for spec in cfg.tasks}
 
-    groups = {"rest": (model.head_parameters(), 1.0)}
-    if cfg.freeze_encoders:
-        for p in model.encoder_parameters():
-            p.requires_grad = False
-    else:
-        groups["encoders"] = (model.encoder_parameters(), cfg.encoder_lr_ratio)
-    opt = AdamW(groups, peak_lr=cfg.peak_lr, weight_decay=cfg.weight_decay,
-                total_steps=max(cfg.steps, 1),
-                warmup_steps=min(cfg.warmup_steps, max(cfg.steps, 1) // 5),
-                schedule=cfg.schedule)
+    opt = AdamW({"rest": (model.head_parameters(), 1.0),
+                 "encoders": (model.encoder_parameters(), ENCODER_LR_RATIO)},
+                peak_lr=cfg.peak_lr, total_steps=max(cfg.steps, 1),
+                warmup_steps=min(cfg.warmup_steps, max(cfg.steps, 1) // 5))
 
     trained_ids: set[str] = set()
 

@@ -204,7 +204,7 @@ def pretrain_run(mode: PretrainMode, images: np.ndarray, targets: np.ndarray,
     def make_opt(*modules: Module) -> AdamW:
         params = [p for m in modules for p in m.parameters()]
         return AdamW({"model": (params, 1.0)}, peak_lr=peak_lr, total_steps=max(steps, 1),
-                     warmup_steps=min(50, max(steps // 10, 1)), schedule="cosine")
+                     warmup_steps=min(50, max(steps // 10, 1)))
 
     if mode is PretrainMode.SUPERVISED:
         head = Linear(init_rng(f"cls:{seed}"), config.width, len(SHAPES))

@@ -342,7 +342,8 @@ def write_manifest(directory: str | Path, records: dict[str, list[Sample]]) -> P
 
 def ingest_manifest(manifest_path: str | Path,
                     expected_grid: int | None = None) -> dict[str, list[Sample]]:
-    """Load a manifest back into per-task sample lists."""
+    """Load a manifest back into per-task sample lists. A sample id is unique
+    within its task and holds no ``#``, which marks derived ids."""
     path = Path(manifest_path)
     if not path.exists():
         raise ManifestError(f"{path}: no such manifest")
@@ -354,6 +355,7 @@ def ingest_manifest(manifest_path: str | Path,
         raise ManifestError(f"{path}: manifest is not UTF-8 text: {exc}") from None
     base = path.parent
     tasks: dict[str, list[Sample]] = {}
+    first_line: dict[tuple[str, str], int] = {}  # (task id, sample id) -> line
     if not any(ln.strip() for ln in lines):
         raise ManifestError(f"{path}: no records")
     for lineno, line in enumerate(lines, start=1):
@@ -369,12 +371,22 @@ def ingest_manifest(manifest_path: str | Path,
             raise ManifestError(f"{path}:{lineno}: empty task-id field")
         if not sample_id:
             raise ManifestError(f"{path}:{lineno}: empty sample-id field")
+        if "#" in sample_id:
+            raise ManifestError(f"{path}:{lineno}: sample id {sample_id!r} contains '#'")
+        seen = first_line.setdefault((task_id, sample_id), lineno)
+        if seen != lineno:
+            raise ManifestError(f"{path}:{lineno}: sample id {sample_id!r} repeats "
+                                f"line {seen} of task {task_id!r}")
         image = mask = None
         if image_path:
             full = base / image_path
             if not full.exists():
                 raise ManifestError(f"{path}:{lineno}: missing image file {image_path}")
             image = load_tensor(full)
+            bad = image[~np.isfinite(image)]
+            if bad.size:
+                raise ManifestError(f"{path}:{lineno}: image {image_path} holds "
+                                    f"{float(bad[0])}, not a finite pixel value")
             if image.ndim != 3 or image.shape[2] != 3:
                 raise ManifestError(
                     f"{path}:{lineno}: image {image_path} has shape {image.shape}, "

@@ -165,7 +165,7 @@ def test_config_errors_exit_2(workspace, tmp_path, monkeypatch):
                      # question + answer + EOS fit, greedy VQA decoding does not
                      ("patch_size = 4\nmax_tokens = 40", "patch_size = 8\nmax_tokens = 7"),
                      ("warmup_steps = 1", "warmup_steps = 1\npeak_lr = nan"),
-                     ("warmup_steps = 1", "warmup_steps = 1\nweight_decay = inf"),
+                     ("warmup_steps = 1", "warmup_steps = 1\npeak_lr = inf"),
                      ("samples_per_corpus = 16", "samples_per_corpus = 0"),
                      ("steps = 2", "steps = 2\nbatch_size = 0"),  # [pretrain]
                      ("steps = 3", "steps = -3"),  # [run]
@@ -191,6 +191,19 @@ def test_config_errors_exit_2(workspace, tmp_path, monkeypatch):
     assert taken.read_text() == "a file\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "mu.cfg", "taken"]
     assert not out.exists()  # each config was refused before any work ran
+
+
+@pytest.mark.parametrize("key", ["weight_decay", "schedule", "encoder_lr_ratio",
+                                 "freeze_encoders"])
+def test_removed_optimizer_keys_exit_2_as_unknown(tmp_path, capsys, key):
+    # the optimizer recipe is fixed, and a config that sets one of these must
+    # not run under values it did not ask for
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(BASE_CFG.format(mode="masked-unimodal").replace(
+        "warmup_steps = 1", f"warmup_steps = 1\n{key} = 0.1"))
+    assert main(["pretrain", "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"unknown key '{key}' in section [optimizer]" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_data_errors_exit_3(workspace):
@@ -278,6 +291,55 @@ def test_ingested_mask_that_is_not_a_class_id_exits_3(workspace, capsys, value):
     err = capsys.readouterr().err
     assert err == (f"data error: {manifest}:{lineno}: mask {mask_path} holds {value}, "
                    f"not a class id in 0..8\n")
+
+
+def _second_paired_renamed(lines, rename):
+    """Rename the second ``paired`` sample to ``rename(first sample id)``;
+    return the edited line number and the first line's number and id."""
+    i, j = [n for n, l in enumerate(lines) if l.startswith("paired\t")][:2]
+    first = lines[i].split("\t")[1]
+    fields = lines[j].split("\t")  # task, id, image, mask, caption, question, answer
+    lines[j] = "\t".join([fields[0], rename(first), *fields[2:]])
+    return j + 1, i + 1, first
+
+
+def _repeat_an_id(lines, directory):
+    lineno, first_line, sid = _second_paired_renamed(lines, lambda sid: sid)
+    return lineno, f"sample id {sid!r} repeats line {first_line} of task 'paired'"
+
+
+def _hash_an_id(lines, directory):
+    lineno, _, sid = _second_paired_renamed(lines, lambda sid: f"{sid}#aug1")
+    return lineno, f"sample id '{sid}#aug1' contains '#'"
+
+
+def _nan_pixel(lines, directory):
+    i = next(n for n, l in enumerate(lines) if l.startswith("paired\t"))
+    image_path = lines[i].split("\t")[2]
+    image = load_tensor(directory / image_path)
+    image[3, 5, 1] = np.nan
+    save_tensor(directory / image_path, image)
+    return i + 1, f"image {image_path} holds nan, not a finite pixel value"
+
+
+@pytest.mark.parametrize("edit", [_repeat_an_id, _hash_an_id, _nan_pixel],
+                         ids=["repeated-id", "derived-id", "nan-pixel"])
+def test_ingested_sample_the_stages_would_misread_exits_3(workspace, capsys, edit):
+    # A repeated id makes the fine-tuning store keep one of two samples, an id
+    # with '#' is overwritten by an augmented copy of another sample, and a
+    # NaN pixel surfaces later as a non-finite gradient that blames training.
+    tmp, out, cfg = workspace
+    assert main(["gen-data", "--config", str(cfg)]) == EXIT_OK
+    manifest = out / "data" / "manifest.tsv"
+    lines = manifest.read_text().splitlines()
+    lineno, message = edit(lines, manifest.parent)
+    manifest.write_text("\n".join(lines) + "\n")
+    path = tmp / "edited.cfg"
+    path.write_text(BASE_CFG.format(mode="pair-contrastive").replace(
+        "[data]", f"[data]\nmanifest = {manifest}"))
+    capsys.readouterr()
+    assert main(["pretrain", "--config", str(path)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {manifest}:{lineno}: {message}\n"
 
 
 def test_failures_inside_compare_workers_keep_their_exit_code(workspace, capsys):

@@ -21,7 +21,6 @@ def test_defaults():
     assert cfg.novel_shapes == ("ring", "diamond")
     assert cfg.family_affinity == 0.5
     assert cfg.color_affinity == 0.6
-    assert cfg.encoder_lr_ratio == 0.1
     assert cfg.rebalance_threshold == 640
     assert cfg.eval_samples == 80
     assert cfg.tasks == []
@@ -41,12 +40,12 @@ layer_set = 1, 3
 [data]
 novel_shapes = ring,diamond
 [optimizer]
-freeze_encoders = true
+warmup_steps = 7
 """)
     assert cfg.layers == 3 and cfg.width == 48
     assert cfg.pretrain_mode == "supervised" and cfg.pretrain_steps == 10
     assert cfg.layer_set == (1, 3)
-    assert cfg.freeze_encoders is True
+    assert cfg.warmup_steps == 7
 
 
 def test_task_sections():
@@ -98,8 +97,6 @@ def test_parse_errors_carry_line_numbers():
 def test_semantic_validation():
     with pytest.raises(ConfigError, match="unknown pretrain mode"):
         parse_config("[pretrain]\nmode = clip\n")
-    with pytest.raises(ConfigError, match="unknown schedule"):
-        parse_config("[optimizer]\nschedule = exponential\n")
     with pytest.raises(ConfigError, match="outside 1..2"):
         parse_config("[neck]\nlayer_set = 1,3\n")
     with pytest.raises(ConfigError, match="unknown route"):
@@ -111,19 +108,15 @@ def test_semantic_validation():
         parse_config("[task a]\nroute = image-only\nhead = seg\n")
     with pytest.raises(ConfigError, match="head 'cls' runs route 'image-only'"):
         parse_config("[task a]\nhead = cls\n")
-    with pytest.raises(ConfigError, match="encoder_lr_ratio"):
-        parse_config("[optimizer]\nencoder_lr_ratio = 0\n")
-    # learning rates must be positive and weight decay not negative
+    # learning rates must be positive
     with pytest.raises(ConfigError, match="^peak_lr -5.0 must be positive"):
-        parse_config("[optimizer]\npeak_lr = -5\nweight_decay = -3\n[pretrain]\npeak_lr = -1\n")
+        parse_config("[optimizer]\npeak_lr = -5\n[pretrain]\npeak_lr = -1\n")
     for section, key, value, message in [
             ("optimizer", "peak_lr", 0, "peak_lr 0.0 must be positive"),
             ("pretrain", "peak_lr", -1, "pretrain_peak_lr -1.0 must be positive"),
-            ("pretrain", "peak_lr", 0, "pretrain_peak_lr 0.0 must be positive"),
-            ("optimizer", "weight_decay", -3, "weight_decay -3.0 must be >= 0")]:
+            ("pretrain", "peak_lr", 0, "pretrain_peak_lr 0.0 must be positive")]:
         with pytest.raises(ConfigError, match=f"^{message}$"):
             parse_config(f"[{section}]\n{key} = {value}\n")
-    assert parse_config("[optimizer]\nweight_decay = 0\n").weight_decay == 0.0
     # model sizes below their minimum, named before any sub-config divides by them
     for section, key, value in [("encoder", "width", 0), ("encoder", "width", -4),
                                 ("encoder", "heads", 0), ("encoder", "heads", -2),
@@ -161,14 +154,14 @@ batch_size = 4
 # config_fingerprint names runs, checkpoints and run records, so the bytes
 # that serialize_config writes for these configs must never drift.
 PINNED_FINGERPRINTS = {
-    "default": "b3df74757ffef576",
-    "chain-masked-unimodal.cfg": "10b59dd99d377814",
-    "sweep-masked-unimodal.cfg": "66290db869271ccb",
-    "sweep-pair-contrastive.cfg": "91f0cb65feb62698",
-    "train-masked-unimodal.cfg": "e21652334ae0a99b",
-    "train-pair-contrastive.cfg": "0dd86cd6513fcbcf",
-    "stream-pair-contrastive": "3b21588ca870ccd3",
-    "stream-masked-unimodal": "099bbd85dfb6da32",
+    "default": "9a59537fd72f2433",
+    "chain-masked-unimodal.cfg": "33e81ebd17c8e79e",
+    "sweep-masked-unimodal.cfg": "e69595c5a5e1ebfa",
+    "sweep-pair-contrastive.cfg": "6df7e8adbdf843ff",
+    "train-masked-unimodal.cfg": "6baa00aca27b51f9",
+    "train-pair-contrastive.cfg": "7f1c1b0c4e6dd2d9",
+    "stream-pair-contrastive": "4bf2691fc8ecb722",
+    "stream-masked-unimodal": "45d04c6cd0b0f5ea",
 }
 
 
@@ -195,8 +188,7 @@ def test_every_field_round_trips_through_its_key():
         pretrain_mode="supervised", pretrain_steps=7, pretrain_batch_size=5,
         pretrain_peak_lr=3e-4, grid_size=20, samples_per_corpus=33, paired_fraction=0.1,
         novel_shapes=("ring",), family_affinity=0.3, color_affinity=0.2, data_seed=9,
-        manifest="corpora/manifest.tsv", peak_lr=2e-3, weight_decay=0.0, warmup_steps=3,
-        schedule="step", encoder_lr_ratio=0.5, freeze_encoders=True, steps=11,
+        manifest="corpora/manifest.tsv", peak_lr=2e-3, warmup_steps=3, steps=11,
         batch_size=3, seed=4, out="elsewhere", rebalance_threshold=7, eval_samples=9,
         tasks=[TaskSpec("a", "image-only", "cls", 2), TaskSpec("b", "deep-fusion", "vqa", 5)])
     default = ExperimentConfig()
@@ -256,8 +248,8 @@ def test_float_serialization_is_exact():
 
 
 def test_readme_configs_parse():
-    """Every ```ini block in README.md parses, and every config file that
-    README names exists and parses."""
+    """Every ```ini block in README.md parses, every config file that README
+    names exists and parses, and every inline `key = value` names a key."""
     root = Path(__file__).resolve().parents[1]
     readme = (root / "README.md").read_text()
     blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
@@ -268,3 +260,8 @@ def test_readme_configs_parse():
     assert named
     for path in named:
         parse_config((root / path).read_text())
+    every_key = serialize_config(ExperimentConfig(tasks=[TaskSpec("t")]))
+    keys = {line.partition(" = ")[0] for line in every_key.splitlines()}
+    inline = re.findall(r"`(\w+) = [^`]*`", readme)
+    assert inline
+    assert [key for key in inline if key not in keys] == []

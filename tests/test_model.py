@@ -129,7 +129,7 @@ def test_seg_loss_decreases_under_training(eval_samples):
     masks = np.stack([s.mask for s in eval_samples])
     params = model.encoder_parameters() + model.head_parameters()
     opt = AdamW({"all": (params, 1.0)}, peak_lr=3e-3, total_steps=30,
-                warmup_steps=3, schedule="cosine")
+                warmup_steps=3)
     losses = []
     for _ in range(30):
         with Tape() as tape:

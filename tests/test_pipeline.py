@@ -19,8 +19,8 @@ from uniboost.config import (ConfigError, ExperimentConfig, TaskSpec, config_fin
 from uniboost import pipeline
 from uniboost.metrics import round_half_up, vqa_accuracy
 from uniboost.model import TaskModel
-from uniboost.pipeline import (DataError, LeakageError, RunRecord, audit_leakage,
-                               build_corpora, compare_streams, comparison_csv,
+from uniboost.pipeline import (ENCODER_LR_RATIO, DataError, LeakageError, RunRecord,
+                               audit_leakage, build_corpora, compare_streams, comparison_csv,
                                emit_comparison, eval_stage, finetune_stage,
                                load_encoders, load_model, pretrain_stage,
                                run_stream, save_encoders, save_model, tune_allocator,
@@ -135,17 +135,24 @@ def test_finetune_stage_trains_and_tracks_tokens(corpus_and_vocab):
     assert novel_ids & fin.training_labels == set()
 
 
-def test_frozen_finetune_never_tapes_the_encoders(corpus_and_vocab):
+def test_finetune_steps_the_encoders_at_the_encoder_lr_ratio(corpus_and_vocab, monkeypatch):
     cfg, corpora, vocab = corpus_and_vocab
-    frozen = replace(cfg, freeze_encoders=True)
-    model = TaskModel(frozen, vocab, seed=0)
-    before = {name: p.values.copy() for name, p in model.named_parameters()}
-    fin = finetune_stage(frozen, 0, corpora, model)
-    assert len(fin.losses["seg"]) == frozen.steps
-    assert all(p.grad is None for p in model.parameters())
-    moved = {name for name, p in model.named_parameters()
-             if not np.array_equal(p.values, before[name])}
-    assert moved and not moved & {p.name for p in model.encoder_parameters()}
+    model = TaskModel(cfg, vocab, seed=0)
+    ratios = []
+
+    def recording(objectives, steps, losses):
+        [(loss_fn, opt)] = objectives
+        assert [p.name for p in opt.groups["encoders"][0]] == \
+            [p.name for p in model.encoder_parameters()]
+        for _ in range(steps):
+            ratios.append((opt.effective_lr("encoders"), opt.effective_lr("rest")))
+            train([(loss_fn, opt)], 1, losses)
+
+    train = pipeline.train
+    monkeypatch.setattr(pipeline, "train", recording)
+    finetune_stage(cfg, 0, corpora, model)
+    assert len(ratios) == cfg.steps and ratios[0][1] == cfg.peak_lr
+    assert all(enc == ENCODER_LR_RATIO * rest for enc, rest in ratios)
 
 
 def test_finetune_requires_tasks(corpus_and_vocab):
