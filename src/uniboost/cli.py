@@ -10,7 +10,6 @@ gradient, or a numpy overflow raised by ``-W error::RuntimeWarning`` or
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -21,7 +20,7 @@ from .config import ConfigError, ExperimentConfig, parse_config
 from .metrics import MetricError
 from .model import TaskModel
 from .optim import MissingGradError, NonFiniteGradError
-from .pipeline import ComparisonReport, ComparisonRow, DataError, LeakageError
+from .pipeline import DataError, LeakageError
 from .pretrain import CorpusMismatchError
 from .scheduler import SchedulerError
 from .shapeworld import SHAPES, ManifestError, build_vocabulary
@@ -36,11 +35,11 @@ EXIT_DATA = 3
 EXIT_INVARIANT = 4
 
 
-def _load_config(path: str, args, steps_field: str = "steps") -> ExperimentConfig:
-    """The config at ``path`` with the --seed and --steps (into
-    ``steps_field``) overrides applied, validated again with them. --out
-    picks the output directory only (``_out_dir``), so it changes neither
-    the config fingerprint nor a checkpoint's ``config.txt``."""
+def _load_config(path: str, seed: int | None = None) -> ExperimentConfig:
+    """The config at ``path`` with the --seed override applied, validated
+    again with it. --out picks the output directory only (``_out_dir``), so
+    it changes neither the config fingerprint nor a checkpoint's
+    ``config.txt``."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -49,17 +48,13 @@ def _load_config(path: str, args, steps_field: str = "steps") -> ExperimentConfi
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
     cfg = parse_config(text)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.steps is not None:
-        setattr(cfg, steps_field, args.steps)
+    if seed is not None:
+        cfg.seed = seed
     return cfg.validate()
 
 
-def _out_dir(args, cfg: ExperimentConfig | None = None) -> Path:
-    env = os.environ.get("UNIBOOST_OUT")
-    chosen = env or args.out or (cfg.out if cfg else "runs")
-    d = Path(chosen)
+def _out_dir(args, cfg: ExperimentConfig) -> Path:
+    d = Path(os.environ.get("UNIBOOST_OUT") or args.out or cfg.out)
     try:
         d.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
@@ -76,7 +71,7 @@ def _model_dir(out: Path, cfg: ExperimentConfig) -> Path:
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _load_config(args.config, args)
+    cfg = _load_config(args.config)
     out = _out_dir(args, cfg)
     manifest = pipeline.write_corpora_manifest(cfg, out / "data")
     print(f"wrote {manifest}")
@@ -84,7 +79,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_split(args) -> int:
-    cfg = _load_config(args.config, args)
+    cfg = _load_config(args.config)
     out = _out_dir(args, cfg)
     n = len(SHAPES)
     folds = {}
@@ -100,7 +95,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    cfg = _load_config(args.config, args, steps_field="pretrain_steps")
+    cfg = _load_config(args.config, args.seed)
     out = _out_dir(args, cfg)
     corpora = pipeline.build_corpora(cfg)
     model = TaskModel(cfg, build_vocabulary(), cfg.seed)
@@ -115,13 +110,8 @@ def cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
-def _finetune(args, only_task: str | None) -> int:
-    cfg = _load_config(args.config, args)
-    if only_task is not None:
-        keep = [t for t in cfg.tasks if t.task_id == only_task]
-        if not keep:
-            raise ConfigError(f"no task section named {only_task!r}")
-        cfg.tasks = keep
+def cmd_finetune_multitask(args) -> int:
+    cfg = _load_config(args.config, args.seed)
     out = _out_dir(args, cfg)
     model = pipeline.load_encoders(cfg, _pretrain_dir(out, cfg), cfg.seed)
     corpora = pipeline.build_corpora(cfg)
@@ -138,14 +128,6 @@ def _finetune(args, only_task: str | None) -> int:
             print(f"{task}: first {trace[0]:.4f} last {trace[-1]:.4f} ({len(trace)} batches)")
     print(f"saved model to {mdir}")
     return EXIT_OK
-
-
-def cmd_finetune_multitask(args) -> int:
-    return _finetune(args, None)
-
-
-def cmd_finetune_task(args) -> int:
-    return _finetune(args, args.task)
 
 
 def _read_audit(path: Path) -> tuple[set[str], set[int]]:
@@ -165,9 +147,9 @@ def _read_audit(path: Path) -> tuple[set[str], set[int]]:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args.config, args)
+    cfg = _load_config(args.config, args.seed)
     out = _out_dir(args, cfg)
-    ckpt = Path(args.checkpoint) if args.checkpoint else _model_dir(out, cfg)
+    ckpt = _model_dir(out, cfg)
     model = pipeline.load_model(cfg, ckpt, cfg.seed)
     tokens, labels = (_read_audit(ckpt / "training_audit.json") if args.split == "novel"
                       else (None, None))
@@ -181,11 +163,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if len(args.config) < 2:
-        raise ConfigError("compare needs at least two --config files")
     configs: dict[str, ExperimentConfig] = {}
     for path in args.config:
-        cfg = _load_config(path, args)
+        cfg = _load_config(path)
         if cfg.pretrain_mode in configs:
             raise ConfigError(f"two configs share pretrain mode {cfg.pretrain_mode!r}")
         configs[cfg.pretrain_mode] = cfg
@@ -194,32 +174,11 @@ def cmd_compare(args) -> int:
     except ValueError:
         raise ConfigError(f"--seeds {args.seeds!r} is not a comma-separated list of "
                           "integers") from None
+    pipeline.check_comparison(configs, seeds)  # before the output directory is made
     out = _out_dir(args, next(iter(configs.values())))
     report = pipeline.compare_streams(configs, seeds)
     csv_path, txt_path = pipeline.emit_comparison(report, out)
-    (out / "comparison.json").write_text(json.dumps(
-        dataclasses.asdict(report), indent=2, sort_keys=True))
     sys.stdout.write(pipeline.comparison_text(report))
-    print(f"wrote {csv_path} and {txt_path}")
-    return EXIT_OK
-
-
-def cmd_report(args) -> int:
-    src = Path(args.input)
-    if not src.is_file():
-        raise DataError(f"no comparison record at {src}")
-    try:
-        payload = json.loads(src.read_text())
-        report = ComparisonReport(
-            fold_labels=payload["fold_labels"],
-            rows=[ComparisonRow(**r) for r in payload["rows"]],
-            win_counts=payload["win_counts"],
-            stream_means=payload["stream_means"])
-        pipeline.comparison_csv(report)  # every row must score every fold
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{src} is not a comparison record: {exc!r}") from exc
-    out = _out_dir(args)
-    csv_path, txt_path = pipeline.emit_comparison(report, out)
     print(f"wrote {csv_path} and {txt_path}")
     return EXIT_OK
 
@@ -229,53 +188,31 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="desk-scale multitask pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, multi_config=False):
-        if multi_config:
-            p.add_argument("--config", action="append", default=[],
-                           help="config file (repeat for each stream)")
-        else:
-            p.add_argument("--config", required=True, help="config file")
-        p.add_argument("--seed", type=int, default=None, help="override [run] seed")
+    def command(name, fn, help, seed=True):
+        # no abbreviated flags: `compare --seed 7` must not run as `--seeds 7`
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(fn=fn)
+        p.add_argument("--config", required=True, help="config file")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override [run] seed: the model seed and checkpoint directory")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--steps", type=int, default=None, help="override step count")
+        return p
 
-    p = sub.add_parser("gen-data", help="generate corpora and write a manifest")
-    common(p)
-    p.set_defaults(fn=cmd_gen_data)
-
-    p = sub.add_parser("split", help="write class fold splits")
-    common(p)
-    p.set_defaults(fn=cmd_split)
-
-    p = sub.add_parser("pretrain", help="pretrain encoders for the configured stream")
-    common(p)
-    p.set_defaults(fn=cmd_pretrain)
-
-    p = sub.add_parser("finetune-multitask", help="multitask intermediate fine-tuning")
-    common(p)
-    p.set_defaults(fn=cmd_finetune_multitask)
-
-    p = sub.add_parser("finetune-task", help="fine-tune a single configured task")
-    common(p)
-    p.add_argument("--task", required=True, help="task id to train")
-    p.set_defaults(fn=cmd_finetune_task)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
-    common(p)
-    p.add_argument("--checkpoint", default=None, help="model checkpoint directory")
+    command("gen-data", cmd_gen_data, "generate corpora and write a manifest", seed=False)
+    command("split", cmd_split, "write class fold splits", seed=False)
+    command("pretrain", cmd_pretrain, "pretrain encoders for the configured stream")
+    command("finetune-multitask", cmd_finetune_multitask, "multitask intermediate fine-tuning")
+    p = command("eval", cmd_eval, "evaluate the fine-tuned checkpoint on a split")
     p.add_argument("--split", choices=("base", "novel"), default="novel")
     p.add_argument("--vqa", action="store_true", help="also score VQA exact match")
-    p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("compare", help="run and compare pretraining streams")
-    common(p, multi_config=True)
-    p.add_argument("--seeds", default="0", help="comma-separated seeds")
+    p = sub.add_parser("compare", help="run and compare pretraining streams", allow_abbrev=False)
     p.set_defaults(fn=cmd_compare)
-
-    p = sub.add_parser("report", help="re-emit a saved comparison")
-    p.add_argument("--input", required=True, help="comparison.json path")
+    p.add_argument("--config", action="append", default=[],
+                   help="config file (repeat for each stream)")
+    p.add_argument("--seeds", default="0", help="comma-separated seeds")
     p.add_argument("--out", default=None, help="output directory")
-    p.set_defaults(fn=cmd_report)
 
     return parser
 

@@ -25,7 +25,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -94,9 +94,11 @@ def build_corpora(cfg: ExperimentConfig) -> dict[str, list[Sample]]:
 
 def _check_corpora(corpora: dict[str, list[Sample]]) -> None:
     """Every sample has the fields the stages read, each text field has one
-    token count across its corpus (batches stack them), and each paired
+    token count across its corpus (batches stack them), each paired
     caption's second word is the shape that supervised pretraining and the
-    cls head take as its label."""
+    cls head take as its label, and every word is in the vocabulary (an
+    unknown word would train as ``<unk>``)."""
+    vocab = build_vocabulary()
     for name, fields in _CORPUS_FIELDS.items():
         n_tokens: dict[str, int] = {}
         for s in corpora[name]:
@@ -113,6 +115,11 @@ def _check_corpora(corpora: dict[str, list[Sample]]) -> None:
             if name == "paired" and (len(words) < 2 or words[1] not in SHAPES):
                 raise DataError(f"{where}: caption {s.caption!r} does not name a shape "
                                 f"as its second word")
+            for f in fields:
+                value = getattr(s, f)
+                for w in value.split() if isinstance(value, str) else ():
+                    if vocab.word_to_id.get(w, vocab.unk_id) == vocab.unk_id:
+                        raise DataError(f"{where}: {f} word {w!r} is not in the vocabulary")
 
 
 def _label_of(sample: Sample) -> int:
@@ -370,29 +377,35 @@ def _pool_job(cfg: ExperimentConfig, seed: int) -> RunRecord:
     return run_stream(cfg, seed, _corpora[key])
 
 
-def compare_streams(configs: dict[str, ExperimentConfig],
-                    seeds: list[int]) -> ComparisonReport:
-    """Run every stream at every seed and assemble the comparison table.
-
-    Configs must be identical except for the pretraining mode; anything
-    else varying would confound the comparison and is rejected. The jobs
-    run on one spawned worker per usable CPU; the table does not depend on
-    the worker count, and a job's exception is raised with its own type.
-    """
+def check_comparison(configs: dict[str, ExperimentConfig], seeds: list[int]) -> None:
+    """Refuse a comparison of fewer than two streams, of no seeds or of
+    repeated or negative ones, or of streams whose configs differ in more
+    than the pretraining mode, which would confound the comparison."""
     if len(configs) < 2:
         raise ConfigError("compare needs at least two streams")
     if not seeds:
         raise ConfigError("compare needs at least one seed")
     if len(set(seeds)) != len(seeds) or min(seeds) < 0:
         raise ConfigError(f"compare seeds {seeds} must be distinct and non-negative")
-    items = sorted(configs.items())
-    first_name, first_cfg = items[0]
-    for name, other in items[1:]:
+    (first_name, first_cfg), *rest = sorted(configs.items())
+    for name, other in rest:
         diffs = diff_configs(first_cfg, other, ignore=("pretrain_mode",))
         if diffs:
             raise ConfigError(
                 f"stream {name!r} differs from {first_name!r} in non-pretrain "
                 f"fields: {diffs}")
+
+
+def compare_streams(configs: dict[str, ExperimentConfig],
+                    seeds: list[int]) -> ComparisonReport:
+    """Run every stream at every seed and assemble the comparison table.
+
+    The configs and seeds must pass ``check_comparison``. The jobs run on
+    one spawned worker per usable CPU; the table does not depend on the
+    worker count, and a job's exception is raised with its own type.
+    """
+    check_comparison(configs, seeds)
+    items = sorted(configs.items())
     main_file = getattr(sys.modules["__main__"], "__file__", None)
     if main_file is not None and not os.path.isfile(main_file):
         raise RuntimeError(
@@ -468,12 +481,15 @@ def comparison_text(report: ComparisonReport) -> str:
 
 
 def emit_comparison(report: ComparisonReport, out_dir: str | Path) -> tuple[Path, Path]:
+    """Write ``comparison.csv``, ``comparison.txt`` and the full report as
+    ``comparison.json``; return the table paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "comparison.csv"
     txt_path = out / "comparison.txt"
     csv_path.write_text(comparison_csv(report))
     txt_path.write_text(comparison_text(report))
+    (out / "comparison.json").write_text(json.dumps(asdict(report), indent=2, sort_keys=True))
     return csv_path, txt_path
 
 

@@ -306,28 +306,26 @@ class ManifestError(ValueError):
 def write_manifest(directory: str | Path, records: dict[str, list[Sample]]) -> Path:
     """Write per-task samples and their tensor payloads under ``directory``.
 
-    ``records`` maps task-id to samples. Returns the manifest path.
+    ``records`` maps task-id to samples. A sample id is unique only within
+    its task, so each task's payloads go under ``images/<task id>/`` and
+    ``masks/<task id>/``. Returns the manifest path.
     """
     d = Path(directory)
-    (d / "images").mkdir(parents=True, exist_ok=True)
-    (d / "masks").mkdir(parents=True, exist_ok=True)
+    d.mkdir(parents=True, exist_ok=True)
     lines = []
-    written: set[str] = set()
     for task_id in sorted(records):
         if "\t" in task_id:
             raise ManifestError(f"task id {task_id!r} contains a tab")
+        for sub in ("images", "masks"):
+            (d / sub / task_id).mkdir(parents=True, exist_ok=True)
         for s in records[task_id]:
             image_path = mask_path = ""
             if s.image is not None:
-                image_path = f"images/{s.sample_id}.ubtn"
-                if image_path not in written:
-                    save_tensor(d / image_path, s.image)
-                    written.add(image_path)
+                image_path = f"images/{task_id}/{s.sample_id}.ubtn"
+                save_tensor(d / image_path, s.image)
             if s.mask is not None:
-                mask_path = f"masks/{s.sample_id}.ubtn"
-                if mask_path not in written:
-                    save_tensor(d / mask_path, s.mask.astype(np.float64))
-                    written.add(mask_path)
+                mask_path = f"masks/{task_id}/{s.sample_id}.ubtn"
+                save_tensor(d / mask_path, s.mask.astype(np.float64))
             fields = (task_id, s.sample_id, image_path, mask_path,
                       s.caption, s.question, s.answer)
             for name, value in zip(MANIFEST_FIELDS, fields):

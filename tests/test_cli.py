@@ -98,15 +98,13 @@ def test_full_subcommand_flow(workspace, capsys):
 def test_finetune_single_task_and_vqa_eval(workspace):
     tmp, out, cfg = workspace
     assert main(["pretrain", "--config", str(cfg)]) == EXIT_OK
-    assert main(["finetune-task", "--config", str(cfg), "--task", "seg"]) == EXIT_OK
+    assert main(["finetune-multitask", "--config", str(cfg)]) == EXIT_OK
     assert main(["eval", "--config", str(cfg), "--split", "novel", "--vqa"]) == EXIT_OK
     report = json.loads((out / "eval-novel.json").read_text())
     assert "vqa_exact_match" in report
 
-    assert main(["finetune-task", "--config", str(cfg), "--task", "nope"]) == EXIT_CONFIG
 
-
-def test_compare_and_report(workspace, capsys):
+def test_compare_and_report(workspace, capsys, monkeypatch):
     tmp, out, cfg = workspace
     other = tmp / "pc.cfg"
     other.write_text(BASE_CFG.format(mode="pair-contrastive"))
@@ -116,13 +114,13 @@ def test_compare_and_report(workspace, capsys):
     assert rc == EXIT_OK
     assert (out / "comparison.csv").exists()
     assert (out / "comparison.txt").exists()
+    assert json.loads((out / "comparison.json").read_text())["fold_labels"] == ["novel"]
     screen = capsys.readouterr().out
     assert "wins[masked-unimodal]" in screen
 
-    rc = main(["report", "--input", str(out / "comparison.json")])
-    assert rc == EXIT_OK
-
-    assert main(["report", "--input", str(out / "ghost.json")]) == EXIT_DATA
+    # a refused compare makes no output directory
+    refused = tmp / "refused"
+    monkeypatch.setenv("UNIBOOST_OUT", str(refused))
     assert main(["compare", "--config", str(cfg), "--seeds", "0"]) == EXIT_CONFIG
     assert main(["compare", "--config", str(cfg), "--config", str(cfg),
                  "--seeds", "0"]) == EXIT_CONFIG  # same mode twice
@@ -131,6 +129,7 @@ def test_compare_and_report(workspace, capsys):
         assert main(["compare", "--config", str(cfg), "--config", str(other),
                      "--seeds", seeds]) == EXIT_CONFIG, seeds
         assert "Traceback" not in capsys.readouterr().err
+        assert not refused.exists(), seeds
 
 
 def test_config_errors_exit_2(workspace, tmp_path, monkeypatch):
@@ -175,9 +174,7 @@ def test_config_errors_exit_2(workspace, tmp_path, monkeypatch):
         bad.write_text(text.replace(old, new, 1))
         for command in ("pretrain", "finetune-multitask", "eval"):
             assert main([command, "--config", str(bad)]) == EXIT_CONFIG, (command, new)
-    # command-line overrides are validated like the file
-    assert main(["pretrain", "--config", str(cfg), "--steps", "-2"]) == EXIT_CONFIG
-    assert main(["finetune-multitask", "--config", str(cfg), "--steps", "-2"]) == EXIT_CONFIG
+    # the command-line seed is validated like the file's
     assert main(["pretrain", "--config", str(cfg), "--seed", "-1"]) == EXIT_CONFIG
     # an output path that is an existing file, through UNIBOOST_OUT or --out
     taken = tmp_path / "taken"
@@ -242,11 +239,25 @@ def _unknown_shape(fields):
     fields[4] = " ".join([words[0], "blob", *words[2:]])
 
 
+def _unknown_first_word(fields):
+    fields[4] = " ".join(["crimson", *fields[4].split()[1:]])
+
+
+def _unknown_answer(fields):
+    fields[6] = "crimson"
+
+
 @pytest.mark.parametrize("mode, corpus, edit, message", [
     ("pair-contrastive", "paired", _drop_image, "no image"),
     ("masked-unimodal", "text-only", _drop_last_word, "caption has 4 tokens"),
     ("supervised", "paired", _unknown_shape, "does not name a shape"),
-], ids=["paired-without-image", "short-text-only-caption", "caption-without-shape"])
+    # an unknown word would otherwise train as <unk>
+    ("masked-unimodal", "text-only", _unknown_first_word,
+     "caption word 'crimson' is not in the vocabulary"),
+    ("pair-contrastive", "paired", _unknown_answer,
+     "answer word 'crimson' is not in the vocabulary"),
+], ids=["paired-without-image", "short-text-only-caption", "caption-without-shape",
+        "text-only-caption-outside-vocabulary", "paired-answer-outside-vocabulary"])
 def test_ingested_corpus_the_stages_cannot_read_exits_3(workspace, capsys, mode, corpus,
                                                         edit, message):
     tmp, out, cfg = workspace
@@ -480,7 +491,6 @@ def test_checkpoint_that_does_not_fit_the_config_exits_3(workspace):
     wider.write_text(BASE_CFG.format(mode="masked-unimodal").replace(
         "width = 16", "width = 24"))
     assert main(["finetune-multitask", "--config", str(wider)]) == EXIT_DATA
-    assert main(["finetune-task", "--config", str(wider), "--task", "seg"]) == EXIT_DATA
     assert main(["eval", "--config", str(wider), "--split", "base"]) == EXIT_DATA
     deeper = tmp / "deeper.cfg"
     deeper.write_text(BASE_CFG.format(mode="masked-unimodal").replace(
@@ -498,22 +508,6 @@ def test_checkpoint_that_does_not_fit_the_config_exits_3(workspace):
     (manifest.parent / payload).unlink()
     (manifest.parent / payload).mkdir()
     assert main(["eval", "--config", str(cfg), "--split", "base"]) == EXIT_DATA
-
-
-def test_truncated_comparison_record_exits_3(workspace):
-    tmp, out, cfg = workspace
-    record = tmp / "comparison.json"
-    record.write_text('{"fold_labels": ["novel"], "rows": [')
-    assert main(["report", "--input", str(record)]) == EXIT_DATA
-    record.write_text('{"fold_labels": ["novel"]}')
-    assert main(["report", "--input", str(record)]) == EXIT_DATA
-    # parses, but names a fold that its one row does not score
-    row = {"stream": "A", "seed": 0, "fold_scores": {"novel": 30.0}, "mean": 30.0, "fb": 50.0}
-    record.write_text(json.dumps({"fold_labels": ["novel", "base"], "rows": [row],
-                                  "win_counts": {"A": 0}, "stream_means": {"A": 0.3}}))
-    assert main(["report", "--input", str(record)]) == EXIT_DATA
-    assert main(["report", "--input", str(tmp)]) == EXIT_DATA  # a directory
-    assert not (out / "comparison.csv").exists()
 
 
 def test_vocab_size_below_the_vocabulary_exits_2(workspace):
@@ -562,10 +556,48 @@ def test_env_overrides_out_flag(tmp_path, monkeypatch):
     assert not ignored.exists()
 
 
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_parser_keeps_only_the_commands_and_flags_that_change_a_run(workspace):
+    tmp, out, cfg = workspace
+    settable = {name: sorted(a.dest for a in p._actions if not isinstance(a, argparse._HelpAction))
+                for name, p in _subparsers().items()}
+    assert settable == {"gen-data": ["config", "out"],
+                        "split": ["config", "out"],
+                        "pretrain": ["config", "out", "seed"],
+                        "finetune-multitask": ["config", "out", "seed"],
+                        "eval": ["config", "out", "seed", "split", "vqa"],
+                        "compare": ["config", "out", "seeds"]}
+    removed = [["report", "--input", str(out / "comparison.json")],
+               ["finetune-task", "--config", str(cfg), "--task", "seg"],
+               ["eval", "--config", str(cfg), "--checkpoint", str(tmp)],
+               ["compare", "--config", str(cfg), "--config", str(cfg), "--steps", "5"],
+               ["compare", "--config", str(cfg), "--config", str(cfg), "--seed", "7"]]
+    for command in ("gen-data", "split", "pretrain", "finetune-multitask", "eval"):
+        removed.append([command, "--config", str(cfg), "--steps", "5"])
+    for command in ("gen-data", "split"):
+        removed.append([command, "--config", str(cfg), "--seed", "3"])
+    for argv in removed:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG, argv
+        assert sorted(p.name for p in tmp.iterdir()) == ["mu.cfg"], argv
+
+
 def test_readme_subcommand_table_lists_exactly_the_parser_commands():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n### Subcommands\n", 1)[1].split("\n#", 1)[0]
     listed = re.findall(r"^\| `([\w-]+)", section, flags=re.MULTILINE)
-    subparsers = next(a for a in build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    assert sorted(listed) == sorted(subparsers.choices)
+    assert sorted(listed) == sorted(_subparsers())
+
+
+def test_readme_names_only_options_the_parser_has():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", readme))
+    options = {o for p in _subparsers().values() for a in p._actions for o in a.option_strings}
+    other_tools = {"--no-build-isolation",  # pip, in the install line
+                   "--strict-markers"}      # pytest, set in pyproject.toml
+    assert named - options - other_tools == set()

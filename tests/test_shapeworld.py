@@ -233,6 +233,18 @@ def test_manifest_round_trip(tmp_path):
         assert loaded.answer == orig.answer
 
 
+def test_manifest_keeps_each_tasks_payloads_apart(tmp_path):
+    # a sample id is unique only within its task
+    zeros, halves = np.zeros((16, 16, 3)), np.full((16, 16, 3), 0.5)
+    records = {"a": [Sample("s1", zeros, np.zeros((16, 16), dtype=np.int64))],
+               "b": [Sample("s1", halves, np.ones((16, 16), dtype=np.int64))]}
+    back = ingest_manifest(write_manifest(tmp_path, records))
+    for task, value in (("a", 0.0), ("b", 0.5)):
+        (sample,) = back[task]
+        assert sample.image.mean() == value
+        assert sample.mask.mean() == 2 * value
+
+
 def test_manifest_errors_carry_line_numbers(tmp_path):
     cfg = tiny_config()
     corpora = gen_shapeworld(cfg)
