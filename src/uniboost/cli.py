@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 invariant
 or leakage violation, including a diverged run (a non-finite or missing
 gradient, or a numpy overflow raised by ``-W error::RuntimeWarning`` or
-``np.seterr``). The UNIBOOST_OUT environment variable overrides
---out wherever an output directory is taken.
+``np.seterr``). The output directory is UNIBOOST_OUT, else --out, else
+``runs``.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from .optim import MissingGradError, NonFiniteGradError
 from .pipeline import DataError, LeakageError
 from .pretrain import CorpusMismatchError
 from .scheduler import SchedulerError
-from .shapeworld import SHAPES, ManifestError, build_vocabulary
-from .splits import ClassFoldSpec, SplitError, fold_split
+from .shapeworld import ManifestError, build_vocabulary
 from .tensorio import TensorFormatError
 
 __all__ = ["main"]
@@ -35,11 +34,7 @@ EXIT_DATA = 3
 EXIT_INVARIANT = 4
 
 
-def _load_config(path: str, seed: int | None = None) -> ExperimentConfig:
-    """The config at ``path`` with the --seed override applied, validated
-    again with it. --out picks the output directory only (``_out_dir``), so
-    it changes neither the config fingerprint nor a checkpoint's
-    ``config.txt``."""
+def _load_config(path: str) -> ExperimentConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -47,14 +42,17 @@ def _load_config(path: str, seed: int | None = None) -> ExperimentConfig:
         text = p.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
-    cfg = parse_config(text)
-    if seed is not None:
-        cfg.seed = seed
-    return cfg.validate()
+    return parse_config(text)
 
 
-def _out_dir(args, cfg: ExperimentConfig) -> Path:
-    d = Path(os.environ.get("UNIBOOST_OUT") or args.out or cfg.out)
+def _seed(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed {args.seed} must be >= 0")
+    return args.seed
+
+
+def _out_dir(args) -> Path:
+    d = Path(os.environ.get("UNIBOOST_OUT") or args.out or "runs")
     try:
         d.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
@@ -62,45 +60,30 @@ def _out_dir(args, cfg: ExperimentConfig) -> Path:
     return d
 
 
-def _pretrain_dir(out: Path, cfg: ExperimentConfig) -> Path:
-    return out / f"pretrain-{cfg.pretrain_mode}-seed{cfg.seed}"
+def _pretrain_dir(out: Path, cfg: ExperimentConfig, seed: int) -> Path:
+    return out / f"pretrain-{cfg.pretrain_mode}-seed{seed}"
 
 
-def _model_dir(out: Path, cfg: ExperimentConfig) -> Path:
-    return out / f"model-{cfg.pretrain_mode}-seed{cfg.seed}"
+def _model_dir(out: Path, cfg: ExperimentConfig, seed: int) -> Path:
+    return out / f"model-{cfg.pretrain_mode}-seed{seed}"
 
 
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args.config)
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     manifest = pipeline.write_corpora_manifest(cfg, out / "data")
     print(f"wrote {manifest}")
     return EXIT_OK
 
 
-def cmd_split(args) -> int:
-    cfg = _load_config(args.config)
-    out = _out_dir(args, cfg)
-    n = len(SHAPES)
-    folds = {}
-    for i in range(4):
-        base, novel = fold_split(ClassFoldSpec(n, 4, i), list(SHAPES))
-        folds[f"fold{i}"] = {"base": base, "novel": novel}
-    path = out / "splits.json"
-    path.write_text(json.dumps({"folds": folds,
-                                "configured_novel": list(cfg.novel_shapes)},
-                               indent=2, sort_keys=True))
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
 def cmd_pretrain(args) -> int:
-    cfg = _load_config(args.config, args.seed)
-    out = _out_dir(args, cfg)
+    cfg = _load_config(args.config)
+    seed = _seed(args)
+    out = _out_dir(args)
     corpora = pipeline.build_corpora(cfg)
-    model = TaskModel(cfg, build_vocabulary(), cfg.seed)
-    losses = pipeline.pretrain_stage(cfg, cfg.seed, corpora, model)
-    ckpt = _pretrain_dir(out, cfg)
+    model = TaskModel(cfg, build_vocabulary(), seed)
+    losses = pipeline.pretrain_stage(cfg, seed, corpora, model)
+    ckpt = _pretrain_dir(out, cfg, seed)
     pipeline.save_encoders(model, cfg, ckpt)
     (ckpt / "losses.json").write_text(json.dumps(losses))
     for name, trace in sorted(losses.items()):
@@ -111,12 +94,13 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune_multitask(args) -> int:
-    cfg = _load_config(args.config, args.seed)
-    out = _out_dir(args, cfg)
-    model = pipeline.load_encoders(cfg, _pretrain_dir(out, cfg), cfg.seed)
+    cfg = _load_config(args.config)
+    seed = _seed(args)
+    out = _out_dir(args)
+    model = pipeline.load_encoders(cfg, _pretrain_dir(out, cfg, seed), seed)
     corpora = pipeline.build_corpora(cfg)
-    fin = pipeline.finetune_stage(cfg, cfg.seed, corpora, model)
-    mdir = _model_dir(out, cfg)
+    fin = pipeline.finetune_stage(cfg, seed, corpora, model)
+    mdir = _model_dir(out, cfg, seed)
     pipeline.save_model(model, cfg, mdir)
     (mdir / "schedule_trace.tsv").write_text("\n".join(fin.trace) + "\n")
     (mdir / "losses.json").write_text(json.dumps(fin.losses))
@@ -147,10 +131,11 @@ def _read_audit(path: Path) -> tuple[set[str], set[int]]:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args.config, args.seed)
-    out = _out_dir(args, cfg)
-    ckpt = _model_dir(out, cfg)
-    model = pipeline.load_model(cfg, ckpt, cfg.seed)
+    cfg = _load_config(args.config)
+    seed = _seed(args)
+    out = _out_dir(args)
+    ckpt = _model_dir(out, cfg, seed)
+    model = pipeline.load_model(cfg, ckpt)
     tokens, labels = (_read_audit(ckpt / "training_audit.json") if args.split == "novel"
                       else (None, None))
     report = pipeline.eval_stage(cfg, model, args.split, tokens, labels, eval_vqa=args.vqa)
@@ -175,7 +160,7 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"--seeds {args.seeds!r} is not a comma-separated list of "
                           "integers") from None
     pipeline.check_comparison(configs, seeds)  # before the output directory is made
-    out = _out_dir(args, next(iter(configs.values())))
+    out = _out_dir(args)
     report = pipeline.compare_streams(configs, seeds)
     csv_path, txt_path = pipeline.emit_comparison(report, out)
     sys.stdout.write(pipeline.comparison_text(report))
@@ -194,13 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         p.add_argument("--config", required=True, help="config file")
         if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help="override [run] seed: the model seed and checkpoint directory")
+            p.add_argument("--seed", type=int, default=0,
+                           help="the model seed and checkpoint directory (default 0)")
         p.add_argument("--out", default=None, help="output directory")
         return p
 
     command("gen-data", cmd_gen_data, "generate corpora and write a manifest", seed=False)
-    command("split", cmd_split, "write class fold splits", seed=False)
     command("pretrain", cmd_pretrain, "pretrain encoders for the configured stream")
     command("finetune-multitask", cmd_finetune_multitask, "multitask intermediate fine-tuning")
     p = command("eval", cmd_eval, "evaluate the fine-tuned checkpoint on a split")
@@ -226,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, ManifestError, SplitError, TensorFormatError, CorpusMismatchError,
+    except (DataError, ManifestError, TensorFormatError, CorpusMismatchError,
             FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -42,7 +42,7 @@ MAX_TEXT_TOKENS = 5 + ANSWER_TOKENS
 _MINIMUMS = {"width": 1, "heads": 1, "fusion_layers": 0, "fusion_heads": 1,
              "common_width": 1, "pretrain_steps": 0, "pretrain_batch_size": 1,
              "samples_per_corpus": 1, "data_seed": 0, "warmup_steps": 0, "steps": 0,
-             "batch_size": 1, "seed": 0, "eval_samples": 1}
+             "batch_size": 1, "eval_samples": 1}
 
 
 class ConfigError(ValueError):
@@ -102,8 +102,6 @@ class ExperimentConfig:
     warmup_steps: int = 50
     steps: int = _opens("run", 300)
     batch_size: int = 8
-    seed: int = 0
-    out: str = "runs"
     rebalance_threshold: int = 640
     eval_samples: int = 80
     # [task <id>] sections

@@ -70,6 +70,8 @@ class NeckConfig:
     def __post_init__(self):
         if not self.layer_set:
             raise ValueError("layer_set must name at least one image encoder layer")
+        if len(set(self.layer_set)) != len(self.layer_set):
+            raise ValueError(f"layer_set {self.layer_set} names a layer twice")
         if self.common_width % self.fusion_heads:
             raise ValueError(
                 f"common width {self.common_width} not divisible by heads {self.fusion_heads}")

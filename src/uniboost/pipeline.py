@@ -508,12 +508,11 @@ def _load_state(module, state: dict[str, np.ndarray], directory: Path) -> None:
         raise DataError(f"checkpoint at {directory} does not fit the config: {exc}") from exc
 
 
-def load_model(cfg: ExperimentConfig, directory: str | Path, seed: int) -> TaskModel:
+def load_model(cfg: ExperimentConfig, directory: str | Path) -> TaskModel:
     d = Path(directory)
     if not (d / "manifest.tsv").exists():
         raise DataError(f"missing checkpoint at {d}")
-    vocab = build_vocabulary()
-    model = TaskModel(cfg, vocab, seed)
+    model = TaskModel(cfg, build_vocabulary(), 0)  # every entry comes from disk
     _load_state(model, load_checkpoint(d), d)
     return model
 

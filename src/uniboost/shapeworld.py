@@ -141,6 +141,8 @@ class ShapeWorldConfig:
                 f"grid {self.grid_size} too small for two {STENCIL}x{STENCIL} shapes")
         if not set(self.novel_shapes) <= set(SHAPES):
             raise ValueError("novel shapes must be a subset of SHAPES")
+        if len(set(self.novel_shapes)) != len(self.novel_shapes):
+            raise ValueError(f"novel shapes {self.novel_shapes} name a shape twice")
         if len(set(SHAPES) - set(self.novel_shapes)) < 2:
             raise ValueError("need at least two base shapes for two-shape scenes")
         if not 0.0 <= self.paired_fraction <= 1.0:

@@ -135,6 +135,11 @@ def load_checkpoint(dirpath: str | Path) -> dict[str, np.ndarray]:
         if len(parts) != 3:
             raise TensorFormatError(f"{manifest}:{lineno}: expected 3 tab-separated fields")
         name, dims_text, fname = parts
+        if name in out:
+            raise TensorFormatError(f"{manifest}:{lineno}: parameter {name!r} repeats")
+        if fname in ("", "..") or Path(fname).name != fname:
+            raise TensorFormatError(
+                f"{manifest}:{lineno}: payload {fname!r} is not a file name in {d}")
         try:
             dims = tuple(int(x) for x in dims_text.split(",")) if dims_text else ()
         except ValueError:

@@ -68,11 +68,6 @@ def test_full_subcommand_flow(workspace, capsys):
     assert main(["gen-data", "--config", str(cfg)]) == EXIT_OK
     assert (out / "data" / "manifest.tsv").exists()
 
-    assert main(["split", "--config", str(cfg)]) == EXIT_OK
-    splits = json.loads((out / "splits.json").read_text())
-    assert set(splits["folds"]) == {"fold0", "fold1", "fold2", "fold3"}
-    assert splits["configured_novel"] == ["ring", "diamond"]
-
     assert main(["pretrain", "--config", str(cfg)]) == EXIT_OK
     pre_dir = out / "pretrain-masked-unimodal-seed0"
     assert (pre_dir / "manifest.tsv").exists()
@@ -93,6 +88,9 @@ def test_full_subcommand_flow(workspace, capsys):
     assert main(["eval", "--config", str(cfg), "--split", "base"]) == EXIT_OK
     screen = capsys.readouterr().out
     assert "base mIoU" in screen
+    assert sorted(p.name for p in out.iterdir()) == [
+        "data", "eval-base.json", "eval-novel.json",
+        "model-masked-unimodal-seed0", "pretrain-masked-unimodal-seed0"]
 
 
 def test_finetune_single_task_and_vqa_eval(workspace):
@@ -132,7 +130,7 @@ def test_compare_and_report(workspace, capsys, monkeypatch):
         assert not refused.exists(), seeds
 
 
-def test_config_errors_exit_2(workspace, tmp_path, monkeypatch):
+def test_config_errors_exit_2(workspace, tmp_path, monkeypatch, capsys):
     tmp, out, cfg = workspace
     assert main(["pretrain", "--config", str(tmp / "missing.cfg")]) == EXIT_CONFIG
     assert main(["pretrain", "--config", str(tmp)]) == EXIT_CONFIG  # a directory
@@ -154,6 +152,10 @@ def test_config_errors_exit_2(workspace, tmp_path, monkeypatch):
                      ("fusion_layers = 1", "fusion_layers = -1"),
                      ("[data]", "[data]\ngrid_size = 12"),
                      ("[data]", "[data]\nnovel_shapes = ring, blob"),
+                     # a repeated entry: eval would meet a class twice, the
+                     # neck would read one layer where it expects two
+                     ("[data]", "[data]\nnovel_shapes = ring, ring"),
+                     ("layer_set = 1", "layer_set = 1, 1"),
                      ("paired_fraction = 0.5", "paired_fraction = 1.5"),
                      ("patch_size = 4", "patch_size = 1"),
                      ("patch_size = 4", "patch_size = 3"),
@@ -174,8 +176,18 @@ def test_config_errors_exit_2(workspace, tmp_path, monkeypatch):
         bad.write_text(text.replace(old, new, 1))
         for command in ("pretrain", "finetune-multitask", "eval"):
             assert main([command, "--config", str(bad)]) == EXIT_CONFIG, (command, new)
-    # the command-line seed is validated like the file's
-    assert main(["pretrain", "--config", str(cfg), "--seed", "-1"]) == EXIT_CONFIG
+    # the run's seed and output directory are flags, not config keys
+    for key in ("seed = 1", "out = x"):
+        bad.write_text(text.replace("steps = 3", f"steps = 3\n{key}", 1))
+        for command in ("pretrain", "finetune-multitask", "eval"):
+            capsys.readouterr()
+            assert main([command, "--config", str(bad)]) == EXIT_CONFIG, (command, key)
+            assert (f"unknown key '{key.split()[0]}' in section [run]"
+                    in capsys.readouterr().err), (command, key)
+    for command in ("pretrain", "finetune-multitask", "eval"):
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--seed", "-1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: --seed -1 must be >= 0\n"
     # an output path that is an existing file, through UNIBOOST_OUT or --out
     taken = tmp_path / "taken"
     taken.write_text("a file\n")
@@ -183,7 +195,7 @@ def test_config_errors_exit_2(workspace, tmp_path, monkeypatch):
     assert main(["pretrain", "--config", str(cfg)]) == EXIT_CONFIG
     monkeypatch.delenv("UNIBOOST_OUT")
     for dest in (taken, taken / "below"):
-        for command in ("split", "pretrain"):
+        for command in ("gen-data", "pretrain"):
             assert main([command, "--config", str(cfg), "--out", str(dest)]) == EXIT_CONFIG
     assert taken.read_text() == "a file\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "mu.cfg", "taken"]
@@ -504,6 +516,12 @@ def test_checkpoint_that_does_not_fit_the_config_exits_3(workspace):
     name, dims, payload = good.decode().splitlines()[0].split("\t")
     manifest.write_bytes(good.replace(f"\t{dims}\t".encode(), f"\t{dims},x\t".encode(), 1))
     assert main(["eval", "--config", str(cfg), "--split", "base"]) == EXIT_DATA
+    # a parameter named twice, and a payload from the pretraining checkpoint
+    manifest.write_bytes(good + f"{name}\t{dims}\t{payload}\n".encode())
+    assert main(["eval", "--config", str(cfg), "--split", "base"]) == EXIT_DATA
+    manifest.write_bytes(good.replace(
+        f"\t{payload}\n".encode(), f"\t../pretrain-masked-unimodal-seed0/{payload}\n".encode(), 1))
+    assert main(["eval", "--config", str(cfg), "--split", "base"]) == EXIT_DATA
     manifest.write_bytes(good)
     (manifest.parent / payload).unlink()
     (manifest.parent / payload).mkdir()
@@ -526,23 +544,27 @@ def test_out_flag_used_without_env(tmp_path, monkeypatch):
     cfg = tmp_path / "mu.cfg"
     cfg.write_text(BASE_CFG.format(mode="masked-unimodal"))
     dest = tmp_path / "elsewhere"
-    assert main(["split", "--config", str(cfg), "--out", str(dest)]) == EXIT_OK
-    assert (dest / "splits.json").exists()
+    assert main(["gen-data", "--config", str(cfg), "--out", str(dest)]) == EXIT_OK
+    assert (dest / "data" / "manifest.tsv").exists()
+    assert not (tmp_path / "runs").exists()
 
 
 def test_out_flag_leaves_the_config_unchanged(tmp_path, monkeypatch):
-    """--out picks a directory only: two runs that differ in it record the
-    same config, as runs that differ in UNIBOOST_OUT do."""
+    """--out and --seed pick the run, not the experiment: runs that differ
+    only in them record the same config, as runs that differ in
+    UNIBOOST_OUT do."""
     monkeypatch.delenv("UNIBOOST_OUT", raising=False)
     cfg = tmp_path / "mu.cfg"
     cfg.write_text(BASE_CFG.format(mode="masked-unimodal"))
     texts = []
-    for name in ("a", "b"):
+    for name, seed in (("a", "0"), ("b", "0"), ("b", "3")):
         dest = tmp_path / name
-        assert main(["pretrain", "--config", str(cfg), "--out", str(dest)]) == EXIT_OK
-        texts.append((dest / "pretrain-masked-unimodal-seed0" / "config.txt").read_text())
-    assert texts[0] == texts[1]
-    assert "out = runs\n" in texts[0]
+        assert main(["pretrain", "--config", str(cfg), "--out", str(dest),
+                     "--seed", seed]) == EXIT_OK
+        ckpt = dest / f"pretrain-masked-unimodal-seed{seed}"
+        texts.append((ckpt / "config.txt").read_text())
+    assert texts[0] == texts[1] == texts[2]
+    assert "\n[run]\nsteps = 3\nbatch_size = 4\nrebalance_threshold = 8\n" in texts[0]
 
 
 def test_env_overrides_out_flag(tmp_path, monkeypatch):
@@ -551,8 +573,8 @@ def test_env_overrides_out_flag(tmp_path, monkeypatch):
     cfg = tmp_path / "mu.cfg"
     cfg.write_text(BASE_CFG.format(mode="masked-unimodal"))
     ignored = tmp_path / "ignored"
-    assert main(["split", "--config", str(cfg), "--out", str(ignored)]) == EXIT_OK
-    assert (env_dir / "splits.json").exists()
+    assert main(["gen-data", "--config", str(cfg), "--out", str(ignored)]) == EXIT_OK
+    assert (env_dir / "data" / "manifest.tsv").exists()
     assert not ignored.exists()
 
 
@@ -566,20 +588,21 @@ def test_parser_keeps_only_the_commands_and_flags_that_change_a_run(workspace):
     settable = {name: sorted(a.dest for a in p._actions if not isinstance(a, argparse._HelpAction))
                 for name, p in _subparsers().items()}
     assert settable == {"gen-data": ["config", "out"],
-                        "split": ["config", "out"],
                         "pretrain": ["config", "out", "seed"],
                         "finetune-multitask": ["config", "out", "seed"],
                         "eval": ["config", "out", "seed", "split", "vqa"],
                         "compare": ["config", "out", "seeds"]}
+    assert all(p.get_default("seed") == 0 for name, p in _subparsers().items()
+               if "seed" in settable[name])
     removed = [["report", "--input", str(out / "comparison.json")],
+               ["split", "--config", str(cfg)],
                ["finetune-task", "--config", str(cfg), "--task", "seg"],
                ["eval", "--config", str(cfg), "--checkpoint", str(tmp)],
                ["compare", "--config", str(cfg), "--config", str(cfg), "--steps", "5"],
                ["compare", "--config", str(cfg), "--config", str(cfg), "--seed", "7"]]
-    for command in ("gen-data", "split", "pretrain", "finetune-multitask", "eval"):
+    for command in ("gen-data", "pretrain", "finetune-multitask", "eval"):
         removed.append([command, "--config", str(cfg), "--steps", "5"])
-    for command in ("gen-data", "split"):
-        removed.append([command, "--config", str(cfg), "--seed", "3"])
+    removed.append(["gen-data", "--config", str(cfg), "--seed", "3"])
     for argv in removed:
         with pytest.raises(SystemExit) as exc:
             main(argv)

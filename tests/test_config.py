@@ -99,6 +99,11 @@ def test_semantic_validation():
         parse_config("[pretrain]\nmode = clip\n")
     with pytest.raises(ConfigError, match="outside 1..2"):
         parse_config("[neck]\nlayer_set = 1,3\n")
+    with pytest.raises(ConfigError, match=r"^layer_set \(2, 2\) names a layer twice$"):
+        parse_config("[neck]\nlayer_set = 2, 2\n")
+    with pytest.raises(ConfigError,
+                       match=r"^novel shapes \('ring', 'ring'\) name a shape twice$"):
+        parse_config("[data]\nnovel_shapes = ring, ring\n")
     with pytest.raises(ConfigError, match="unknown route"):
         parse_config("[task a]\nroute = audio\n")
     with pytest.raises(ConfigError, match="unknown head"):
@@ -154,14 +159,14 @@ batch_size = 4
 # config_fingerprint names runs, checkpoints and run records, so the bytes
 # that serialize_config writes for these configs must never drift.
 PINNED_FINGERPRINTS = {
-    "default": "9a59537fd72f2433",
-    "chain-masked-unimodal.cfg": "33e81ebd17c8e79e",
-    "sweep-masked-unimodal.cfg": "e69595c5a5e1ebfa",
-    "sweep-pair-contrastive.cfg": "6df7e8adbdf843ff",
-    "train-masked-unimodal.cfg": "6baa00aca27b51f9",
-    "train-pair-contrastive.cfg": "7f1c1b0c4e6dd2d9",
-    "stream-pair-contrastive": "4bf2691fc8ecb722",
-    "stream-masked-unimodal": "45d04c6cd0b0f5ea",
+    "default": "bc4e284b1d097736",
+    "chain-masked-unimodal.cfg": "29403c47021a44d1",
+    "sweep-masked-unimodal.cfg": "f686be8e97d851a4",
+    "sweep-pair-contrastive.cfg": "e16064545f76ea71",
+    "train-masked-unimodal.cfg": "d18718ce608376e6",
+    "train-pair-contrastive.cfg": "61080e34f6c0db5c",
+    "stream-pair-contrastive": "a89a74de5a4e5a7d",
+    "stream-masked-unimodal": "4065c11fb93f3d44",
 }
 
 
@@ -189,9 +194,11 @@ def test_every_field_round_trips_through_its_key():
         pretrain_peak_lr=3e-4, grid_size=20, samples_per_corpus=33, paired_fraction=0.1,
         novel_shapes=("ring",), family_affinity=0.3, color_affinity=0.2, data_seed=9,
         manifest="corpora/manifest.tsv", peak_lr=2e-3, warmup_steps=3, steps=11,
-        batch_size=3, seed=4, out="elsewhere", rebalance_threshold=7, eval_samples=9,
+        batch_size=3, rebalance_threshold=7, eval_samples=9,
         tasks=[TaskSpec("a", "image-only", "cls", 2), TaskSpec("b", "deep-fusion", "vqa", 5)])
     default = ExperimentConfig()
+    # 28 keys and the tasks: the run's seed and output directory are flags
+    assert len(fields(ExperimentConfig)) == 29
     assert diff_configs(default, cfg) == [f.name for f in fields(ExperimentConfig)]
     assert all(getattr(cfg.tasks[1], f.name) != getattr(TaskSpec(), f.name)
                for f in fields(TaskSpec))
@@ -201,19 +208,19 @@ def test_every_field_round_trips_through_its_key():
 
 
 def test_fingerprint_tracks_content():
-    a = parse_config("[run]\nseed = 1\n")
-    b = parse_config("[run]\nseed = 1\n")
-    c = parse_config("[run]\nseed = 2\n")
+    a = parse_config("[data]\nseed = 1\n")
+    b = parse_config("[data]\nseed = 1\n")
+    c = parse_config("[data]\nseed = 2\n")
     assert config_fingerprint(a) == config_fingerprint(b)
     assert config_fingerprint(a) != config_fingerprint(c)
     assert len(config_fingerprint(a)) == 16
 
 
 def test_diff_configs_names_fields_and_respects_ignore():
-    a = parse_config("[run]\nseed = 1\nsteps = 5\n")
-    b = parse_config("[run]\nseed = 2\nsteps = 6\n")
-    assert diff_configs(a, b) == ["steps", "seed"]
-    assert diff_configs(a, b, ignore=("seed",)) == ["steps"]
+    a = parse_config("[run]\neval_samples = 1\nsteps = 5\n")
+    b = parse_config("[run]\neval_samples = 2\nsteps = 6\n")
+    assert diff_configs(a, b) == ["steps", "eval_samples"]
+    assert diff_configs(a, b, ignore=("eval_samples",)) == ["steps"]
     c = parse_config("[task t]\nroute = image-only\nhead = cls\n")
     assert diff_configs(parse_config(""), c) == ["tasks"]
 
@@ -265,3 +272,17 @@ def test_readme_configs_parse():
     inline = re.findall(r"`(\w+) = [^`]*`", readme)
     assert inline
     assert [key for key in inline if key not in keys] == []
+
+
+def test_readme_section_key_references_name_real_keys():
+    """Every `[section] key` that README.md names is a key of that section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    real, section = set(), ""
+    for line in serialize_config(ExperimentConfig(tasks=[TaskSpec("t")])).splitlines():
+        if line.startswith("["):
+            section = line[1:-1].split()[0]  # [task t] is a task section
+        elif line:
+            real.add((section, line.partition(" = ")[0]))
+    named = re.findall(r"`\[(\w+)[^\]`]*\] (\w+)`", readme)
+    assert named
+    assert [ref for ref in named if ref not in real] == []

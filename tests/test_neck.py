@@ -162,6 +162,8 @@ def test_projection_validation():
 def test_neck_config_validation():
     with pytest.raises(ValueError, match="layer_set"):
         NeckConfig(layer_set=())
+    with pytest.raises(ValueError, match="names a layer twice"):
+        NeckConfig(layer_set=(1, 1))
     with pytest.raises(ValueError, match="not divisible"):
         NeckConfig(common_width=10, fusion_heads=4)
 

@@ -179,6 +179,8 @@ def test_config_validation():
         ShapeWorldConfig(grid_size=8)
     with pytest.raises(ValueError, match="subset"):
         tiny_config(novel_shapes=("ring", "hexagon"))
+    with pytest.raises(ValueError, match="name a shape twice"):
+        tiny_config(novel_shapes=("ring", "ring"))
     with pytest.raises(ValueError, match="two base shapes"):
         tiny_config(novel_shapes=SHAPES[1:])
     with pytest.raises(ValueError, match="paired fraction"):

@@ -1,6 +1,7 @@
 """Tensor file format, byte for byte, and checkpoint directories."""
 
 import os
+import re
 import struct
 
 import numpy as np
@@ -136,6 +137,28 @@ def test_checkpoint_payload_that_is_a_directory_is_refused(tmp_path):
     payload.mkdir()
     with pytest.raises(TensorFormatError, match="p0000.ubtn: is a directory"):
         load_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_parameter_named_twice_is_refused(tmp_path):
+    # a second row of the same shape would otherwise replace the first one
+    save_checkpoint(tmp_path / "ckpt", {"a": np.zeros(2), "b": np.ones(2)})
+    manifest = tmp_path / "ckpt" / "manifest.tsv"
+    manifest.write_text(manifest.read_text() + "a\t2\tp0001.ubtn\n")
+    with pytest.raises(TensorFormatError, match=r"manifest.tsv:3: parameter 'a' repeats"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_payload_outside_its_directory_is_refused(tmp_path):
+    save_checkpoint(tmp_path / "ckpt", {"w": np.zeros((2, 3))})
+    save_checkpoint(tmp_path / "other", {"w": np.ones((2, 3))})
+    manifest = tmp_path / "ckpt" / "manifest.tsv"
+    for payload in ("../other/p0000.ubtn", str(tmp_path / "other" / "p0000.ubtn"),
+                    "./p0000.ubtn", "..", ""):
+        manifest.write_text(f"w\t2,3\t{payload}\n")
+        with pytest.raises(TensorFormatError,
+                           match=rf"manifest.tsv:1: payload '{re.escape(payload)}' is not "
+                                 "a file name in "):
+            load_checkpoint(tmp_path / "ckpt")
 
 
 def test_checkpoint_shape_cross_check(tmp_path):
