@@ -23,7 +23,7 @@ from .optim import MissingGradError, NonFiniteGradError
 from .pipeline import DataError, LeakageError
 from .pretrain import CorpusMismatchError
 from .scheduler import SchedulerError
-from .shapeworld import ManifestError, build_vocabulary
+from .shapeworld import build_vocabulary
 from .tensorio import TensorFormatError
 
 __all__ = ["main"]
@@ -66,14 +66,6 @@ def _pretrain_dir(out: Path, cfg: ExperimentConfig, seed: int) -> Path:
 
 def _model_dir(out: Path, cfg: ExperimentConfig, seed: int) -> Path:
     return out / f"model-{cfg.pretrain_mode}-seed{seed}"
-
-
-def cmd_gen_data(args) -> int:
-    cfg = _load_config(args.config)
-    out = _out_dir(args)
-    manifest = pipeline.write_corpora_manifest(cfg, out / "data")
-    print(f"wrote {manifest}")
-    return EXIT_OK
 
 
 def cmd_pretrain(args) -> int:
@@ -173,18 +165,16 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="desk-scale multitask pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, help, seed=True):
+    def command(name, fn, help):
         # no abbreviated flags: `compare --seed 7` must not run as `--seeds 7`
         p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(fn=fn)
         p.add_argument("--config", required=True, help="config file")
-        if seed:
-            p.add_argument("--seed", type=int, default=0,
-                           help="the model seed and checkpoint directory (default 0)")
+        p.add_argument("--seed", type=int, default=0,
+                       help="the model seed and checkpoint directory (default 0)")
         p.add_argument("--out", default=None, help="output directory")
         return p
 
-    command("gen-data", cmd_gen_data, "generate corpora and write a manifest", seed=False)
     command("pretrain", cmd_pretrain, "pretrain encoders for the configured stream")
     command("finetune-multitask", cmd_finetune_multitask, "multitask intermediate fine-tuning")
     p = command("eval", cmd_eval, "evaluate the fine-tuned checkpoint on a split")
@@ -210,8 +200,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, ManifestError, TensorFormatError, CorpusMismatchError,
-            FileNotFoundError) as exc:
+    except (DataError, TensorFormatError, CorpusMismatchError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (LeakageError, SchedulerError, MetricError, NonFiniteGradError,

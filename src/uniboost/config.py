@@ -97,7 +97,6 @@ class ExperimentConfig:
     family_affinity: float = 0.5
     color_affinity: float = 0.6
     data_seed: int = 0
-    manifest: str = ""
     peak_lr: float = _opens("optimizer", 1e-3)
     warmup_steps: int = 50
     steps: int = _opens("run", 300)
@@ -122,8 +121,8 @@ class ExperimentConfig:
         try:
             encoder_config(self)
             neck_config(self)
-            world_config(self)
-            RebalancePolicy(threshold=self.rebalance_threshold)
+            n_paired = world_config(self).n_paired
+            policy = RebalancePolicy(threshold=self.rebalance_threshold)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(str(exc)) from None
         if self.grid_size % self.patch_size:
@@ -144,8 +143,13 @@ class ExperimentConfig:
         ids = [t.task_id for t in self.tasks]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate task ids: {sorted(ids)}")
+        # fine-tuning draws each task's batches from the rebalanced paired corpus
+        n_finetune = n_paired * policy.copies(n_paired) if n_paired else 0
         for t in self.tasks:
             t.validate()
+            if t.batch_size > n_finetune:
+                raise ConfigError(f"task {t.task_id}: batch_size {t.batch_size} exceeds the "
+                                  f"{n_finetune} paired samples fine-tuning draws from")
         return self
 
 

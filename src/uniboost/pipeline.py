@@ -1,15 +1,15 @@
 """Experiment orchestration: corpora assembly, the pretrain / finetune /
 eval stages, stream comparison, and report emission.
 
-The corpora keep their manifest form throughout: a {task id: samples} dict
-of the ``paired``, ``image-only`` and ``text-only`` corpora.
+The corpora are a {corpus name: samples} dict of the ``paired``,
+``image-only`` and ``text-only`` corpora.
 
 Determinism contract: every number any stage emits is a pure function of
 (config, seed). Randomness is drawn from generators seeded by stable
-derivations of those two values, corpora are regenerated or ingested
-bit-exactly, and reports are formatted from rounded decimals, so a rerun
-produces byte-identical artifacts (wall time lives only in run records,
-never in reports). It holds across workers: a ``compare_streams`` job's
+derivations of those two values, corpora are regenerated bit-exactly, and
+reports are formatted from rounded decimals, so a rerun produces
+byte-identical artifacts (wall time lives only in run records, never in
+reports). It holds across workers: a ``compare_streams`` job's
 result does not depend on the worker count, on which spawned worker ran
 it, or on what that worker ran before.
 """
@@ -38,8 +38,8 @@ from .optim import AdamW
 from .pretrain import PretrainMode, pretrain_run, train
 from .scheduler import (DataQueue, RebalancePolicy, TaskDataset, apply_augmentation,
                         rebalance)
-from .shapeworld import (SHAPES, Sample, build_vocabulary, class_id, gen_shapeworld,
-                         gen_single_shape_corpus, ingest_manifest, write_manifest)
+from .shapeworld import (SHAPES, Sample, ShapeWorldConfig, build_vocabulary, class_id,
+                         gen_shapeworld, gen_single_shape_corpus)
 from .tensorio import load_checkpoint, save_checkpoint
 
 __all__ = ["LeakageError", "DataError", "RunRecord", "ComparisonRow",
@@ -68,58 +68,12 @@ class RunRecord:
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
 
-# The corpora, each with the sample fields the stages read from it.
-_CORPUS_FIELDS = {"paired": ("image", "mask", "caption", "question", "answer"),
-                  "image-only": ("image",),
-                  "text-only": ("caption",)}
-
-
 def build_corpora(cfg: ExperimentConfig) -> dict[str, list[Sample]]:
-    """The corpora from the config: generated, or the ``_CORPUS_FIELDS``
-    corpora of the manifest if a manifest path is configured. Each corpus
-    must hold what the stages read of it, and the paired corpus, which every
+    """The generated corpora of the config. The paired corpus, which every
     stage may train on, must pass the leakage audit."""
-    if not cfg.manifest:
-        corpora = gen_shapeworld(world_config(cfg))
-    else:
-        tasks = ingest_manifest(cfg.manifest, expected_grid=cfg.grid_size)
-        missing = set(_CORPUS_FIELDS) - set(tasks)
-        if missing:
-            raise DataError(f"manifest lacks corpora {sorted(missing)}")
-        corpora = {name: tasks[name] for name in _CORPUS_FIELDS}
-    _check_corpora(corpora)
+    corpora = gen_shapeworld(world_config(cfg))
     audit_leakage(cfg.novel_shapes, *_audit_content(corpora["paired"]))
     return corpora
-
-
-def _check_corpora(corpora: dict[str, list[Sample]]) -> None:
-    """Every sample has the fields the stages read, each text field has one
-    token count across its corpus (batches stack them), each paired
-    caption's second word is the shape that supervised pretraining and the
-    cls head take as its label, and every word is in the vocabulary (an
-    unknown word would train as ``<unk>``)."""
-    vocab = build_vocabulary()
-    for name, fields in _CORPUS_FIELDS.items():
-        n_tokens: dict[str, int] = {}
-        for s in corpora[name]:
-            where = f"corpus {name!r} sample {s.sample_id!r}"
-            for f in fields:
-                value = getattr(s, f)
-                n = len(value.split()) if isinstance(value, str) else None
-                if value is None or n == 0:
-                    raise DataError(f"{where}: no {f}")
-                if n is not None and n_tokens.setdefault(f, n) != n:
-                    raise DataError(f"{where}: {f} has {n} tokens, the corpus's first "
-                                    f"has {n_tokens[f]}")
-            words = s.caption.split()
-            if name == "paired" and (len(words) < 2 or words[1] not in SHAPES):
-                raise DataError(f"{where}: caption {s.caption!r} does not name a shape "
-                                f"as its second word")
-            for f in fields:
-                value = getattr(s, f)
-                for w in value.split() if isinstance(value, str) else ():
-                    if vocab.word_to_id.get(w, vocab.unk_id) == vocab.unk_id:
-                        raise DataError(f"{where}: {f} word {w!r} is not in the vocabulary")
 
 
 def _label_of(sample: Sample) -> int:
@@ -360,13 +314,13 @@ def tune_allocator() -> None:
 
 
 # A pool worker's corpora, keyed on everything build_corpora reads.
-_corpora: dict[tuple, dict[str, list[Sample]]] = {}
+_corpora: dict[ShapeWorldConfig, dict[str, list[Sample]]] = {}
 
 
 def _pool_job(cfg: ExperimentConfig, seed: int) -> RunRecord:
     """``run_stream`` on this worker's ``build_corpora(cfg)``, built once and
     read-only, so a job writing into it raises instead of changing the next."""
-    key = (cfg.manifest, world_config(cfg))
+    key = world_config(cfg)
     if key not in _corpora:
         corpora = build_corpora(cfg)
         for s in (s for corpus in corpora.values() for s in corpus):
@@ -379,8 +333,9 @@ def _pool_job(cfg: ExperimentConfig, seed: int) -> RunRecord:
 
 def check_comparison(configs: dict[str, ExperimentConfig], seeds: list[int]) -> None:
     """Refuse a comparison of fewer than two streams, of no seeds or of
-    repeated or negative ones, or of streams whose configs differ in more
-    than the pretraining mode, which would confound the comparison."""
+    repeated or negative ones, of streams whose configs differ in more than
+    the pretraining mode, which would confound the comparison, or of streams
+    with no task to fine-tune on."""
     if len(configs) < 2:
         raise ConfigError("compare needs at least two streams")
     if not seeds:
@@ -394,6 +349,8 @@ def check_comparison(configs: dict[str, ExperimentConfig], seeds: list[int]) -> 
             raise ConfigError(
                 f"stream {name!r} differs from {first_name!r} in non-pretrain "
                 f"fields: {diffs}")
+    if not first_cfg.tasks:
+        raise ConfigError("no [task <id>] sections configured")
 
 
 def compare_streams(configs: dict[str, ExperimentConfig],
@@ -533,7 +490,3 @@ def load_encoders(cfg: ExperimentConfig, directory: str | Path, seed: int) -> Ta
     heads = {p.name: p.values for p in model.head_parameters()}
     _load_state(model, {**heads, **load_checkpoint(d)}, d)
     return model
-
-
-def write_corpora_manifest(cfg: ExperimentConfig, directory: str | Path) -> Path:
-    return write_manifest(directory, build_corpora(cfg))

@@ -130,6 +130,11 @@ class RebalancePolicy:
         if self.threshold < 1:
             raise SchedulerError("rebalance threshold must be >= 1")
 
+    def copies(self, n: int) -> int:
+        """How many copies of each of ``n`` samples, the original among them,
+        ``rebalance`` makes the dataset hold."""
+        return math.ceil(self.threshold / n)
+
 
 @dataclass(frozen=True)
 class AugSpec:
@@ -150,7 +155,7 @@ def rebalance(dataset: TaskDataset,
     n = len(dataset.sample_ids)
     if n >= policy.threshold:
         return dataset, {}
-    copies = math.ceil(policy.threshold / n)
+    copies = policy.copies(n)
     rng = np.random.default_rng([dataset.rng_seed, 0xA6])
     plan: dict[str, AugSpec] = {}
     derived: list[str] = []

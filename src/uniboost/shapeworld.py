@@ -18,27 +18,24 @@ scene is the first one's partner. Co-occurrence is what lets unimodal
 pretraining place a novel class near its base partner while pair-trained
 models never see the novel classes at all.
 
-All pixel values are quantized to float32 at creation so that saved
-corpora round-trip bit-exactly through the float32 tensor file format.
-Each shape's stencil is built once per process, on first use, and shared
-read-only by every render after it.
+All pixel values are quantized to float32 at creation: every pinned result
+was measured on corpora of that precision. Each shape's stencil is built
+once per process, on first use, and shared read-only by every render after
+it.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .encoders import Vocabulary
-from .tensorio import load_tensor, save_tensor
 
 __all__ = ["ShapeWorldConfig", "Sample", "SHAPES", "COLORS",
            "RELATIONS", "FAMILIES", "gen_shapeworld", "gen_single_shape_corpus",
-           "build_vocabulary", "write_manifest", "ingest_manifest", "ManifestError",
-           "shape_stencil", "analytic_area", "class_id"]
+           "build_vocabulary", "shape_stencil", "analytic_area", "class_id"]
 
 SHAPES = ("square", "circle", "triangle", "cross", "bar", "pole", "ring", "diamond")
 COLORS = {
@@ -292,125 +289,3 @@ def build_vocabulary() -> Vocabulary:
     words = ["background"] + list(COLORS) + list(SHAPES) + list(RELATIONS)
     words += ["what", "color", "shape", "is", "the"]
     return Vocabulary(words)
-
-
-# ---------------------------------------------------------------------------
-# manifest I/O
-
-MANIFEST_FIELDS = ("task-id", "sample-id", "image-path", "mask-path",
-                   "caption", "question", "answer")
-
-
-class ManifestError(ValueError):
-    """Malformed manifest or missing payload."""
-
-
-def write_manifest(directory: str | Path, records: dict[str, list[Sample]]) -> Path:
-    """Write per-task samples and their tensor payloads under ``directory``.
-
-    ``records`` maps task-id to samples. A sample id is unique only within
-    its task, so each task's payloads go under ``images/<task id>/`` and
-    ``masks/<task id>/``. Returns the manifest path.
-    """
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for task_id in sorted(records):
-        if "\t" in task_id:
-            raise ManifestError(f"task id {task_id!r} contains a tab")
-        for sub in ("images", "masks"):
-            (d / sub / task_id).mkdir(parents=True, exist_ok=True)
-        for s in records[task_id]:
-            image_path = mask_path = ""
-            if s.image is not None:
-                image_path = f"images/{task_id}/{s.sample_id}.ubtn"
-                save_tensor(d / image_path, s.image)
-            if s.mask is not None:
-                mask_path = f"masks/{task_id}/{s.sample_id}.ubtn"
-                save_tensor(d / mask_path, s.mask.astype(np.float64))
-            fields = (task_id, s.sample_id, image_path, mask_path,
-                      s.caption, s.question, s.answer)
-            for name, value in zip(MANIFEST_FIELDS, fields):
-                if "\t" in value or "\n" in value:
-                    raise ManifestError(
-                        f"field {name} of sample {s.sample_id} contains a separator")
-            lines.append("\t".join(fields))
-    manifest = d / "manifest.tsv"
-    manifest.write_text("\n".join(lines) + ("\n" if lines else ""))
-    return manifest
-
-
-def ingest_manifest(manifest_path: str | Path,
-                    expected_grid: int | None = None) -> dict[str, list[Sample]]:
-    """Load a manifest back into per-task sample lists. A sample id is unique
-    within its task and holds no ``#``, which marks derived ids."""
-    path = Path(manifest_path)
-    if not path.exists():
-        raise ManifestError(f"{path}: no such manifest")
-    if not path.is_file():
-        raise ManifestError(f"{path}: manifest is not a regular file")
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ManifestError(f"{path}: manifest is not UTF-8 text: {exc}") from None
-    base = path.parent
-    tasks: dict[str, list[Sample]] = {}
-    first_line: dict[tuple[str, str], int] = {}  # (task id, sample id) -> line
-    if not any(ln.strip() for ln in lines):
-        raise ManifestError(f"{path}: no records")
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != len(MANIFEST_FIELDS):
-            raise ManifestError(
-                f"{path}:{lineno}: expected {len(MANIFEST_FIELDS)} tab-separated "
-                f"fields, got {len(parts)}")
-        task_id, sample_id, image_path, mask_path, caption, question, answer = parts
-        if not task_id:
-            raise ManifestError(f"{path}:{lineno}: empty task-id field")
-        if not sample_id:
-            raise ManifestError(f"{path}:{lineno}: empty sample-id field")
-        if "#" in sample_id:
-            raise ManifestError(f"{path}:{lineno}: sample id {sample_id!r} contains '#'")
-        seen = first_line.setdefault((task_id, sample_id), lineno)
-        if seen != lineno:
-            raise ManifestError(f"{path}:{lineno}: sample id {sample_id!r} repeats "
-                                f"line {seen} of task {task_id!r}")
-        image = mask = None
-        if image_path:
-            full = base / image_path
-            if not full.exists():
-                raise ManifestError(f"{path}:{lineno}: missing image file {image_path}")
-            image = load_tensor(full)
-            bad = image[~np.isfinite(image)]
-            if bad.size:
-                raise ManifestError(f"{path}:{lineno}: image {image_path} holds "
-                                    f"{float(bad[0])}, not a finite pixel value")
-            if image.ndim != 3 or image.shape[2] != 3:
-                raise ManifestError(
-                    f"{path}:{lineno}: image {image_path} has shape {image.shape}, "
-                    f"expected H x W x 3")
-            if expected_grid and image.shape[:2] != (expected_grid, expected_grid):
-                raise ManifestError(
-                    f"{path}:{lineno}: image {image_path} is {image.shape[0]}x"
-                    f"{image.shape[1]}, config says {expected_grid}")
-        if mask_path:
-            full = base / mask_path
-            if not full.exists():
-                raise ManifestError(f"{path}:{lineno}: missing mask file {mask_path}")
-            labels = load_tensor(full)
-            bad = labels[(labels != np.round(labels)) | (labels < 0)
-                         | (labels > len(SHAPES))]
-            if bad.size:
-                raise ManifestError(
-                    f"{path}:{lineno}: mask {mask_path} holds {float(bad[0])}, not a "
-                    f"class id in 0..{len(SHAPES)}")
-            mask = labels.astype(np.int64)
-            if expected_grid and mask.shape != (expected_grid, expected_grid):
-                raise ManifestError(
-                    f"{path}:{lineno}: mask {mask_path} is {mask.shape}, "
-                    f"config says {expected_grid}")
-        tasks.setdefault(task_id, []).append(
-            Sample(sample_id, image, mask, caption, question, answer))
-    return tasks

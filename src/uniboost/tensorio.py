@@ -128,6 +128,7 @@ def load_checkpoint(dirpath: str | Path) -> dict[str, np.ndarray]:
     except UnicodeDecodeError as exc:
         raise TensorFormatError(f"{manifest} is not UTF-8 text: {exc}") from None
     out: dict[str, np.ndarray] = {}
+    owner: dict[str, str] = {}  # payload file name -> the parameter read from it
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -140,6 +141,9 @@ def load_checkpoint(dirpath: str | Path) -> dict[str, np.ndarray]:
         if fname in ("", "..") or Path(fname).name != fname:
             raise TensorFormatError(
                 f"{manifest}:{lineno}: payload {fname!r} is not a file name in {d}")
+        if owner.setdefault(fname, name) != name:
+            raise TensorFormatError(f"{manifest}:{lineno}: payload {fname!r} of {name!r} "
+                                    f"is also the payload of {owner[fname]!r}")
         try:
             dims = tuple(int(x) for x in dims_text.split(",")) if dims_text else ()
         except ValueError:

@@ -11,8 +11,6 @@ import numpy as np
 import pytest
 
 from uniboost.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INVARIANT, EXIT_OK, build_parser, main
-from uniboost.shapeworld import class_id
-from uniboost.tensorio import load_tensor, save_tensor
 
 BASE_CFG = """
 [encoder]
@@ -65,9 +63,6 @@ def workspace(tmp_path, monkeypatch):
 def test_full_subcommand_flow(workspace, capsys):
     tmp, out, cfg = workspace
 
-    assert main(["gen-data", "--config", str(cfg)]) == EXIT_OK
-    assert (out / "data" / "manifest.tsv").exists()
-
     assert main(["pretrain", "--config", str(cfg)]) == EXIT_OK
     pre_dir = out / "pretrain-masked-unimodal-seed0"
     assert (pre_dir / "manifest.tsv").exists()
@@ -89,7 +84,7 @@ def test_full_subcommand_flow(workspace, capsys):
     screen = capsys.readouterr().out
     assert "base mIoU" in screen
     assert sorted(p.name for p in out.iterdir()) == [
-        "data", "eval-base.json", "eval-novel.json",
+        "eval-base.json", "eval-novel.json",
         "model-masked-unimodal-seed0", "pretrain-masked-unimodal-seed0"]
 
 
@@ -128,6 +123,16 @@ def test_compare_and_report(workspace, capsys, monkeypatch):
                      "--seeds", seeds]) == EXIT_CONFIG, seeds
         assert "Traceback" not in capsys.readouterr().err
         assert not refused.exists(), seeds
+    # streams with no task to fine-tune on, refused before any worker pretrains
+    configs = []
+    for mode in ("masked-unimodal", "pair-contrastive"):
+        path = tmp / f"{mode}-no-tasks.cfg"
+        path.write_text(BASE_CFG.format(mode=mode).split("[task seg]")[0])
+        configs += ["--config", str(path)]
+    capsys.readouterr()
+    assert main(["compare", *configs, "--seeds", "0"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: no [task <id>] sections configured\n"
+    assert not refused.exists()
 
 
 def test_config_errors_exit_2(workspace, tmp_path, monkeypatch, capsys):
@@ -136,7 +141,7 @@ def test_config_errors_exit_2(workspace, tmp_path, monkeypatch, capsys):
     assert main(["pretrain", "--config", str(tmp)]) == EXIT_CONFIG  # a directory
     bad = tmp_path / "bad.cfg"
     bad.write_text("[encoder]\ndepth = 3\n")
-    assert main(["gen-data", "--config", str(bad)]) == EXIT_CONFIG
+    assert main(["pretrain", "--config", str(bad)]) == EXIT_CONFIG
     bad.write_bytes(BASE_CFG.format(mode="masked-unimodal").encode("latin-1")
                     + "# r\xe9sum\xe9\n".encode("latin-1"))  # not UTF-8
     assert main(["pretrain", "--config", str(bad)]) == EXIT_CONFIG
@@ -171,18 +176,28 @@ def test_config_errors_exit_2(workspace, tmp_path, monkeypatch, capsys):
                      ("steps = 2", "steps = 2\nbatch_size = 0"),  # [pretrain]
                      ("steps = 3", "steps = -3"),  # [run]
                      ("eval_samples = 8", "eval_samples = 0"),
-                     ("[data]", "[data]\nseed = -1")]:
+                     ("[data]", "[data]\nseed = -1"),
+                     # a task batch larger than the paired set fine-tuning draws
+                     # from: no pairs, and 8 pairs that the threshold leaves at 8
+                     ("paired_fraction = 0.5", "paired_fraction = 0.0"),
+                     ("rebalance_threshold = 8\n\n[task seg]\nroute = language-guided-vision"
+                      "\nhead = seg\nbatch_size = 4",
+                      "rebalance_threshold = 1\n\n[task seg]\nroute = language-guided-vision"
+                      "\nhead = seg\nbatch_size = 64")]:
         assert old in text
         bad.write_text(text.replace(old, new, 1))
         for command in ("pretrain", "finetune-multitask", "eval"):
             assert main([command, "--config", str(bad)]) == EXIT_CONFIG, (command, new)
-    # the run's seed and output directory are flags, not config keys
-    for key in ("seed = 1", "out = x"):
-        bad.write_text(text.replace("steps = 3", f"steps = 3\n{key}", 1))
+    # the run's seed and output directory are flags, not config keys, and
+    # corpora come only from the generator
+    for anchor, key, section in [("steps = 3", "seed = 1", "run"),
+                                 ("steps = 3", "out = x", "run"),
+                                 ("[data]", "manifest = x", "data")]:
+        bad.write_text(text.replace(anchor, f"{anchor}\n{key}", 1))
         for command in ("pretrain", "finetune-multitask", "eval"):
             capsys.readouterr()
             assert main([command, "--config", str(bad)]) == EXIT_CONFIG, (command, key)
-            assert (f"unknown key '{key.split()[0]}' in section [run]"
+            assert (f"unknown key '{key.split()[0]}' in section [{section}]"
                     in capsys.readouterr().err), (command, key)
     for command in ("pretrain", "finetune-multitask", "eval"):
         capsys.readouterr()
@@ -195,8 +210,7 @@ def test_config_errors_exit_2(workspace, tmp_path, monkeypatch, capsys):
     assert main(["pretrain", "--config", str(cfg)]) == EXIT_CONFIG
     monkeypatch.delenv("UNIBOOST_OUT")
     for dest in (taken, taken / "below"):
-        for command in ("gen-data", "pretrain"):
-            assert main([command, "--config", str(cfg), "--out", str(dest)]) == EXIT_CONFIG
+        assert main(["pretrain", "--config", str(cfg), "--out", str(dest)]) == EXIT_CONFIG
     assert taken.read_text() == "a file\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "mu.cfg", "taken"]
     assert not out.exists()  # each config was refused before any work ran
@@ -219,199 +233,30 @@ def test_data_errors_exit_3(workspace):
     tmp, out, cfg = workspace
     # eval without any checkpoint ever written
     assert main(["eval", "--config", str(cfg), "--split", "novel"]) == EXIT_DATA
-    # config points at a manifest that does not exist
-    broken = tmp / "broken.cfg"
-    broken.write_text(BASE_CFG.format(mode="masked-unimodal").replace(
-        "[data]", "[data]\nmanifest = /nowhere/manifest.tsv"))
-    assert main(["pretrain", "--config", str(broken)]) == EXIT_DATA
-    # ... a directory, or a file that is not UTF-8 text
-    (tmp / "manifest-dir").mkdir()
-    (tmp / "latin1.tsv").write_bytes("caf\xe9\n".encode("latin-1"))
-    for manifest in ("manifest-dir", "latin1.tsv"):
-        broken.write_text(BASE_CFG.format(mode="masked-unimodal").replace(
-            "[data]", f"[data]\nmanifest = {tmp / manifest}"))
-        assert main(["pretrain", "--config", str(broken)]) == EXIT_DATA, manifest
     # a pair-contrastive corpus of one pair cannot form a contrastive batch
+    broken = tmp / "broken.cfg"
     broken.write_text(BASE_CFG.format(mode="pair-contrastive").replace(
         "samples_per_corpus = 16\npaired_fraction = 0.5",
         "samples_per_corpus = 4\npaired_fraction = 0.25"))
     assert main(["pretrain", "--config", str(broken)]) == EXIT_DATA
 
 
-def _drop_image(fields):
-    fields[2] = ""
-
-
-def _drop_last_word(fields):
-    fields[4] = fields[4].rsplit(" ", 1)[0]
-
-
-def _unknown_shape(fields):
-    words = fields[4].split()
-    fields[4] = " ".join([words[0], "blob", *words[2:]])
-
-
-def _unknown_first_word(fields):
-    fields[4] = " ".join(["crimson", *fields[4].split()[1:]])
-
-
-def _unknown_answer(fields):
-    fields[6] = "crimson"
-
-
-@pytest.mark.parametrize("mode, corpus, edit, message", [
-    ("pair-contrastive", "paired", _drop_image, "no image"),
-    ("masked-unimodal", "text-only", _drop_last_word, "caption has 4 tokens"),
-    ("supervised", "paired", _unknown_shape, "does not name a shape"),
-    # an unknown word would otherwise train as <unk>
-    ("masked-unimodal", "text-only", _unknown_first_word,
-     "caption word 'crimson' is not in the vocabulary"),
-    ("pair-contrastive", "paired", _unknown_answer,
-     "answer word 'crimson' is not in the vocabulary"),
-], ids=["paired-without-image", "short-text-only-caption", "caption-without-shape",
-        "text-only-caption-outside-vocabulary", "paired-answer-outside-vocabulary"])
-def test_ingested_corpus_the_stages_cannot_read_exits_3(workspace, capsys, mode, corpus,
-                                                        edit, message):
-    tmp, out, cfg = workspace
-    assert main(["gen-data", "--config", str(cfg)]) == EXIT_OK
-    full = out / "data" / "manifest.tsv"
-    lines = full.read_text().splitlines(True)
-    # the last sample of the corpus is the one that cannot be read
-    last = max(i for i, l in enumerate(lines) if l.startswith(corpus + "\t"))
-    fields = lines[last].rstrip("\n").split("\t")
-    edit(fields)  # fields: task, id, image, mask, caption, question, answer
-    lines[last] = "\t".join(fields) + "\n"
-    edited = full.with_name("edited.tsv")
-    edited.write_text("".join(lines))
-    path = tmp / "edited.cfg"
-    path.write_text(BASE_CFG.format(mode=mode).replace("[data]",
-                                                       f"[data]\nmanifest = {edited}"))
-    capsys.readouterr()
-    assert main(["pretrain", "--config", str(path)]) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.startswith(f"data error: corpus '{corpus}' sample '{fields[1]}': ")
-    assert message in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("value", [9.0, -1.0, 1.5])
-def test_ingested_mask_that_is_not_a_class_id_exits_3(workspace, capsys, value):
-    # A label past the last shape, a negative one and a fraction: each would
-    # otherwise reach training (or be truncated) instead of being refused.
-    tmp, out, cfg = workspace
-    assert main(["gen-data", "--config", str(cfg)]) == EXIT_OK
-    manifest = out / "data" / "manifest.tsv"
-    lines = manifest.read_text().splitlines()
-    lineno = 1 + next(i for i, l in enumerate(lines) if l.startswith("paired\t"))
-    mask_path = lines[lineno - 1].split("\t")[3]
-    mask = load_tensor(manifest.parent / mask_path)
-    mask[0, 0] = value
-    save_tensor(manifest.parent / mask_path, mask)
-    path = tmp / "edited.cfg"
-    path.write_text(BASE_CFG.format(mode="masked-unimodal").replace(
-        "[data]", f"[data]\nmanifest = {manifest}"))
-    capsys.readouterr()
-    assert main(["pretrain", "--config", str(path)]) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert err == (f"data error: {manifest}:{lineno}: mask {mask_path} holds {value}, "
-                   f"not a class id in 0..8\n")
-
-
-def _second_paired_renamed(lines, rename):
-    """Rename the second ``paired`` sample to ``rename(first sample id)``;
-    return the edited line number and the first line's number and id."""
-    i, j = [n for n, l in enumerate(lines) if l.startswith("paired\t")][:2]
-    first = lines[i].split("\t")[1]
-    fields = lines[j].split("\t")  # task, id, image, mask, caption, question, answer
-    lines[j] = "\t".join([fields[0], rename(first), *fields[2:]])
-    return j + 1, i + 1, first
-
-
-def _repeat_an_id(lines, directory):
-    lineno, first_line, sid = _second_paired_renamed(lines, lambda sid: sid)
-    return lineno, f"sample id {sid!r} repeats line {first_line} of task 'paired'"
-
-
-def _hash_an_id(lines, directory):
-    lineno, _, sid = _second_paired_renamed(lines, lambda sid: f"{sid}#aug1")
-    return lineno, f"sample id '{sid}#aug1' contains '#'"
-
-
-def _nan_pixel(lines, directory):
-    i = next(n for n, l in enumerate(lines) if l.startswith("paired\t"))
-    image_path = lines[i].split("\t")[2]
-    image = load_tensor(directory / image_path)
-    image[3, 5, 1] = np.nan
-    save_tensor(directory / image_path, image)
-    return i + 1, f"image {image_path} holds nan, not a finite pixel value"
-
-
-@pytest.mark.parametrize("edit", [_repeat_an_id, _hash_an_id, _nan_pixel],
-                         ids=["repeated-id", "derived-id", "nan-pixel"])
-def test_ingested_sample_the_stages_would_misread_exits_3(workspace, capsys, edit):
-    # A repeated id makes the fine-tuning store keep one of two samples, an id
-    # with '#' is overwritten by an augmented copy of another sample, and a
-    # NaN pixel surfaces later as a non-finite gradient that blames training.
-    tmp, out, cfg = workspace
-    assert main(["gen-data", "--config", str(cfg)]) == EXIT_OK
-    manifest = out / "data" / "manifest.tsv"
-    lines = manifest.read_text().splitlines()
-    lineno, message = edit(lines, manifest.parent)
-    manifest.write_text("\n".join(lines) + "\n")
-    path = tmp / "edited.cfg"
-    path.write_text(BASE_CFG.format(mode="pair-contrastive").replace(
-        "[data]", f"[data]\nmanifest = {manifest}"))
-    capsys.readouterr()
-    assert main(["pretrain", "--config", str(path)]) == EXIT_DATA
-    assert capsys.readouterr().err == f"data error: {manifest}:{lineno}: {message}\n"
-
-
 def test_failures_inside_compare_workers_keep_their_exit_code(workspace, capsys):
+    # in a one-pair world the pair-contrastive worker cannot form a
+    # contrastive batch; a worker that diverges is test_diverged_run_exits_4
     tmp, out, cfg = workspace
-    assert main(["gen-data", "--config", str(cfg)]) == EXIT_OK
-    full = out / "data" / "manifest.tsv"
-    lines = full.read_text().splitlines(True)
-    # a manifest without the text-only corpus fails in each worker's corpus build
-    partial = full.with_name("partial.tsv")
-    partial.write_text("".join(l for l in lines if not l.startswith("text-only\t")))
-    # paired captions that name a novel class fail the leakage audit before eval
-    def recaption(line):
-        fields = line.split("\t")  # task, id, image, mask, caption, question, answer
-        fields[4] = "red ring above blue square"
-        return "\t".join(fields)
-
-    leaky = full.with_name("leaky.tsv")
-    leaky.write_text("".join(recaption(l) if l.startswith("paired\t") else l for l in lines))
-    # base-only captions, but one paired mask labels a novel class
-    save_tensor(full.parent / "masks" / "novel.ubtn", np.full((16, 16), float(class_id("ring"))))
-    def remask(line):
-        fields = line.split("\t")
-        fields[3] = "masks/novel.ubtn"
-        return "\t".join(fields)
-
-    paired = [i for i, l in enumerate(lines) if l.startswith("paired\t")]
-    leaky_mask = full.with_name("leaky-mask.tsv")
-    leaky_mask.write_text("".join(remask(l) if i == paired[-1] else l
-                                  for i, l in enumerate(lines)))
-    for manifest, code, message in [
-            (partial, EXIT_DATA, "data error: manifest lacks corpora ['text-only']"),
-            (leaky, EXIT_INVARIANT, "invariant violation: novel classes ['ring']"),
-            (leaky_mask, EXIT_INVARIANT, "invariant violation: novel classes ['ring']")]:
-        configs = []
-        for mode in ("masked-unimodal", "pair-contrastive"):
-            path = tmp / f"{mode}.cfg"
-            path.write_text(BASE_CFG.format(mode=mode).replace(
-                "[data]", f"[data]\nmanifest = {manifest}"))
-            configs += ["--config", str(path)]
-        capsys.readouterr()
-        assert main(["compare", *configs, "--seeds", "0,1"]) == code
-        err = capsys.readouterr().err
-        assert err.startswith(message) and "Traceback" not in err
-        assert not (out / "comparison.csv").exists()
-        # the same corpus is refused before pair-contrastive pretraining reads it
-        assert main(["pretrain", "--config", configs[-1]]) == code
-        err = capsys.readouterr().err
-        assert err.startswith(message) and "Traceback" not in err
-        assert not (out / "pretrain-pair-contrastive-seed0").exists()
+    configs = []
+    for mode in ("masked-unimodal", "pair-contrastive"):
+        path = tmp / f"{mode}.cfg"
+        path.write_text(BASE_CFG.format(mode=mode).replace(
+            "samples_per_corpus = 16\npaired_fraction = 0.5",
+            "samples_per_corpus = 4\npaired_fraction = 0.25"))
+        configs += ["--config", str(path)]
+    capsys.readouterr()
+    assert main(["compare", *configs, "--seeds", "0,1"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: pair corpus needs >= 2 pairs") and "Traceback" not in err
+    assert not (out / "comparison.csv").exists()
 
 
 @contextlib.contextmanager
@@ -544,8 +389,8 @@ def test_out_flag_used_without_env(tmp_path, monkeypatch):
     cfg = tmp_path / "mu.cfg"
     cfg.write_text(BASE_CFG.format(mode="masked-unimodal"))
     dest = tmp_path / "elsewhere"
-    assert main(["gen-data", "--config", str(cfg), "--out", str(dest)]) == EXIT_OK
-    assert (dest / "data" / "manifest.tsv").exists()
+    assert main(["pretrain", "--config", str(cfg), "--out", str(dest)]) == EXIT_OK
+    assert (dest / "pretrain-masked-unimodal-seed0" / "manifest.tsv").exists()
     assert not (tmp_path / "runs").exists()
 
 
@@ -573,8 +418,8 @@ def test_env_overrides_out_flag(tmp_path, monkeypatch):
     cfg = tmp_path / "mu.cfg"
     cfg.write_text(BASE_CFG.format(mode="masked-unimodal"))
     ignored = tmp_path / "ignored"
-    assert main(["gen-data", "--config", str(cfg), "--out", str(ignored)]) == EXIT_OK
-    assert (env_dir / "data" / "manifest.tsv").exists()
+    assert main(["pretrain", "--config", str(cfg), "--out", str(ignored)]) == EXIT_OK
+    assert (env_dir / "pretrain-masked-unimodal-seed0" / "manifest.tsv").exists()
     assert not ignored.exists()
 
 
@@ -587,22 +432,21 @@ def test_parser_keeps_only_the_commands_and_flags_that_change_a_run(workspace):
     tmp, out, cfg = workspace
     settable = {name: sorted(a.dest for a in p._actions if not isinstance(a, argparse._HelpAction))
                 for name, p in _subparsers().items()}
-    assert settable == {"gen-data": ["config", "out"],
-                        "pretrain": ["config", "out", "seed"],
+    assert settable == {"pretrain": ["config", "out", "seed"],
                         "finetune-multitask": ["config", "out", "seed"],
                         "eval": ["config", "out", "seed", "split", "vqa"],
                         "compare": ["config", "out", "seeds"]}
     assert all(p.get_default("seed") == 0 for name, p in _subparsers().items()
                if "seed" in settable[name])
     removed = [["report", "--input", str(out / "comparison.json")],
+               ["gen-data", "--config", str(cfg)],
                ["split", "--config", str(cfg)],
                ["finetune-task", "--config", str(cfg), "--task", "seg"],
                ["eval", "--config", str(cfg), "--checkpoint", str(tmp)],
                ["compare", "--config", str(cfg), "--config", str(cfg), "--steps", "5"],
                ["compare", "--config", str(cfg), "--config", str(cfg), "--seed", "7"]]
-    for command in ("gen-data", "pretrain", "finetune-multitask", "eval"):
+    for command in ("pretrain", "finetune-multitask", "eval"):
         removed.append([command, "--config", str(cfg), "--steps", "5"])
-    removed.append(["gen-data", "--config", str(cfg), "--seed", "3"])
     for argv in removed:
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -159,14 +159,14 @@ batch_size = 4
 # config_fingerprint names runs, checkpoints and run records, so the bytes
 # that serialize_config writes for these configs must never drift.
 PINNED_FINGERPRINTS = {
-    "default": "bc4e284b1d097736",
-    "chain-masked-unimodal.cfg": "29403c47021a44d1",
-    "sweep-masked-unimodal.cfg": "f686be8e97d851a4",
-    "sweep-pair-contrastive.cfg": "e16064545f76ea71",
-    "train-masked-unimodal.cfg": "d18718ce608376e6",
-    "train-pair-contrastive.cfg": "61080e34f6c0db5c",
-    "stream-pair-contrastive": "a89a74de5a4e5a7d",
-    "stream-masked-unimodal": "4065c11fb93f3d44",
+    "default": "bbdcef356c129fd1",
+    "chain-masked-unimodal.cfg": "4b79f3f77275ae3d",
+    "sweep-masked-unimodal.cfg": "2b8bf7962113f0a4",
+    "sweep-pair-contrastive.cfg": "97d6e8950fee740f",
+    "train-masked-unimodal.cfg": "b5909a141b011186",
+    "train-pair-contrastive.cfg": "cff7cda737087229",
+    "stream-pair-contrastive": "89ea1567890e4b4b",
+    "stream-masked-unimodal": "1cde2bec3aed7366",
 }
 
 
@@ -193,12 +193,13 @@ def test_every_field_round_trips_through_its_key():
         pretrain_mode="supervised", pretrain_steps=7, pretrain_batch_size=5,
         pretrain_peak_lr=3e-4, grid_size=20, samples_per_corpus=33, paired_fraction=0.1,
         novel_shapes=("ring",), family_affinity=0.3, color_affinity=0.2, data_seed=9,
-        manifest="corpora/manifest.tsv", peak_lr=2e-3, warmup_steps=3, steps=11,
+        peak_lr=2e-3, warmup_steps=3, steps=11,
         batch_size=3, rebalance_threshold=7, eval_samples=9,
         tasks=[TaskSpec("a", "image-only", "cls", 2), TaskSpec("b", "deep-fusion", "vqa", 5)])
     default = ExperimentConfig()
-    # 28 keys and the tasks: the run's seed and output directory are flags
-    assert len(fields(ExperimentConfig)) == 29
+    # 27 keys and the tasks: the run's seed and output directory are flags,
+    # and corpora come only from the generator
+    assert len(fields(ExperimentConfig)) == 28
     assert diff_configs(default, cfg) == [f.name for f in fields(ExperimentConfig)]
     assert all(getattr(cfg.tasks[1], f.name) != getattr(TaskSpec(), f.name)
                for f in fields(TaskSpec))

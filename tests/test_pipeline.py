@@ -23,11 +23,9 @@ from uniboost.pipeline import (ENCODER_LR_RATIO, DataError, LeakageError, RunRec
                                audit_leakage, build_corpora, compare_streams, comparison_csv,
                                emit_comparison, eval_stage, finetune_stage,
                                load_encoders, load_model, pretrain_stage,
-                               run_stream, save_encoders, save_model, tune_allocator,
-                               write_corpora_manifest)
+                               run_stream, save_encoders, save_model, tune_allocator)
 from uniboost.scheduler import apply_augmentation
-from uniboost.shapeworld import (build_vocabulary, class_id, gen_single_shape_corpus,
-                                 write_manifest)
+from uniboost.shapeworld import build_vocabulary, class_id, gen_single_shape_corpus
 from uniboost.tensorio import load_checkpoint
 
 
@@ -77,24 +75,24 @@ def test_build_corpora_sizes(corpus_and_vocab):
     assert len(corpora["text-only"]) == 32
 
 
-def test_manifest_round_trip_through_build_corpora(tmp_path):
-    cfg = tiny_cfg(samples_per_corpus=8, paired_fraction=0.5)
-    manifest = write_corpora_manifest(cfg, tmp_path)
-    again = replace(cfg, manifest=str(manifest))
-    corpora = build_corpora(again)
-    direct = build_corpora(cfg)
-    assert len(corpora["paired"]) == len(direct["paired"]) == 4
-    assert np.array_equal(corpora["paired"][0].image, direct["paired"][0].image)
-    assert corpora["text-only"][1].caption == direct["text-only"][1].caption
-    # a manifest's other tasks are not corpora
-    extra = write_manifest(tmp_path / "extra", {**direct, "seg": direct["paired"][:1]})
-    assert set(build_corpora(replace(cfg, manifest=str(extra)))) == set(direct)
+@pytest.mark.parametrize("leak", ["caption", "mask"])
+def test_build_corpora_audits_the_paired_corpus(monkeypatch, leak):
+    """A paired sample whose caption names a novel class, or whose mask
+    labels one, stops the build before any stage trains on it."""
+    generate = pipeline.gen_shapeworld
 
-    partial = tmp_path / "partial"
-    write_manifest(partial, {"paired": direct["paired"]})
-    broken = replace(cfg, manifest=str(partial / "manifest.tsv"))
-    with pytest.raises(DataError, match="manifest lacks corpora"):
-        build_corpora(broken)
+    def leaky(world):
+        corpora = generate(world)
+        s = corpora["paired"][-1]
+        if leak == "caption":
+            s.caption = "red ring above blue square"
+        else:
+            s.mask = np.full_like(s.mask, class_id("ring"))
+        return corpora
+
+    monkeypatch.setattr(pipeline, "gen_shapeworld", leaky)
+    with pytest.raises(LeakageError, match=r"novel classes \['ring'\]"):
+        build_corpora(tiny_cfg())
 
 
 # ---------------------------------------------------------------- stages

@@ -1,4 +1,4 @@
-"""Synthetic shape world: stencils, corpora, leakage, manifests."""
+"""Synthetic shape world: stencils, corpora, leakage, vocabulary."""
 
 import hashlib
 
@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from uniboost.shapeworld import (COLORS, FAMILIES, FAMILY_COLOR, SHAPES,
-                                 ManifestError, Sample,
                                  ShapeWorldConfig, analytic_area,
                                  build_vocabulary, class_id,
                                  gen_shapeworld, gen_single_shape_corpus,
-                                 ingest_manifest, shape_stencil, write_manifest)
-from uniboost.tensorio import TensorFormatError
+                                 shape_stencil)
 
 
 def tiny_config(**kw):
@@ -71,6 +69,33 @@ def test_corpus_sizes_follow_config():
     assert len(corpora["paired"]) == cfg.n_paired == 6
     assert len(corpora["image-only"]) == 24
     assert len(corpora["text-only"]) == 24
+
+
+@pytest.mark.parametrize("cfg", [ShapeWorldConfig(), tiny_config()], ids=["default", "tiny"])
+def test_corpora_hold_what_their_stages_read(cfg):
+    """Each corpus's samples carry the fields its stages read, each text
+    field has one token count per corpus (batches stack the token ids), and
+    each paired caption's second word is the shape that supervised
+    pretraining and the cls head take as its label."""
+    read = {"paired": ("image", "mask", "caption", "question", "answer"),
+            "image-only": ("image",),
+            "text-only": ("caption",)}
+    corpora = gen_shapeworld(cfg)
+    assert set(corpora) == set(read)
+    g = cfg.grid_size
+    for name, fields in read.items():
+        samples = corpora[name]
+        assert samples, name
+        for f in fields:
+            values = [getattr(s, f) for s in samples]
+            if f == "image":
+                assert all(v is not None and v.shape == (g, g, 3) for v in values), name
+            elif f == "mask":
+                assert all(v is not None and v.shape == (g, g) for v in values), name
+            else:
+                counts = {len(v.split()) for v in values}
+                assert len(counts) == 1 and 0 not in counts, (name, f, counts)
+    assert all(s.caption.split()[1] in SHAPES for s in corpora["paired"])
 
 
 def test_paired_corpus_never_leaks_novel_classes():
@@ -214,93 +239,3 @@ def test_vocabulary_covers_all_generated_text():
             if text:
                 assert vocab.unk_id not in vocab.encode(text), text
 
-
-# ---------------------------------------------------------------- manifests
-
-def test_manifest_round_trip(tmp_path):
-    cfg = tiny_config()
-    corpora = gen_shapeworld(cfg)
-    records = {"seg": corpora["paired"][:3], "txt": corpora["text-only"][:2]}
-    path = write_manifest(tmp_path, records)
-    assert path.name == "manifest.tsv"
-    back = ingest_manifest(path, expected_grid=cfg.grid_size)
-    assert set(back) == {"seg", "txt"}
-    for orig, loaded in zip(corpora["paired"][:3], back["seg"]):
-        assert loaded.sample_id == orig.sample_id
-        assert np.array_equal(loaded.image, orig.image)
-        assert np.array_equal(loaded.mask, orig.mask)
-        assert loaded.caption == orig.caption
-    for orig, loaded in zip(corpora["text-only"][:2], back["txt"]):
-        assert loaded.image is None and loaded.mask is None
-        assert loaded.answer == orig.answer
-
-
-def test_manifest_keeps_each_tasks_payloads_apart(tmp_path):
-    # a sample id is unique only within its task
-    zeros, halves = np.zeros((16, 16, 3)), np.full((16, 16, 3), 0.5)
-    records = {"a": [Sample("s1", zeros, np.zeros((16, 16), dtype=np.int64))],
-               "b": [Sample("s1", halves, np.ones((16, 16), dtype=np.int64))]}
-    back = ingest_manifest(write_manifest(tmp_path, records))
-    for task, value in (("a", 0.0), ("b", 0.5)):
-        (sample,) = back[task]
-        assert sample.image.mean() == value
-        assert sample.mask.mean() == 2 * value
-
-
-def test_manifest_errors_carry_line_numbers(tmp_path):
-    cfg = tiny_config()
-    corpora = gen_shapeworld(cfg)
-    path = write_manifest(tmp_path, {"seg": corpora["paired"][:2]})
-
-    lines = path.read_text().splitlines()
-    bad = tmp_path / "bad"
-    bad.mkdir()
-    (bad / "manifest.tsv").write_text(lines[0].replace("\t", " ", 1) + "\n")
-    with pytest.raises(ManifestError, match="manifest.tsv:1: expected 7"):
-        ingest_manifest(bad / "manifest.tsv")
-
-    (bad / "manifest.tsv").write_text("\t".join([""] + lines[0].split("\t")[1:]) + "\n")
-    with pytest.raises(ManifestError, match="empty task-id"):
-        ingest_manifest(bad / "manifest.tsv")
-
-    missing = lines[0].split("\t")
-    missing[2] = "images/ghost.ubtn"
-    (bad / "manifest.tsv").write_text("\t".join(missing) + "\n")
-    with pytest.raises(ManifestError, match="missing image file"):
-        ingest_manifest(bad / "manifest.tsv")
-
-    with pytest.raises(ManifestError, match="no such manifest"):
-        ingest_manifest(tmp_path / "nowhere.tsv")
-    with pytest.raises(ManifestError, match="bad: manifest is not a regular file"):
-        ingest_manifest(bad)
-    (bad / "manifest.tsv").write_bytes(lines[0].encode() + b"\xe9\n")
-    with pytest.raises(ManifestError, match="manifest.tsv: manifest is not UTF-8 text"):
-        ingest_manifest(bad / "manifest.tsv")
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    (empty / "manifest.tsv").write_text("\n")
-    with pytest.raises(ManifestError, match="no records"):
-        ingest_manifest(empty / "manifest.tsv")
-
-
-def test_manifest_image_that_is_a_directory_is_refused(tmp_path):
-    path = write_manifest(tmp_path, {"seg": gen_shapeworld(tiny_config())["paired"][:1]})
-    image = tmp_path / path.read_text().split("\t")[2]
-    image.unlink()
-    image.mkdir()
-    with pytest.raises(TensorFormatError, match=f"{image.name}: is a directory"):
-        ingest_manifest(path)
-
-
-def test_manifest_grid_check(tmp_path):
-    cfg = tiny_config()
-    corpora = gen_shapeworld(cfg)
-    path = write_manifest(tmp_path, {"seg": corpora["paired"][:1]})
-    with pytest.raises(ManifestError, match="config says 32"):
-        ingest_manifest(path, expected_grid=32)
-
-
-def test_manifest_rejects_separator_in_fields(tmp_path):
-    sample = Sample("s0", None, None, caption="has\ttab")
-    with pytest.raises(ManifestError, match="contains a separator"):
-        write_manifest(tmp_path, {"t": [sample]})

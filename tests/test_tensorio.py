@@ -148,6 +148,17 @@ def test_checkpoint_parameter_named_twice_is_refused(tmp_path):
         load_checkpoint(tmp_path / "ckpt")
 
 
+def test_checkpoint_payload_named_twice_is_refused(tmp_path):
+    # a second parameter of the same shape would otherwise load the first one's values
+    save_checkpoint(tmp_path / "ckpt", {"a": np.zeros(2), "b": np.ones(2)})
+    manifest = tmp_path / "ckpt" / "manifest.tsv"
+    manifest.write_text(manifest.read_text().replace("p0001.ubtn", "p0000.ubtn"))
+    with pytest.raises(TensorFormatError,
+                       match=r"manifest.tsv:2: payload 'p0000.ubtn' of 'b' is also the "
+                             "payload of 'a'$"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
 def test_checkpoint_payload_outside_its_directory_is_refused(tmp_path):
     save_checkpoint(tmp_path / "ckpt", {"w": np.zeros((2, 3))})
     save_checkpoint(tmp_path / "other", {"w": np.ones((2, 3))})
