@@ -76,12 +76,12 @@ def cmd_pretrain(args) -> int:
     model = TaskModel(cfg, build_vocabulary(), seed)
     losses = pipeline.pretrain_stage(cfg, seed, corpora, model)
     ckpt = _pretrain_dir(out, cfg, seed)
-    pipeline.save_encoders(model, cfg, ckpt)
+    pipeline.save_model(model, cfg, ckpt)
     (ckpt / "losses.json").write_text(json.dumps(losses))
     for name, trace in sorted(losses.items()):
         if trace:
             print(f"{name}: first {trace[0]:.4f} last {trace[-1]:.4f} ({len(trace)} steps)")
-    print(f"saved encoders to {ckpt}")
+    print(f"saved pretrained model to {ckpt}")
     return EXIT_OK
 
 
@@ -89,7 +89,7 @@ def cmd_finetune_multitask(args) -> int:
     cfg = _load_config(args.config)
     seed = _seed(args)
     out = _out_dir(args)
-    model = pipeline.load_encoders(cfg, _pretrain_dir(out, cfg, seed), seed)
+    model = pipeline.load_model(cfg, _pretrain_dir(out, cfg, seed))
     corpora = pipeline.build_corpora(cfg)
     fin = pipeline.finetune_stage(cfg, seed, corpora, model)
     mdir = _model_dir(out, cfg, seed)

@@ -335,7 +335,7 @@ def check_comparison(configs: dict[str, ExperimentConfig], seeds: list[int]) -> 
     """Refuse a comparison of fewer than two streams, of no seeds or of
     repeated or negative ones, of streams whose configs differ in more than
     the pretraining mode, which would confound the comparison, or of streams
-    with no task to fine-tune on."""
+    with no task to fine-tune on or no novel shape to score."""
     if len(configs) < 2:
         raise ConfigError("compare needs at least two streams")
     if not seeds:
@@ -351,6 +351,8 @@ def check_comparison(configs: dict[str, ExperimentConfig], seeds: list[int]) -> 
                 f"fields: {diffs}")
     if not first_cfg.tasks:
         raise ConfigError("no [task <id>] sections configured")
+    if not first_cfg.novel_shapes:
+        raise ConfigError("compare scores the novel split, and novel_shapes is empty")
 
 
 def compare_streams(configs: dict[str, ExperimentConfig],
@@ -458,35 +460,14 @@ def save_model(model: TaskModel, cfg: ExperimentConfig, directory: str | Path) -
     save_checkpoint(directory, model.state_dict(), config_text=serialize_config(cfg))
 
 
-def _load_state(module, state: dict[str, np.ndarray], directory: Path) -> None:
-    try:
-        module.load_state_dict(state)
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"checkpoint at {directory} does not fit the config: {exc}") from exc
-
-
 def load_model(cfg: ExperimentConfig, directory: str | Path) -> TaskModel:
     d = Path(directory)
     if not (d / "manifest.tsv").exists():
         raise DataError(f"missing checkpoint at {d}")
+    state = load_checkpoint(d)
     model = TaskModel(cfg, build_vocabulary(), 0)  # every entry comes from disk
-    _load_state(model, load_checkpoint(d), d)
-    return model
-
-
-def save_encoders(model: TaskModel, cfg: ExperimentConfig, directory: str | Path) -> None:
-    """Write the model's encoder entries, under their names in the model."""
-    state = {p.name: p.values for p in model.encoder_parameters()}
-    save_checkpoint(directory, state, config_text=serialize_config(cfg))
-
-
-def load_encoders(cfg: ExperimentConfig, directory: str | Path, seed: int) -> TaskModel:
-    """A fresh ``TaskModel`` whose encoders hold the saved entries."""
-    d = Path(directory)
-    if not (d / "manifest.tsv").exists():
-        raise DataError(f"missing encoder checkpoint at {d}")
-    model = TaskModel(cfg, build_vocabulary(), seed)
-    # the neck and heads keep their fresh values; every encoder entry must come from disk
-    heads = {p.name: p.values for p in model.head_parameters()}
-    _load_state(model, {**heads, **load_checkpoint(d)}, d)
+    try:
+        model.load_state_dict(state)
+    except (KeyError, ValueError) as exc:
+        raise DataError(f"checkpoint at {d} does not fit the config: {exc}") from exc
     return model

@@ -3,14 +3,14 @@
 A ``.ubtn`` file holds one tensor:
 
     bytes 0-3   magic ``UBTN``
-    byte  4     dtype code (1 = float32)
+    byte  4     dtype code (2 = float64)
     byte  5     rank
     bytes 6-7   zero padding
     then        rank little-endian uint32 dims
-    then        float32 little-endian values, row-major
+    then        float64 little-endian values, row-major
 
-Values are stored as float32 regardless of the in-memory float64 engine;
-loading therefore returns exactly the float32 image of what was saved.
+Values are stored at the engine's float64, so loading returns exactly what
+was saved.
 
 A checkpoint is a directory of ``.ubtn`` payloads plus ``manifest.tsv``
 (name, comma-joined dims, filename per line, sorted by name) and a
@@ -24,6 +24,7 @@ returns cannot leave a renamed directory over unwritten payloads.
 
 from __future__ import annotations
 
+import math
 import os
 import shutil
 import struct
@@ -35,7 +36,7 @@ __all__ = ["save_tensor", "load_tensor", "save_checkpoint", "load_checkpoint",
            "TensorFormatError"]
 
 MAGIC = b"UBTN"
-DTYPE_F32 = 1
+DTYPE_F64 = 2
 
 
 class TensorFormatError(ValueError):
@@ -43,12 +44,12 @@ class TensorFormatError(ValueError):
 
 
 def save_tensor(path: str | Path, values: np.ndarray) -> None:
-    arr = np.ascontiguousarray(values, dtype=np.float32)
+    arr = np.ascontiguousarray(values, dtype="<f8")
     if arr.ndim > 255:
         raise TensorFormatError(f"rank {arr.ndim} exceeds format limit")
-    header = MAGIC + struct.pack("<BBxx", DTYPE_F32, arr.ndim)
+    header = MAGIC + struct.pack("<BBxx", DTYPE_F64, arr.ndim)
     dims = struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b""
-    Path(path).write_bytes(header + dims + arr.astype("<f4").tobytes(order="C"))
+    Path(path).write_bytes(header + dims + arr.tobytes(order="C"))
 
 
 def load_tensor(path: str | Path) -> np.ndarray:
@@ -59,7 +60,7 @@ def load_tensor(path: str | Path) -> np.ndarray:
     if len(raw) < 8 or raw[:4] != MAGIC:
         raise TensorFormatError(f"{path}: missing UBTN magic")
     dtype_code, rank = struct.unpack_from("<BBxx", raw, 4)
-    if dtype_code != DTYPE_F32:
+    if dtype_code != DTYPE_F64:
         raise TensorFormatError(f"{path}: unsupported dtype code {dtype_code}")
     offset = 8
     need = offset + 4 * rank
@@ -67,13 +68,11 @@ def load_tensor(path: str | Path) -> np.ndarray:
         raise TensorFormatError(f"{path}: truncated dim header")
     dims = struct.unpack_from(f"<{rank}I", raw, offset) if rank else ()
     offset = need
-    count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-    expected = offset + 4 * count
-    if len(raw) != expected:
+    count = math.prod(dims)  # Python ints: dims that multiply past int64 cannot wrap
+    if len(raw) != offset + 8 * count:
         raise TensorFormatError(
-            f"{path}: payload is {len(raw) - offset} bytes, expected {4 * count}")
-    flat = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-    return flat.astype(np.float64).reshape(dims)
+            f"{path}: payload is {len(raw) - offset} bytes, expected {8 * count}")
+    return np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(dims).copy()
 
 
 def _fsync(path: Path) -> None:

@@ -133,6 +133,20 @@ def test_compare_and_report(workspace, capsys, monkeypatch):
     assert main(["compare", *configs, "--seeds", "0"]) == EXIT_CONFIG
     assert capsys.readouterr().err == "config error: no [task <id>] sections configured\n"
     assert not refused.exists()
+    # streams with no novel shape to score, refused before any worker pretrains
+    configs = []
+    for mode in ("masked-unimodal", "pair-contrastive"):
+        path = tmp / f"{mode}-no-novel.cfg"
+        path.write_text(BASE_CFG.format(mode=mode).replace("[data]", "[data]\nnovel_shapes ="))
+        configs += ["--config", str(path)]
+    assert main(["compare", *configs, "--seeds", "0"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: compare scores the novel split, and novel_shapes is empty\n")
+    assert not refused.exists()
+    # the stage commands still run such a config; only a novel eval needs novel shapes
+    monkeypatch.setenv("UNIBOOST_OUT", str(tmp / "no-novel"))
+    for command in (["pretrain"], ["finetune-multitask"], ["eval", "--split", "base"]):
+        assert main([*command, "--config", str(path)]) == EXIT_OK, command
 
 
 def test_config_errors_exit_2(workspace, tmp_path, monkeypatch, capsys):

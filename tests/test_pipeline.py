@@ -14,19 +14,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from uniboost.cli import main
 from uniboost.config import (ConfigError, ExperimentConfig, TaskSpec, config_fingerprint,
-                             world_config)
+                             serialize_config, world_config)
 from uniboost import pipeline
 from uniboost.metrics import round_half_up, vqa_accuracy
 from uniboost.model import TaskModel
 from uniboost.pipeline import (ENCODER_LR_RATIO, DataError, LeakageError, RunRecord,
                                audit_leakage, build_corpora, compare_streams, comparison_csv,
-                               emit_comparison, eval_stage, finetune_stage,
-                               load_encoders, load_model, pretrain_stage,
-                               run_stream, save_encoders, save_model, tune_allocator)
+                               emit_comparison, eval_stage, finetune_stage, load_model,
+                               pretrain_stage, run_stream, save_model, tune_allocator)
 from uniboost.scheduler import apply_augmentation
 from uniboost.shapeworld import build_vocabulary, class_id, gen_single_shape_corpus
-from uniboost.tensorio import load_checkpoint
 
 
 FOUR_TASKS = [TaskSpec("seg", "language-guided-vision", "seg", 4),
@@ -466,26 +465,31 @@ def test_model_checkpoint_round_trip(tmp_path, corpus_and_vocab):
     b = dict(back.named_parameters())
     assert set(a) == set(b)
     for name in a:
-        assert np.allclose(a[name].values, b[name].values, atol=1e-7), name
+        assert np.array_equal(a[name].values, b[name].values), name
     with pytest.raises(DataError, match="missing checkpoint"):
         load_model(cfg, tmp_path / "ghost")
 
 
-def test_encoder_checkpoint_round_trip(tmp_path, corpus_and_vocab):
-    cfg, corpora, vocab = corpus_and_vocab
-    model = TaskModel(cfg, vocab, seed=1)
-    pretrain_stage(cfg, 1, corpora, model)
-    save_encoders(model, cfg, tmp_path / "enc")
-    encoders = {p.name for p in model.encoder_parameters()}
-    assert set(load_checkpoint(tmp_path / "enc")) == encoders
-    back = load_encoders(cfg, tmp_path / "enc", seed=1)
-    fresh = dict(TaskModel(cfg, vocab, seed=1).named_parameters())
-    trained = dict(model.named_parameters())
-    for name, p in back.named_parameters():
-        if name in encoders:
-            want = trained[name].values.astype(np.float32).astype(np.float64)
-        else:
-            want = fresh[name].values
-        assert np.array_equal(p.values, want), name
-    with pytest.raises(DataError, match="missing encoder checkpoint"):
-        load_encoders(cfg, tmp_path / "ghost", seed=0)
+@pytest.mark.parametrize("mode", ["masked-unimodal", "pair-contrastive", "supervised"])
+def test_stage_chain_reproduces_run_stream(tmp_path, monkeypatch, mode):
+    # pretrain -> finetune-multitask -> eval through checkpoints trains the
+    # model that one run_stream trains, float for float
+    monkeypatch.delenv("UNIBOOST_OUT", raising=False)
+    cfg = tiny_cfg(pretrain_mode=mode, pretrain_steps=3, steps=4, eval_samples=4,
+                   tasks=FOUR_TASKS)
+    path = tmp_path / "stream.cfg"
+    path.write_text(serialize_config(cfg))
+    corpora = build_corpora(cfg)
+    for seed in (0, 7):
+        out = tmp_path / f"seed{seed}"
+        for command in ("pretrain", "finetune-multitask", "eval"):
+            assert main([command, "--config", str(path), "--seed", str(seed),
+                         "--out", str(out)]) == 0, command
+        record = run_stream(cfg, seed, corpora)
+        pre = json.loads((out / f"pretrain-{mode}-seed{seed}" / "losses.json").read_text())
+        fin = json.loads((out / f"model-{mode}-seed{seed}" / "losses.json").read_text())
+        assert {f"pretrain/{k}": v for k, v in pre.items()} == {
+            k: v for k, v in record.losses.items() if k.startswith("pretrain/")}
+        assert {f"finetune/{k}": v for k, v in fin.items()} == {
+            k: v for k, v in record.losses.items() if k.startswith("finetune/")}
+        assert json.loads((out / "eval-novel.json").read_text()) == record.metrics["novel"]

@@ -18,21 +18,22 @@ def test_file_bytes_match_handcrafted_layout(tmp_path):
     save_tensor(path, values)
 
     want = b"UBTN"
-    want += struct.pack("<BBxx", 1, 2)          # dtype code 1 (f32), rank 2
+    want += struct.pack("<BBxx", 2, 2)          # dtype code 2 (f64), rank 2
     want += struct.pack("<2I", 2, 3)            # dims, little-endian u32
-    want += np.array([1, 2, 3, 4, 5, 6], dtype="<f4").tobytes()
+    want += np.array([1, 2, 3, 4, 5, 6], dtype="<f8").tobytes()
     assert path.read_bytes() == want
 
 
-def test_round_trip_is_float32_image(tmp_path):
+def test_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(0)
     values = rng.standard_normal((3, 4, 5))
+    values[0, 0, :3] = [np.nextafter(1.0, 2.0), 5e-324, -0.0]  # no float32 holds these
     path = tmp_path / "t.ubtn"
     save_tensor(path, values)
     back = load_tensor(path)
     assert back.dtype == np.float64
     assert back.shape == (3, 4, 5)
-    assert np.array_equal(back, values.astype(np.float32).astype(np.float64))
+    assert back.tobytes() == values.tobytes()
 
 
 def test_scalar_and_empty_dim_round_trip(tmp_path):
@@ -43,8 +44,8 @@ def test_scalar_and_empty_dim_round_trip(tmp_path):
 
 
 def test_handcrafted_file_loads(tmp_path):
-    raw = b"UBTN" + struct.pack("<BBxx", 1, 1) + struct.pack("<1I", 2)
-    raw += np.array([7.0, -1.5], dtype="<f4").tobytes()
+    raw = b"UBTN" + struct.pack("<BBxx", 2, 1) + struct.pack("<1I", 2)
+    raw += np.array([7.0, -1.5], dtype="<f8").tobytes()
     path = tmp_path / "hand.ubtn"
     path.write_bytes(raw)
     assert np.array_equal(load_tensor(path), [7.0, -1.5])
@@ -58,9 +59,10 @@ def test_bad_magic_rejected(tmp_path):
 
 
 def test_unsupported_dtype_rejected(tmp_path):
+    # code 1 is a float32 payload, which this format no longer reads
     path = tmp_path / "bad.ubtn"
-    path.write_bytes(b"UBTN" + struct.pack("<BBxx", 2, 0) + b"\0\0\0\0")
-    with pytest.raises(TensorFormatError, match="dtype code 2"):
+    path.write_bytes(b"UBTN" + struct.pack("<BBxx", 1, 0) + b"\0\0\0\0")
+    with pytest.raises(TensorFormatError, match="unsupported dtype code 1"):
         load_tensor(path)
 
 
@@ -69,17 +71,22 @@ def test_truncated_files_rejected(tmp_path):
     path.write_bytes(b"UBTN")
     with pytest.raises(TensorFormatError, match="magic"):
         load_tensor(path)
-    path.write_bytes(b"UBTN" + struct.pack("<BBxx", 1, 2) + struct.pack("<1I", 2))
+    path.write_bytes(b"UBTN" + struct.pack("<BBxx", 2, 2) + struct.pack("<1I", 2))
     with pytest.raises(TensorFormatError, match="truncated dim header"):
         load_tensor(path)
 
 
 def test_payload_size_mismatch_rejected(tmp_path):
-    raw = b"UBTN" + struct.pack("<BBxx", 1, 1) + struct.pack("<1I", 3)
-    raw += np.array([1.0, 2.0], dtype="<f4").tobytes()  # 3 promised, 2 present
+    raw = b"UBTN" + struct.pack("<BBxx", 2, 1) + struct.pack("<1I", 3)
+    raw += np.array([1.0, 2.0], dtype="<f8").tobytes()  # 3 promised, 2 present
     path = tmp_path / "bad.ubtn"
     path.write_bytes(raw)
-    with pytest.raises(TensorFormatError, match="expected 12"):
+    with pytest.raises(TensorFormatError, match="payload is 16 bytes, expected 24$"):
+        load_tensor(path)
+    # dims whose product passes int64 must not wrap to a size that fits
+    path.write_bytes(b"UBTN" + struct.pack("<BBxx", 2, 3) + struct.pack("<3I", 2**31, 2**31, 4))
+    with pytest.raises(TensorFormatError,
+                       match=f"payload is 0 bytes, expected {8 * 2**64}$"):
         load_tensor(path)
 
 
@@ -94,7 +101,7 @@ def test_checkpoint_round_trip(tmp_path):
     back = load_checkpoint(tmp_path / "ckpt")
     assert sorted(back) == sorted(named)
     for name, arr in named.items():
-        assert np.array_equal(back[name], arr.astype(np.float32).astype(np.float64))
+        assert back[name].tobytes() == arr.tobytes()
     assert (tmp_path / "ckpt" / "config.txt").read_text() == "steps = 3\n"
 
 
