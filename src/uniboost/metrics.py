@@ -33,7 +33,8 @@ class ConfusionCounts:
             raise MetricError(f"duplicate classes in {self.classes}")
         k = len(self.classes)
         self.matrix = np.zeros((k, k), dtype=np.int64)
-        self._index = {c: i for i, c in enumerate(self.classes)}
+        self._order = np.argsort(self.classes)  # matrix index of each sorted class
+        self._sorted = np.asarray(self.classes)[self._order]
 
     def accumulate(self, predicted: np.ndarray, ground_truth: np.ndarray) -> "ConfusionCounts":
         pred = np.asarray(predicted).reshape(-1)
@@ -43,14 +44,15 @@ class ConfusionCounts:
                 f"mask shapes differ: {np.asarray(predicted).shape} "
                 f"vs {np.asarray(ground_truth).shape}")
         keep = gt != IGNORE_LABEL
-        pred, gt = pred[keep], gt[keep]
-        known = set(self.classes)
-        bad = (set(np.unique(pred)) | set(np.unique(gt))) - known
-        if bad:
-            raise MetricError(f"labels {sorted(bad)} outside class set {self.classes}")
+        labels = np.concatenate([gt[keep], pred[keep]])
+        pos = np.searchsorted(self._sorted, labels)
+        known = pos < len(self._sorted)
+        known[known] = self._sorted[pos[known]] == labels[known]
+        if not known.all():
+            bad = sorted(set(labels[~known].tolist()))
+            raise MetricError(f"labels {bad} outside class set {self.classes}")
         k = len(self.classes)
-        gi = np.vectorize(self._index.__getitem__, otypes=[np.int64])(gt) if len(gt) else gt
-        pi = np.vectorize(self._index.__getitem__, otypes=[np.int64])(pred) if len(pred) else pred
+        gi, pi = np.split(self._order[pos], 2)
         self.matrix += np.bincount(gi * k + pi, minlength=k * k).reshape(k, k)
         return self
 

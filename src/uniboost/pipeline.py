@@ -1,8 +1,9 @@
 """Experiment orchestration: corpora assembly, the pretrain / finetune /
 eval stages, stream comparison, and report emission.
 
-The corpora are a {corpus name: samples} dict of the ``paired``,
-``image-only`` and ``text-only`` corpora.
+The corpora are a {corpus name: samples} mapping of the ``paired``,
+``image-only`` and ``text-only`` corpora, each generated on its first read,
+so a stage builds only the corpora it reads.
 
 Determinism contract: every number any stage emits is a pure function of
 (config, seed). Randomness is drawn from generators seeded by stable
@@ -24,6 +25,7 @@ import multiprocessing
 import os
 import sys
 import time
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -38,8 +40,8 @@ from .optim import AdamW
 from .pretrain import PretrainMode, pretrain_run, train
 from .scheduler import (DataQueue, RebalancePolicy, TaskDataset, apply_augmentation,
                         rebalance)
-from .shapeworld import (SHAPES, Sample, ShapeWorldConfig, build_vocabulary, class_id,
-                         gen_shapeworld, gen_single_shape_corpus)
+from .shapeworld import (CORPORA, SHAPES, Sample, ShapeWorldConfig, build_vocabulary,
+                         class_id, gen_shapeworld, gen_single_shape_corpus)
 from .tensorio import load_checkpoint, save_checkpoint
 
 __all__ = ["LeakageError", "DataError", "RunRecord", "ComparisonRow",
@@ -68,12 +70,32 @@ class RunRecord:
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
 
-def build_corpora(cfg: ExperimentConfig) -> dict[str, list[Sample]]:
-    """The generated corpora of the config. The paired corpus, which every
-    stage may train on, must pass the leakage audit."""
-    corpora = gen_shapeworld(world_config(cfg))
-    audit_leakage(cfg.novel_shapes, *_audit_content(corpora["paired"]))
-    return corpora
+class _Corpora(Mapping):
+    """One world's corpora by name, each generated on its first read and kept.
+    The paired corpus, which every stage may train on, passes the leakage
+    audit before any read of it returns."""
+
+    def __init__(self, world: ShapeWorldConfig):
+        self.world, self._built = world, {}
+
+    def __getitem__(self, name: str) -> list[Sample]:
+        if name not in self._built:
+            corpus = gen_shapeworld(self.world, (name,))[name]
+            if name == "paired":
+                audit_leakage(self.world.novel_shapes, *_audit_content(corpus))
+            self._built[name] = corpus
+        return self._built[name]
+
+    def __iter__(self):
+        return iter(CORPORA)
+
+    def __len__(self) -> int:
+        return len(CORPORA)
+
+
+def build_corpora(cfg: ExperimentConfig) -> Mapping[str, list[Sample]]:
+    """The config's corpora, generated as they are read."""
+    return _Corpora(world_config(cfg))
 
 
 def _label_of(sample: Sample) -> int:
@@ -85,7 +107,7 @@ def _stack_images(samples: list[Sample]) -> np.ndarray:
     return np.stack([s.image for s in samples])
 
 
-def pretrain_stage(cfg: ExperimentConfig, seed: int, corpora: dict[str, list[Sample]],
+def pretrain_stage(cfg: ExperimentConfig, seed: int, corpora: Mapping[str, list[Sample]],
                    model: TaskModel) -> dict[str, list[float]]:
     """Pretrain ``model``'s encoders in place; return the loss traces."""
     mode = PretrainMode(cfg.pretrain_mode)
@@ -100,14 +122,6 @@ def pretrain_stage(cfg: ExperimentConfig, seed: int, corpora: dict[str, list[Sam
     return pretrain_run(mode, _stack_images(images), targets, model.image_encoder,
                         model.text_encoder, steps=cfg.pretrain_steps, seed=seed,
                         batch_size=cfg.pretrain_batch_size, peak_lr=cfg.pretrain_peak_lr)
-
-
-def _materialize(store: dict[str, Sample], plan) -> None:
-    for did, spec in plan.items():
-        src = store[spec.source_id]
-        image = apply_augmentation(src.image, spec) if src.image is not None else None
-        mask = apply_augmentation(src.mask, spec) if src.mask is not None else None
-        store[did] = Sample(did, image, mask, src.caption, src.question, src.answer)
 
 
 def _task_rng_seed(seed: int, task_id: str) -> int:
@@ -129,7 +143,7 @@ class FinetuneResult:
 ENCODER_LR_RATIO = 0.1
 
 
-def finetune_stage(cfg: ExperimentConfig, seed: int, corpora: dict[str, list[Sample]],
+def finetune_stage(cfg: ExperimentConfig, seed: int, corpora: Mapping[str, list[Sample]],
                    model: TaskModel) -> FinetuneResult:
     """Multitask intermediate fine-tuning over the configured task roster."""
     if not cfg.tasks:
@@ -141,7 +155,8 @@ def finetune_stage(cfg: ExperimentConfig, seed: int, corpora: dict[str, list[Sam
     datasets = []
     policy = RebalancePolicy(threshold=cfg.rebalance_threshold)
     # The tasks' plans share their derived ids; the last task's spec for an
-    # id wins, and each derived sample is augmented once.
+    # id wins, and a derived sample is augmented once, when a batch first
+    # draws it.
     merged_plan = {}
     for spec in cfg.tasks:
         ds = TaskDataset(spec.task_id, spec.route,
@@ -150,7 +165,15 @@ def finetune_stage(cfg: ExperimentConfig, seed: int, corpora: dict[str, list[Sam
         ds, plan = rebalance(ds, policy)
         merged_plan.update(plan)
         datasets.append(ds)
-    _materialize(store, merged_plan)
+
+    def sample(sid: str) -> Sample:
+        if sid not in store:
+            aug = merged_plan[sid]
+            src = store[aug.source_id]
+            store[sid] = Sample(sid, apply_augmentation(src.image, aug),
+                                apply_augmentation(src.mask, aug),
+                                src.caption, src.question, src.answer)
+        return store[sid]
 
     queue = DataQueue(datasets, seed=_task_rng_seed(seed, "queue"))
     head_by_task = {spec.task_id: spec.head for spec in cfg.tasks}
@@ -165,7 +188,7 @@ def finetune_stage(cfg: ExperimentConfig, seed: int, corpora: dict[str, list[Sam
     def task_loss(step):
         batch = queue.next_batch()
         trained_ids.update(batch.sample_ids)
-        samples = [store[sid] for sid in batch.sample_ids]
+        samples = [sample(sid) for sid in batch.sample_ids]
         head = head_by_task[batch.task_id]
         images = _stack_images(samples)
         if head == "seg":
@@ -268,7 +291,7 @@ def eval_stage(cfg: ExperimentConfig, model: TaskModel, split: str,
 
 
 def run_stream(cfg: ExperimentConfig, seed: int,
-               corpora: dict[str, list[Sample]]) -> RunRecord:
+               corpora: Mapping[str, list[Sample]]) -> RunRecord:
     """Pretrain, finetune and novel eval for one (config, seed) on its corpora."""
     start = time.perf_counter()
     model = TaskModel(cfg, build_vocabulary(), seed)
@@ -314,20 +337,17 @@ def tune_allocator() -> None:
 
 
 # A pool worker's corpora, keyed on everything build_corpora reads.
-_corpora: dict[ShapeWorldConfig, dict[str, list[Sample]]] = {}
+_corpora: dict[ShapeWorldConfig, Mapping[str, list[Sample]]] = {}
 
 
 def _pool_job(cfg: ExperimentConfig, seed: int) -> RunRecord:
-    """``run_stream`` on this worker's ``build_corpora(cfg)``, built once and
-    read-only, so a job writing into it raises instead of changing the next."""
+    """``run_stream`` on this worker's ``build_corpora(cfg)``, kept for its
+    later jobs: each corpus is generated once, by the first job that reads
+    it, and its arrays are read-only, so a job writing into them raises
+    instead of changing the next."""
     key = world_config(cfg)
     if key not in _corpora:
-        corpora = build_corpora(cfg)
-        for s in (s for corpus in corpora.values() for s in corpus):
-            for arr in (s.image, s.mask):
-                if arr is not None:
-                    arr.flags.writeable = False
-        _corpora[key] = corpora
+        _corpora[key] = build_corpora(cfg)
     return run_stream(cfg, seed, _corpora[key])
 
 

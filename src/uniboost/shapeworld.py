@@ -18,10 +18,14 @@ scene is the first one's partner. Co-occurrence is what lets unimodal
 pretraining place a novel class near its base partner while pair-trained
 models never see the novel classes at all.
 
+Each corpus comes from its own RNG stream, so ``gen_shapeworld`` can build
+any one of them alone, bit for bit as it comes out with the others.
+Text-only scenes make every RNG draw an image would but paint no pixels.
+
 All pixel values are quantized to float32 at creation: every pinned result
-was measured on corpora of that precision. Each shape's stencil is built
-once per process, on first use, and shared read-only by every render after
-it.
+was measured on corpora of that precision. Every generated array is
+read-only. Each shape's stencil is built once per process, on first use,
+and shared read-only by every render after it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from .encoders import Vocabulary
 
-__all__ = ["ShapeWorldConfig", "Sample", "SHAPES", "COLORS",
+__all__ = ["ShapeWorldConfig", "Sample", "SHAPES", "COLORS", "CORPORA",
            "RELATIONS", "FAMILIES", "gen_shapeworld", "gen_single_shape_corpus",
            "build_vocabulary", "shape_stencil", "analytic_area", "class_id"]
 
@@ -161,8 +165,8 @@ class ShapeWorldConfig:
 @dataclass
 class Sample:
     sample_id: str
-    image: np.ndarray | None       # [H, W, 3] float64 (f32-quantized) or None
-    mask: np.ndarray | None        # [H, W] int labels or None
+    image: np.ndarray | None = None  # [H, W, 3] float64 (f32-quantized)
+    mask: np.ndarray | None = None   # [H, W] int labels
     caption: str = ""
     question: str = ""
     answer: str = ""
@@ -173,21 +177,28 @@ def _quantize(img: np.ndarray) -> np.ndarray:
 
 
 def _render(config: ShapeWorldConfig, rng: np.random.Generator,
-            placements: list[tuple[str, str, int, int]]) -> tuple[np.ndarray, np.ndarray]:
+            placements: list[tuple[str, str, int, int]],
+            paint: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Draw (shape, color, center_row, center_col) placements onto a fresh
     grid; later placements would win overlaps, but placement geometry keeps
-    the shapes disjoint."""
+    the shapes disjoint. Without ``paint``, make the same draws and return
+    no arrays."""
     g = config.grid_size
     img = rng.uniform(0.0, NOISE, size=(g, g, 3))
+    shades = [rng.uniform(0.85, 1.0) for _ in placements]
+    if not paint:
+        return None, None
     mask = np.zeros((g, g), dtype=np.int64)
-    for shape, color, cr, cc in placements:
+    for (shape, color, cr, cc), shade in zip(placements, shades):
         stencil = shape_stencil(shape)
         rows = slice(cr - _HALF, cr + _HALF + 1)
         cols = slice(cc - _HALF, cc + _HALF + 1)
         region = img[rows, cols]
-        region[stencil] = _RGB[color] * rng.uniform(0.85, 1.0)
+        region[stencil] = _RGB[color] * shade
         mask[rows, cols][stencil] = class_id(shape)
-    return _quantize(np.clip(img, 0.0, 1.0)), mask
+    img = _quantize(np.clip(img, 0.0, 1.0))
+    img.flags.writeable = mask.flags.writeable = False
+    return img, mask
 
 
 def _pick_pair(rng: np.random.Generator, allowed: tuple[str, ...],
@@ -209,8 +220,10 @@ def _pick_color(rng: np.random.Generator, config: ShapeWorldConfig,
     return pool[rng.integers(len(pool))]
 
 
-def _make_scene(config: ShapeWorldConfig, rng: np.random.Generator,
-                sid: str, allowed: tuple[str, ...]) -> Sample:
+def _make_scene(config: ShapeWorldConfig, rng: np.random.Generator, sid: str,
+                allowed: tuple[str, ...], kept: tuple[str, ...]) -> Sample:
+    """One two-shape scene that keeps only the ``kept`` fields; its pixels
+    are painted only if it keeps the image."""
     g = config.grid_size
     shape1, shape2 = _pick_pair(rng, allowed, config.family_affinity)
     color1 = _pick_color(rng, config, shape1)
@@ -236,7 +249,8 @@ def _make_scene(config: ShapeWorldConfig, rng: np.random.Generator,
         p1 = (free_r1, span(lo_half, hi))
         p2 = (span(lo, hi), span(lo, hi_half))
 
-    image, mask = _render(config, rng, [(shape1, color1, *p1), (shape2, color2, *p2)])
+    image, mask = _render(config, rng, [(shape1, color1, *p1), (shape2, color2, *p2)],
+                          paint="image" in kept)
     caption = f"{color1} {shape1} {relation} {color2} {shape2}"
     if rng.uniform() < 0.5:
         target_shape, target_color = (shape1, color1) if rng.uniform() < 0.5 else (shape2, color2)
@@ -244,28 +258,31 @@ def _make_scene(config: ShapeWorldConfig, rng: np.random.Generator,
     else:
         target_shape, target_color = (shape1, color1) if rng.uniform() < 0.5 else (shape2, color2)
         question, answer = f"what shape is the {target_color}", target_shape
-    return Sample(sid, image, mask, caption, question, answer)
+    fields = dict(image=image, mask=mask, caption=caption, question=question, answer=answer)
+    return Sample(sid, **{f: fields[f] for f in kept})
 
 
-def gen_shapeworld(config: ShapeWorldConfig) -> dict[str, list[Sample]]:
-    """The ``paired``, ``image-only`` and ``text-only`` corpora, by task id."""
-    base = config.base_shapes
-    rng = np.random.default_rng([config.seed, 1])
-    paired = [_make_scene(config, rng, f"pair{i:05d}", base)
-              for i in range(config.n_paired)]
+# Each corpus: its RNG stream, sample-id prefix, size (a config attribute),
+# whether novel shapes may appear, and the fields it keeps.
+_CORPORA = {
+    "paired": (1, "pair", "n_paired", False, ("image", "mask", "caption", "question", "answer")),
+    "image-only": (2, "img", "samples_per_corpus", True, ("image", "mask")),
+    "text-only": (3, "txt", "samples_per_corpus", True, ("caption", "question", "answer")),
+}
+CORPORA = tuple(_CORPORA)
 
-    rng = np.random.default_rng([config.seed, 2])
-    image_only = []
-    for i in range(config.samples_per_corpus):
-        s = _make_scene(config, rng, f"img{i:05d}", SHAPES)
-        image_only.append(Sample(s.sample_id, s.image, s.mask))
 
-    rng = np.random.default_rng([config.seed, 3])
-    text_only = []
-    for i in range(config.samples_per_corpus):
-        s = _make_scene(config, rng, f"txt{i:05d}", SHAPES)
-        text_only.append(Sample(s.sample_id, None, None, s.caption, s.question, s.answer))
-    return {"paired": paired, "image-only": image_only, "text-only": text_only}
+def gen_shapeworld(config: ShapeWorldConfig,
+                   names: tuple[str, ...] = CORPORA) -> dict[str, list[Sample]]:
+    """The named corpora (default all of ``CORPORA``), by name."""
+    out = {}
+    for name in names:
+        stream, prefix, size, novel, kept = _CORPORA[name]
+        rng = np.random.default_rng([config.seed, stream])
+        shapes = SHAPES if novel else config.base_shapes
+        out[name] = [_make_scene(config, rng, f"{prefix}{i:05d}", shapes, kept)
+                     for i in range(getattr(config, size))]
+    return out
 
 
 def gen_single_shape_corpus(config: ShapeWorldConfig, shapes: tuple[str, ...],

@@ -3,14 +3,19 @@
 import argparse
 import contextlib
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from uniboost import pipeline
 from uniboost.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INVARIANT, EXIT_OK, build_parser, main
+from uniboost.shapeworld import CORPORA, class_id
 
 BASE_CFG = """
 [encoder]
@@ -243,6 +248,23 @@ def test_removed_optimizer_keys_exit_2_as_unknown(tmp_path, capsys, key):
     assert not (tmp_path / "runs").exists()
 
 
+def test_eval_loads_no_masked_array_module(workspace):
+    """Scoring maps labels with sorted lookups: an `eval` process imports no
+    `numpy.ma`, whose import alone costs more than a small eval's metrics."""
+    tmp, out, cfg = workspace
+    assert main(["pretrain", "--config", str(cfg)]) == EXIT_OK
+    assert main(["finetune-multitask", "--config", str(cfg)]) == EXIT_OK
+    script = ("import sys\nfrom uniboost.cli import main\n"
+              f"assert main(['eval', '--config', {str(cfg)!r}, '--vqa']) == 0\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert json.loads((out / "eval-novel.json").read_text())["samples"] == 8
+
+
 def test_data_errors_exit_3(workspace):
     tmp, out, cfg = workspace
     # eval without any checkpoint ever written
@@ -322,6 +344,38 @@ def test_leakage_audit_exits_4(workspace):
     audit["tokens"].append("ring")
     audit_path.write_text(json.dumps(audit))
     assert main(["eval", "--config", str(cfg), "--split", "novel"]) == EXIT_INVARIANT
+
+
+@pytest.mark.parametrize("leak", ["caption", "mask"])
+def test_unaudited_pairs_train_no_stage(workspace, monkeypatch, capsys, leak):
+    """A generated pair that names or labels a novel class stops every stage
+    that reads the paired corpus with exit 4 before it writes a checkpoint;
+    masked-unimodal pretraining reads no pair and runs."""
+    tmp, out, cfg = workspace
+    generate = pipeline.gen_shapeworld
+
+    def leaky(world, names=CORPORA):
+        corpora = generate(world, names)
+        for s in corpora.get("paired", ()):
+            if leak == "caption":
+                s.caption = "red ring above blue square"
+            else:
+                s.mask = np.full_like(s.mask, class_id("ring"))
+        return corpora
+
+    monkeypatch.setattr(pipeline, "gen_shapeworld", leaky)
+    assert main(["pretrain", "--config", str(cfg)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["finetune-multitask", "--config", str(cfg)]) == EXIT_INVARIANT
+    assert capsys.readouterr().err == (
+        "invariant violation: novel classes ['ring'] appeared in the training stream\n")
+    assert not (out / "model-masked-unimodal-seed0").exists()
+    for mode in ("pair-contrastive", "supervised"):
+        path = tmp / f"{mode}.cfg"
+        path.write_text(BASE_CFG.format(mode=mode))
+        assert main(["pretrain", "--config", str(path)]) == EXIT_INVARIANT, mode
+        assert "novel classes ['ring']" in capsys.readouterr().err
+        assert not (out / f"pretrain-{mode}-seed0").exists()
 
 
 def test_novel_eval_refuses_without_a_complete_audit(workspace):

@@ -24,8 +24,8 @@ from uniboost.pipeline import (ENCODER_LR_RATIO, DataError, LeakageError, RunRec
                                audit_leakage, build_corpora, compare_streams, comparison_csv,
                                emit_comparison, eval_stage, finetune_stage, load_model,
                                pretrain_stage, run_stream, save_model, tune_allocator)
-from uniboost.scheduler import apply_augmentation
-from uniboost.shapeworld import build_vocabulary, class_id, gen_single_shape_corpus
+from uniboost.scheduler import apply_augmentation, rebalance
+from uniboost.shapeworld import CORPORA, build_vocabulary, class_id, gen_single_shape_corpus
 
 
 FOUR_TASKS = [TaskSpec("seg", "language-guided-vision", "seg", 4),
@@ -77,21 +77,64 @@ def test_build_corpora_sizes(corpus_and_vocab):
 @pytest.mark.parametrize("leak", ["caption", "mask"])
 def test_build_corpora_audits_the_paired_corpus(monkeypatch, leak):
     """A paired sample whose caption names a novel class, or whose mask
-    labels one, stops the build before any stage trains on it."""
+    labels one, stops every read of the paired corpus, so no stage trains
+    on it; the unimodal corpora stay readable."""
     generate = pipeline.gen_shapeworld
 
-    def leaky(world):
-        corpora = generate(world)
-        s = corpora["paired"][-1]
-        if leak == "caption":
-            s.caption = "red ring above blue square"
-        else:
-            s.mask = np.full_like(s.mask, class_id("ring"))
+    def leaky(world, names=CORPORA):
+        corpora = generate(world, names)
+        if "paired" in corpora:
+            s = corpora["paired"][-1]
+            if leak == "caption":
+                s.caption = "red ring above blue square"
+            else:
+                s.mask = np.full_like(s.mask, class_id("ring"))
         return corpora
 
     monkeypatch.setattr(pipeline, "gen_shapeworld", leaky)
-    with pytest.raises(LeakageError, match=r"novel classes \['ring'\]"):
-        build_corpora(tiny_cfg())
+    corpora = build_corpora(tiny_cfg())
+    assert len(corpora["image-only"]) == len(corpora["text-only"]) == 32
+    for _ in range(2):
+        with pytest.raises(LeakageError, match=r"novel classes \['ring'\]"):
+            corpora["paired"]
+
+
+def _recording_generator(monkeypatch):
+    """Replace ``pipeline.gen_shapeworld`` with one that records the names
+    of the corpora it generates; return that record."""
+    generate, made = pipeline.gen_shapeworld, []
+
+    def recording(world, names=CORPORA):
+        made.extend(names)
+        return generate(world, names)
+
+    monkeypatch.setattr(pipeline, "gen_shapeworld", recording)
+    return made
+
+
+def test_build_corpora_generates_nothing_before_a_read(monkeypatch):
+    made = _recording_generator(monkeypatch)
+    corpora = build_corpora(tiny_cfg())
+    assert made == [] and list(corpora) == list(CORPORA) and len(corpora) == 3
+    assert corpora["text-only"] is corpora["text-only"]
+    assert made == ["text-only"]
+    with pytest.raises(KeyError):
+        corpora["pairs"]
+
+
+@pytest.mark.parametrize("mode, reads", [
+    ("masked-unimodal", ["image-only", "text-only"]),
+    ("pair-contrastive", ["paired"]),
+    ("supervised", ["paired"])])
+def test_each_stage_generates_only_the_corpora_it_reads(monkeypatch, mode, reads):
+    cfg = tiny_cfg(pretrain_mode=mode)
+    model = TaskModel(cfg, build_vocabulary(), seed=0)
+    made = _recording_generator(monkeypatch)
+    pretrain_stage(cfg, 0, build_corpora(cfg), model)
+    assert sorted(made) == reads
+    made.clear()
+    finetune_stage(cfg, 0, build_corpora(cfg), model)
+    assert made == ["paired"]
 
 
 # ---------------------------------------------------------------- stages
@@ -171,20 +214,33 @@ def test_multihead_roster_smoke(corpus_and_vocab):
 
 
 def test_each_derived_sample_is_augmented_once(corpus_and_vocab, monkeypatch):
+    """A derived sample is augmented, image and mask once each, when a batch
+    first draws it, with the last task's spec for its id; an undrawn one
+    never is."""
     cfg, corpora, vocab = corpus_and_vocab
-    roster = tiny_cfg(steps=1, tasks=FOUR_TASKS)
-    calls = []
+    roster = tiny_cfg(steps=6, tasks=FOUR_TASKS)
+    plan, calls = {}, []
+
+    def planning(ds, policy):
+        ds, task_plan = rebalance(ds, policy)
+        plan.update(task_plan)
+        return ds, task_plan
 
     def counting(arr, spec):
-        calls.append(spec.source_id)
+        calls.append((spec, arr.ndim))
         return apply_augmentation(arr, spec)
 
+    monkeypatch.setattr(pipeline, "rebalance", planning)
     monkeypatch.setattr(pipeline, "apply_augmentation", counting)
-    finetune_stage(roster, 0, corpora, TaskModel(roster, vocab, seed=0))
-    # every task doubles the 8 paired samples under the same 8 derived ids;
-    # each derived sample's image and mask are augmented once
+    fin = finetune_stage(roster, 0, corpora, TaskModel(roster, vocab, seed=0))
+    # every task doubles the 8 paired samples under the same 8 derived ids
     assert len(corpora["paired"]) == 8 and roster.rebalance_threshold == 16
-    assert sorted(calls) == sorted(2 * [s.sample_id for s in corpora["paired"]])
+    assert len(plan) == 8
+    drawn = {sid for line in fin.trace for sid in line.split("\t")[3].split(",")
+             if sid in plan}
+    assert 0 < len(drawn) < len(plan)
+    assert sorted(calls, key=repr) == sorted(
+        [(plan[did], ndim) for did in drawn for ndim in (3, 2)], key=repr)
 
 
 # ---------------------------------------------------------------- leakage
@@ -423,14 +479,22 @@ def test_workers_get_one_blas_thread_and_the_caller_keeps_its_setting(monkeypatc
 
 
 def test_pool_job_reuses_one_read_only_corpus_per_process(monkeypatch):
+    """A worker's jobs share one read-only corpus per name and world config,
+    generated by the first job that reads it."""
     monkeypatch.setattr(pipeline, "_corpora", {})
-    monkeypatch.setattr(pipeline, "run_stream", lambda cfg, seed, corpora: corpora)
-    a = pipeline._pool_job(tiny_cfg(pretrain_mode="pair-contrastive"), 0)
-    assert pipeline._pool_job(tiny_cfg(pretrain_mode="masked-unimodal"), 1) is a
-    assert pipeline._pool_job(tiny_cfg(data_seed=1), 0) is not a
-    for arr in (a["paired"][0].image, a["paired"][0].mask, a["image-only"][0].image):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0, 0] = 1
+    made = _recording_generator(monkeypatch)
+    pipeline._pool_job(tiny_cfg(pretrain_mode="pair-contrastive"), 0)
+    assert made == ["paired"]
+    pipeline._pool_job(tiny_cfg(pretrain_mode="masked-unimodal"), 1)
+    assert made == ["paired", "image-only", "text-only"]
+    [corpora] = pipeline._corpora.values()
+    for name in ("paired", "image-only"):
+        for arr in (corpora[name][0].image, corpora[name][0].mask):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1
+    pipeline._pool_job(tiny_cfg(data_seed=1, pretrain_mode="pair-contrastive"), 0)
+    assert made == ["paired", "image-only", "text-only", "paired"]
+    assert len(pipeline._corpora) == 2
 
 
 def test_tune_allocator_is_harmless(monkeypatch):

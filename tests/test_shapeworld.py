@@ -5,7 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from uniboost.shapeworld import (COLORS, FAMILIES, FAMILY_COLOR, SHAPES,
+from uniboost import shapeworld
+from uniboost.shapeworld import (COLORS, CORPORA, FAMILIES, FAMILY_COLOR, SHAPES,
                                  ShapeWorldConfig, analytic_area,
                                  build_vocabulary, class_id,
                                  gen_shapeworld, gen_single_shape_corpus,
@@ -186,6 +187,52 @@ def test_generated_corpora_do_not_drift():
     assert len(samples) == 104
     assert h.hexdigest() == \
         "95d18b7a6224a6def867a224693190dbeea829f6baae1120fa331d8fe29055dd"
+
+
+def _same_samples(a, b):
+    assert [s.sample_id for s in a] == [s.sample_id for s in b]
+    for x, y in zip(a, b):
+        for f in ("image", "mask"):
+            u, v = getattr(x, f), getattr(y, f)
+            assert (u is None and v is None) or (u.dtype == v.dtype
+                                                 and np.array_equal(u, v)), (x.sample_id, f)
+        assert (x.caption, x.question, x.answer) == (y.caption, y.question, y.answer)
+
+
+@pytest.mark.parametrize("cfg", [
+    ShapeWorldConfig(),
+    ShapeWorldConfig(family_affinity=0.9, color_affinity=0.2, seed=3)],
+    ids=["default", "other-affinities-seed3"])
+def test_each_corpus_generated_alone_equals_its_part_of_the_full_set(cfg):
+    full = gen_shapeworld(cfg)
+    assert list(full) == list(CORPORA) == ["paired", "image-only", "text-only"]
+    for name in CORPORA:
+        alone = gen_shapeworld(cfg, (name,))
+        assert list(alone) == [name]
+        _same_samples(alone[name], full[name])
+
+
+def test_text_only_scenes_paint_no_pixels(monkeypatch):
+    stencils = []
+
+    def recording(shape):
+        stencils.append(shape)
+        return shape_stencil(shape)
+
+    monkeypatch.setattr(shapeworld, "shape_stencil", recording)
+    text = gen_shapeworld(tiny_config(), ("text-only",))["text-only"]
+    assert len(text) == 24 and stencils == []
+    gen_shapeworld(tiny_config(), ("image-only",))
+    assert len(stencils) == 2 * 24
+
+
+def test_generated_arrays_are_read_only():
+    corpora = gen_shapeworld(tiny_config())
+    eval_corpus = gen_single_shape_corpus(tiny_config(), ("ring",), 2, seed=0)
+    for s in corpora["paired"][:2] + corpora["image-only"][:2] + eval_corpus:
+        for arr in (s.image, s.mask):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1
 
 
 def test_color_affinity_controls_signature_colors():
