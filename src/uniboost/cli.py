@@ -76,8 +76,7 @@ def cmd_pretrain(args) -> int:
     model = TaskModel(cfg, build_vocabulary(), seed)
     losses = pipeline.pretrain_stage(cfg, seed, corpora, model)
     ckpt = _pretrain_dir(out, cfg, seed)
-    pipeline.save_model(model, cfg, ckpt)
-    (ckpt / "losses.json").write_text(json.dumps(losses))
+    pipeline.save_model(model, cfg, ckpt, {"losses.json": json.dumps(losses)})
     for name, trace in sorted(losses.items()):
         if trace:
             print(f"{name}: first {trace[0]:.4f} last {trace[-1]:.4f} ({len(trace)} steps)")
@@ -93,12 +92,11 @@ def cmd_finetune_multitask(args) -> int:
     corpora = pipeline.build_corpora(cfg)
     fin = pipeline.finetune_stage(cfg, seed, corpora, model)
     mdir = _model_dir(out, cfg, seed)
-    pipeline.save_model(model, cfg, mdir)
-    (mdir / "schedule_trace.tsv").write_text("\n".join(fin.trace) + "\n")
-    (mdir / "losses.json").write_text(json.dumps(fin.losses))
-    (mdir / "training_audit.json").write_text(json.dumps({
-        "tokens": sorted(fin.training_tokens),
-        "mask_labels": sorted(fin.training_labels)}))
+    pipeline.save_model(model, cfg, mdir, {
+        "schedule_trace.tsv": "\n".join(fin.trace) + "\n",
+        "losses.json": json.dumps(fin.losses),
+        "training_audit.json": json.dumps({"tokens": sorted(fin.training_tokens),
+                                           "mask_labels": sorted(fin.training_labels)})})
     for task, trace in sorted(fin.losses.items()):
         if trace:
             print(f"{task}: first {trace[0]:.4f} last {trace[-1]:.4f} ({len(trace)} batches)")

@@ -104,7 +104,8 @@ class TaskModel(Module):
         logits = self.seg_patch_logits(images, class_names)
         labels = np.array([class_id(name) for name in class_names])
         per_patch = patch_majority_labels(masks, self.cfg.patch_size)  # [B, P]
-        unknown = np.setdiff1d(per_patch, labels)
+        present = np.flatnonzero(np.bincount(per_patch.ravel()))
+        unknown = present[~np.isin(present, labels)]
         if unknown.size:
             raise ValueError(
                 f"mask labels {unknown.tolist()} not covered by classes {class_names}")

@@ -222,7 +222,7 @@ def _audit_content(samples) -> tuple[set[str], set[int]]:
         for text in (s.caption, s.question, s.answer):
             tokens.update(text.split())
         if s.mask is not None:
-            labels.update(int(v) for v in np.unique(s.mask))
+            labels.update(np.flatnonzero(np.bincount(s.mask.ravel())).tolist())
     return tokens, labels
 
 
@@ -476,8 +476,10 @@ def emit_comparison(report: ComparisonReport, out_dir: str | Path) -> tuple[Path
 # checkpoint plumbing shared by the CLI
 
 
-def save_model(model: TaskModel, cfg: ExperimentConfig, directory: str | Path) -> None:
-    save_checkpoint(directory, model.state_dict(), config_text=serialize_config(cfg))
+def save_model(model: TaskModel, cfg: ExperimentConfig, directory: str | Path,
+               files: dict[str, str]) -> None:
+    """Save ``model`` with ``config.txt`` and the command's ``files``."""
+    save_checkpoint(directory, model.state_dict(), {"config.txt": serialize_config(cfg), **files})
 
 
 def load_model(cfg: ExperimentConfig, directory: str | Path) -> TaskModel:

@@ -12,14 +12,15 @@ A ``.ubtn`` file holds one tensor:
 Values are stored at the engine's float64, so loading returns exactly what
 was saved.
 
-A checkpoint is a directory of ``.ubtn`` payloads plus ``manifest.tsv``
-(name, comma-joined dims, filename per line, sorted by name) and a
-``config.txt`` echo of the run configuration. It is whole or absent: a save
-writes a sibling temporary directory and then swaps it into place, so a
-save that stops partway never leaves a manifest over a mix of payloads.
-Every file and the temporary directory are fsynced before the swap, and
-the parent directory after it, so a crash or power loss after a save
-returns cannot leave a renamed directory over unwritten payloads.
+A checkpoint is a directory: ``manifest.tsv`` (name and comma-joined dims
+per line, sorted by name), ``params.ubtn`` (one rank-1 tensor of every
+parameter's values, row-major, in manifest order) and the caller's files,
+such as ``config.txt``. It is whole or absent: a save writes all of them
+into a sibling temporary directory and then swaps it into place, so a save
+that stops partway leaves the previous checkpoint, with its own files, or
+none. Every file and the temporary directory are fsynced before the swap,
+and the parent directory after it, so a crash or power loss after a save
+returns cannot leave a renamed directory over unwritten files.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = ["save_tensor", "load_tensor", "save_checkpoint", "load_checkpoint",
 
 MAGIC = b"UBTN"
 DTYPE_F64 = 2
+PAYLOAD = "params.ubtn"
 
 
 class TensorFormatError(ValueError):
@@ -85,7 +87,8 @@ def _fsync(path: Path) -> None:
 
 
 def save_checkpoint(dirpath: str | Path, named_values: dict[str, np.ndarray],
-                    config_text: str = "") -> None:
+                    files: dict[str, str]) -> None:
+    """Save ``named_values`` and ``files`` (file name -> text) as one checkpoint."""
     d = Path(dirpath)
     # Siblings that no load reads: the checkpoint being written, and the
     # previous one for the moment between the two renames.
@@ -95,15 +98,12 @@ def save_checkpoint(dirpath: str | Path, named_values: dict[str, np.ndarray],
         shutil.rmtree(stale, ignore_errors=True)
     tmp.mkdir(parents=True)
     try:
-        lines = []
-        for i, name in enumerate(sorted(named_values)):
-            fname = f"p{i:04d}.ubtn"
-            arr = named_values[name]
-            save_tensor(tmp / fname, arr)
-            dims = ",".join(str(s) for s in np.asarray(arr).shape)
-            lines.append(f"{name}\t{dims}\t{fname}")
-        (tmp / "manifest.tsv").write_text("\n".join(lines) + "\n")
-        (tmp / "config.txt").write_text(config_text)
+        values = {name: np.asarray(named_values[name]) for name in sorted(named_values)}
+        manifest = "".join(f"{name}\t{','.join(map(str, arr.shape))}\n"
+                           for name, arr in values.items())
+        save_tensor(tmp / PAYLOAD, np.concatenate([np.zeros(0), *map(np.ravel, values.values())]))
+        for name, text in {"manifest.tsv": manifest, **files}.items():
+            (tmp / name).write_text(text, encoding="utf-8")
         for f in tmp.iterdir():
             _fsync(f)
         _fsync(tmp)
@@ -126,32 +126,26 @@ def load_checkpoint(dirpath: str | Path) -> dict[str, np.ndarray]:
         lines = manifest.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise TensorFormatError(f"{manifest} is not UTF-8 text: {exc}") from None
-    out: dict[str, np.ndarray] = {}
-    owner: dict[str, str] = {}  # payload file name -> the parameter read from it
+    shapes: dict[str, tuple[int, ...]] = {}
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
-        if len(parts) != 3:
-            raise TensorFormatError(f"{manifest}:{lineno}: expected 3 tab-separated fields")
-        name, dims_text, fname = parts
-        if name in out:
+        if len(parts) != 2:
+            raise TensorFormatError(
+                f"{manifest}:{lineno}: expected 2 tab-separated fields, name and dims")
+        name, dims_text = parts
+        if name in shapes:
             raise TensorFormatError(f"{manifest}:{lineno}: parameter {name!r} repeats")
-        if fname in ("", "..") or Path(fname).name != fname:
-            raise TensorFormatError(
-                f"{manifest}:{lineno}: payload {fname!r} is not a file name in {d}")
-        if owner.setdefault(fname, name) != name:
-            raise TensorFormatError(f"{manifest}:{lineno}: payload {fname!r} of {name!r} "
-                                    f"is also the payload of {owner[fname]!r}")
-        try:
-            dims = tuple(int(x) for x in dims_text.split(",")) if dims_text else ()
-        except ValueError:
-            raise TensorFormatError(
-                f"{manifest}:{lineno}: dims {dims_text!r} are not comma-separated "
-                f"integers") from None
-        arr = load_tensor(d / fname)
-        if arr.shape != dims:
-            raise TensorFormatError(
-                f"{manifest}:{lineno}: {name} has shape {arr.shape}, manifest says {dims}")
-        out[name] = arr
-    return out
+        dims = dims_text.split(",") if dims_text else []
+        if not all(x.isdecimal() for x in dims):
+            raise TensorFormatError(f"{manifest}:{lineno}: dims {dims_text!r} are not "
+                                    f"comma-separated non-negative integers")
+        shapes[name] = tuple(map(int, dims))
+    flat = load_tensor(d / PAYLOAD)
+    sizes = [math.prod(dims) for dims in shapes.values()]
+    if flat.shape != (sum(sizes),):
+        raise TensorFormatError(f"{d / PAYLOAD}: has shape {flat.shape}, the manifest's "
+                                f"sizes add up to ({sum(sizes)},)")
+    parts = np.split(flat, np.cumsum(sizes[:-1], dtype=np.int64))
+    return {name: part.reshape(dims) for (name, dims), part in zip(shapes.items(), parts)}

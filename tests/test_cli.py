@@ -16,6 +16,7 @@ import pytest
 from uniboost import pipeline
 from uniboost.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INVARIANT, EXIT_OK, build_parser, main
 from uniboost.shapeworld import CORPORA, class_id
+from uniboost.tensorio import load_checkpoint, save_tensor
 
 BASE_CFG = """
 [encoder]
@@ -65,18 +66,29 @@ def workspace(tmp_path, monkeypatch):
     return tmp_path, out, cfg
 
 
-def test_full_subcommand_flow(workspace, capsys):
+def test_full_subcommand_flow(workspace, capsys, monkeypatch):
     tmp, out, cfg = workspace
+    saved = {}  # checkpoint directory -> its files as the save left them
+    real_save = pipeline.save_checkpoint
 
+    def recording_save(directory, named_values, files):
+        real_save(directory, named_values, files)
+        saved[directory.name] = {f.name: f.read_bytes() for f in directory.iterdir()}
+
+    monkeypatch.setattr(pipeline, "save_checkpoint", recording_save)
     assert main(["pretrain", "--config", str(cfg)]) == EXIT_OK
     pre_dir = out / "pretrain-masked-unimodal-seed0"
-    assert (pre_dir / "manifest.tsv").exists()
-    assert (pre_dir / "losses.json").exists()
+    assert sorted(saved[pre_dir.name]) == [
+        "config.txt", "losses.json", "manifest.tsv", "params.ubtn"]
 
     assert main(["finetune-multitask", "--config", str(cfg)]) == EXIT_OK
     model_dir = out / "model-masked-unimodal-seed0"
-    assert (model_dir / "manifest.tsv").exists()
-    assert (model_dir / "schedule_trace.tsv").exists()
+    assert sorted(saved[model_dir.name]) == [
+        "config.txt", "losses.json", "manifest.tsv", "params.ubtn", "schedule_trace.tsv",
+        "training_audit.json"]
+    # each command's files are part of its save: nothing is written after it
+    for d in (pre_dir, model_dir):
+        assert {f.name: f.read_bytes() for f in d.iterdir()} == saved[d.name]
     audit = json.loads((model_dir / "training_audit.json").read_text())
     assert "ring" not in audit["tokens"]
 
@@ -249,20 +261,27 @@ def test_removed_optimizer_keys_exit_2_as_unknown(tmp_path, capsys, key):
 
 
 def test_eval_loads_no_masked_array_module(workspace):
-    """Scoring maps labels with sorted lookups: an `eval` process imports no
-    `numpy.ma`, whose import alone costs more than a small eval's metrics."""
+    """Label sets come from sorted lookups and `bincount`: no stage command
+    imports `numpy.ma`, whose import alone costs more than a small eval's
+    metrics. `finetune-multitask` and a pair-contrastive `pretrain` audit the
+    paired masks; `eval` scores masks."""
     tmp, out, cfg = workspace
+    pc = tmp / "pc.cfg"
+    pc.write_text(BASE_CFG.format(mode="pair-contrastive"))
     assert main(["pretrain", "--config", str(cfg)]) == EXIT_OK
-    assert main(["finetune-multitask", "--config", str(cfg)]) == EXIT_OK
     script = ("import sys\nfrom uniboost.cli import main\n"
-              f"assert main(['eval', '--config', {str(cfg)!r}, '--vqa']) == 0\n"
+              "assert main(sys.argv[1:]) == 0\n"
               "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n")
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    for command in (["finetune-multitask", "--config", str(cfg)],
+                    ["eval", "--config", str(cfg), "--vqa"],
+                    ["pretrain", "--config", str(pc)]):
+        proc = subprocess.run([sys.executable, "-c", script, *command], capture_output=True,
+                              text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", command
     assert json.loads((out / "eval-novel.json").read_text())["samples"] == 8
+    assert (out / "pretrain-pair-contrastive-seed0" / "manifest.tsv").is_file()
 
 
 def test_data_errors_exit_3(workspace):
@@ -408,7 +427,7 @@ def test_unreadable_audit_exits_4(workspace):
     assert not (out / "eval-novel.json").exists()
 
 
-def test_checkpoint_that_does_not_fit_the_config_exits_3(workspace):
+def test_checkpoint_that_does_not_fit_the_config_exits_3(workspace, capsys):
     tmp, out, cfg = workspace
     assert main(["pretrain", "--config", str(cfg)]) == EXIT_OK
     assert main(["finetune-multitask", "--config", str(cfg)]) == EXIT_OK
@@ -423,22 +442,56 @@ def test_checkpoint_that_does_not_fit_the_config_exits_3(workspace):
     assert main(["eval", "--config", str(deeper), "--split", "base"]) == EXIT_DATA
     manifest = out / "model-masked-unimodal-seed0" / "manifest.tsv"
     good = manifest.read_bytes()
-    manifest.write_bytes(good.replace(b"\t", b"\xe9\t", 1))
-    assert main(["eval", "--config", str(cfg), "--split", "base"]) == EXIT_DATA
-    # dims that are not integers, and a payload that is a directory
-    name, dims, payload = good.decode().splitlines()[0].split("\t")
-    manifest.write_bytes(good.replace(f"\t{dims}\t".encode(), f"\t{dims},x\t".encode(), 1))
-    assert main(["eval", "--config", str(cfg), "--split", "base"]) == EXIT_DATA
-    # a parameter named twice, and a payload from the pretraining checkpoint
-    manifest.write_bytes(good + f"{name}\t{dims}\t{payload}\n".encode())
-    assert main(["eval", "--config", str(cfg), "--split", "base"]) == EXIT_DATA
-    manifest.write_bytes(good.replace(
-        f"\t{payload}\n".encode(), f"\t../pretrain-masked-unimodal-seed0/{payload}\n".encode(), 1))
-    assert main(["eval", "--config", str(cfg), "--split", "base"]) == EXIT_DATA
+    rows = good.decode().splitlines(keepends=True)
+    name, dims = rows[0].rstrip("\n").split("\t")
+    matrix = next(row for row in rows if "," in row)  # a parameter of two dims
+    matrix_dims = matrix.rstrip("\n").split("\t")[1]
+    for broken, says in [
+            (good.replace(b"\t", b"\xe9\t", 1), "manifest.tsv is not UTF-8 text"),
+            (good.replace(f"\t{dims}\n".encode(), f"\t{dims},x\n".encode(), 1),
+             "are not comma-separated non-negative integers"),
+            (good + f"{name}\t{dims}\n".encode(), f"parameter {name!r} repeats"),
+            ("".join(rows[1:]).encode(), "the manifest's sizes add up to"),
+            (good.replace(matrix.encode(), matrix.replace(
+                matrix_dims, "-" + matrix_dims.replace(",", ",-")).encode()),
+             "are not comma-separated non-negative integers")]:
+        manifest.write_bytes(broken)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--split", "base"]) == EXIT_DATA, says
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and says in err and "Traceback" not in err
     manifest.write_bytes(good)
-    (manifest.parent / payload).unlink()
-    (manifest.parent / payload).mkdir()
+    payload = manifest.parent / "params.ubtn"
+    payload.unlink()
+    payload.mkdir()
     assert main(["eval", "--config", str(cfg), "--split", "base"]) == EXIT_DATA
+    assert "params.ubtn: is a directory" in capsys.readouterr().err
+
+
+def test_checkpoint_in_the_per_parameter_layout_exits_3(workspace, capsys):
+    """A checkpoint written before the one-payload layout (one `.ubtn` file
+    per parameter, named by a third manifest column) is refused, not read."""
+    tmp, out, cfg = workspace
+    assert main(["pretrain", "--config", str(cfg)]) == EXIT_OK
+    ckpt = out / "pretrain-masked-unimodal-seed0"
+    state = load_checkpoint(ckpt)
+    (ckpt / "params.ubtn").unlink()
+    rows = []
+    for i, (name, values) in enumerate(sorted(state.items())):
+        save_tensor(ckpt / f"p{i:04d}.ubtn", values)
+        rows.append(f"{name}\t{','.join(map(str, values.shape))}\tp{i:04d}.ubtn")
+    (ckpt / "manifest.tsv").write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    assert main(["finetune-multitask", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "Traceback" not in err
+    assert "manifest.tsv:1: expected 2 tab-separated fields, name and dims" in err
+    # its rows cut to name and dims, it still has no params.ubtn
+    (ckpt / "manifest.tsv").write_text("".join(row.rsplit("\t", 1)[0] + "\n" for row in rows))
+    assert main(["finetune-multitask", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "params.ubtn" in err and "Traceback" not in err
+    assert not (out / "model-masked-unimodal-seed0").exists()
 
 
 def test_vocab_size_below_the_vocabulary_exits_2(workspace):

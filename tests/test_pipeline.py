@@ -2,6 +2,7 @@
 
 import ctypes
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -523,7 +524,10 @@ def test_tune_allocator_is_harmless(monkeypatch):
 def test_model_checkpoint_round_trip(tmp_path, corpus_and_vocab):
     cfg, _, vocab = corpus_and_vocab
     model = TaskModel(cfg, vocab, seed=3)
-    save_model(model, cfg, tmp_path / "ckpt")
+    save_model(model, cfg, tmp_path / "ckpt", {"losses.json": "{}"})
+    assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == [
+        "config.txt", "losses.json", "manifest.tsv", "params.ubtn"]
+    assert (tmp_path / "ckpt" / "config.txt").read_text() == serialize_config(cfg)
     back = load_model(cfg, tmp_path / "ckpt")  # no seed: every entry comes from disk
     a = dict(model.named_parameters())
     b = dict(back.named_parameters())
@@ -557,3 +561,45 @@ def test_stage_chain_reproduces_run_stream(tmp_path, monkeypatch, mode):
         assert {f"finetune/{k}": v for k, v in fin.items()} == {
             k: v for k, v in record.losses.items() if k.startswith("finetune/")}
         assert json.loads((out / "eval-novel.json").read_text()) == record.metrics["novel"]
+
+
+def _perfbench_checks(monkeypatch):
+    """perfbench/checks.py as it is: the output checks the benchmark applies."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, checks)  # dataclasses look their module up
+    spec.loader.exec_module(checks)
+    return checks
+
+
+def test_benchmark_output_checks_pass_on_a_tiny_chain_and_compare(tmp_path, monkeypatch):
+    # a change to what the commands write that the benchmark would refuse
+    # fails here, in the fast suite, first
+    checks = _perfbench_checks(monkeypatch)
+    monkeypatch.delenv("UNIBOOST_OUT", raising=False)
+    paths, streams = [], []
+    for mode in ("masked-unimodal", "pair-contrastive"):
+        path = tmp_path / f"{mode}.cfg"
+        path.write_text(serialize_config(tiny_cfg(pretrain_mode=mode, eval_samples=4,
+                                                  tasks=FOUR_TASKS)))
+        paths.append(path)
+        streams.append(checks.StreamConfig.read(path))
+    out = tmp_path / "chain"
+    common = ["--config", str(paths[0]), "--seed", "7", "--out", str(out)]
+    for command in (["pretrain"], ["finetune-multitask"], ["eval", "--split", "base", "--vqa"],
+                    ["eval", "--split", "novel", "--vqa"]):
+        assert main([*command, *common]) == 0, command
+    results = [checks.check_pretrain(out, streams[0], 7),
+               checks.check_finetune(out, streams[0], 7),
+               *(checks.check_eval(out, streams[0], 7, split) for split in ("base", "novel"))]
+    out = tmp_path / "compare"
+    assert main(["compare", "--config", str(paths[0]), "--config", str(paths[1]),
+                 "--seeds", "0", "--out", str(out)]) == 0
+    results.append(checks.check_compare(out, streams, [0]))
+    ops = [op for result in results for op in result.ops]
+    assert [op.name for op in ops] == [
+        "pretrain", "finetune-multitask", "eval-base", "eval-novel",
+        "masked-unimodal:seed0", "pair-contrastive:seed0"]
+    assert {op.name: op.reasons for op in ops if op.reasons} == {}
+    assert all(op.fingerprint for op in ops)
