@@ -22,8 +22,10 @@ Each corpus comes from its own RNG stream, so ``gen_shapeworld`` can build
 any one of them alone, bit for bit as it comes out with the others.
 Text-only scenes make every RNG draw an image would but paint no pixels.
 
-All pixel values are quantized to float32 at creation: every pinned result
-was measured on corpora of that precision. Every generated array is
+Images are stored as float32 and masks as uint8, the widths their values
+hold: every pinned result was measured on corpora of that precision. A
+batch is widened to float64 once, where it becomes a ``Tensor``, and no
+stage computes on an image before that. Every generated array is
 read-only. Each shape's stencil is built once per process, on first use,
 and shared read-only by every render after it.
 """
@@ -165,15 +167,11 @@ class ShapeWorldConfig:
 @dataclass
 class Sample:
     sample_id: str
-    image: np.ndarray | None = None  # [H, W, 3] float64 (f32-quantized)
-    mask: np.ndarray | None = None   # [H, W] int labels
+    image: np.ndarray | None = None  # [H, W, 3] float32
+    mask: np.ndarray | None = None   # [H, W] uint8 labels
     caption: str = ""
     question: str = ""
     answer: str = ""
-
-
-def _quantize(img: np.ndarray) -> np.ndarray:
-    return img.astype(np.float32).astype(np.float64)
 
 
 def _render(config: ShapeWorldConfig, rng: np.random.Generator,
@@ -188,7 +186,7 @@ def _render(config: ShapeWorldConfig, rng: np.random.Generator,
     shades = [rng.uniform(0.85, 1.0) for _ in placements]
     if not paint:
         return None, None
-    mask = np.zeros((g, g), dtype=np.int64)
+    mask = np.zeros((g, g), dtype=np.uint8)
     for (shape, color, cr, cc), shade in zip(placements, shades):
         stencil = shape_stencil(shape)
         rows = slice(cr - _HALF, cr + _HALF + 1)
@@ -196,7 +194,7 @@ def _render(config: ShapeWorldConfig, rng: np.random.Generator,
         region = img[rows, cols]
         region[stencil] = _RGB[color] * shade
         mask[rows, cols][stencil] = class_id(shape)
-    img = _quantize(np.clip(img, 0.0, 1.0))
+    img = np.clip(img, 0.0, 1.0).astype(np.float32)
     img.flags.writeable = mask.flags.writeable = False
     return img, mask
 

@@ -75,19 +75,23 @@ def test_ignore_label_pixels_are_dropped():
 
 def test_unsorted_sparse_classes_match_a_per_pixel_lookup():
     """Labels map to matrix rows through the class list's order, not their
-    value: a per-pixel dictionary lookup is the reference."""
+    value: a per-pixel dictionary lookup is the reference. Ground truth
+    stored as uint8, as corpus masks are, counts the same."""
     classes = (7, 0, 12, 3)
     index = {c: i for i, c in enumerate(classes)}
     rng = np.random.default_rng(1)
     counts, want = ConfusionCounts(classes), np.zeros((4, 4), dtype=np.int64)
+    narrow = ConfusionCounts(classes)
     for _ in range(20):
         pred = rng.choice(classes, size=(6, 6))
         gt = rng.choice(classes + (IGNORE,), size=(6, 6))
         counts.accumulate(pred, gt)
+        narrow.accumulate(pred, gt.astype(np.uint8))
         for p, g in zip(pred.ravel(), gt.ravel()):
             if g != IGNORE:
                 want[index[g], index[p]] += 1
     assert np.array_equal(counts.matrix, want)
+    assert np.array_equal(narrow.matrix, want)
     with pytest.raises(MetricError, match=r"labels \[5, 13\] outside class set"):
         counts.accumulate(np.array([13, 0, 5]), np.array([0, 5, IGNORE]))
     assert np.array_equal(counts.matrix, want)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from uniboost import model as model_module
 from uniboost.config import ExperimentConfig, encoder_config, neck_config
 from uniboost.model import MASK_RECOVERY_PROB, TaskModel, patch_majority_labels
 from uniboost.neck import ANSWER_TOKENS
@@ -65,6 +66,7 @@ def test_patch_majority_labels_batch_matches_the_per_row_count():
     masks = rng.integers(0, 4, size=(5, 8, 12))
     got = patch_majority_labels(masks, 2)
     assert got.shape == (5, 24)
+    assert np.array_equal(patch_majority_labels(masks.astype(np.uint8), 2), got)
     ties = 0
     for mask, row in zip(masks, got):
         blocks = mask.reshape(4, 2, 6, 2).transpose(0, 2, 1, 3).reshape(-1, 4)
@@ -102,6 +104,25 @@ def test_seg_loss_rejects_uncovered_labels(model, eval_samples):
     masks = np.stack([s.mask for s in eval_samples[:2]])
     with pytest.raises(ValueError, match="not covered by classes"):
         model.seg_loss(images, masks, ["background", "triangle"])
+
+
+def test_seg_loss_targets_of_uint8_masks_equal_int64(model, eval_samples, monkeypatch):
+    names = ["background", "square", "circle"]
+    images = np.stack([s.image for s in eval_samples[:4]])
+    masks = np.stack([s.mask for s in eval_samples[:4]])
+    assert masks.dtype == np.uint8
+    targets, cross_entropy = [], model_module.cross_entropy
+
+    def recording(logits, t):
+        targets.append(t)
+        return cross_entropy(logits, t)
+
+    monkeypatch.setattr(model_module, "cross_entropy", recording)
+    narrow = model.seg_loss(images, masks, names).item()
+    wide = model.seg_loss(images, masks.astype(np.int64), names).item()
+    assert narrow == wide
+    assert targets[0].dtype == targets[1].dtype and np.array_equal(*targets)
+    assert set(np.unique(targets[0]).tolist()) == {0, 1, 2}
 
 
 def test_seg_predict_returns_pixel_labels(model, eval_samples):

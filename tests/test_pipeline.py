@@ -357,13 +357,73 @@ BEHAVIOUR_FINGERPRINTS = {
 }
 
 
+def openblas_kernel(lib=None) -> str:
+    """The kernel numpy's bundled OpenBLAS runs in this process (``SkylakeX``,
+    ``Haswell``, ...), or ``unknown`` where it cannot be read. The loss bits
+    of the pinned fingerprints depend on it."""
+    try:
+        if lib is None:
+            [path] = (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")
+            lib = ctypes.CDLL(str(path))
+        corename = lib.scipy_openblas_get_corename64_
+    except (OSError, ValueError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return (corename() or b"unknown").decode()
+
+
+def test_openblas_kernel_is_named_or_unknown():
+    name = openblas_kernel()
+    assert isinstance(name, str) and name
+    if np.__config__.CONFIG["Build Dependencies"]["blas"]["name"] == "scipy-openblas":
+        assert name != "unknown"
+    assert openblas_kernel(ctypes.CDLL(None)) == "unknown"  # no such symbol
+
+
+def _fingerprint_cfg(mode):
+    return tiny_cfg(pretrain_mode=mode, pretrain_steps=3, steps=4, eval_samples=4,
+                    tasks=FOUR_TASKS)
+
+
+def _losses_and_metrics(cfg) -> str:
+    record = run_stream(cfg, 0, build_corpora(cfg))
+    return json.dumps([record.losses, record.metrics], sort_keys=True)
+
+
 @pytest.mark.parametrize("mode", sorted(BEHAVIOUR_FINGERPRINTS))
 def test_behaviour_fingerprint_does_not_drift(mode):
-    cfg = tiny_cfg(pretrain_mode=mode, pretrain_steps=3, steps=4, eval_samples=4,
-                   tasks=FOUR_TASKS)
-    record = run_stream(cfg, 0, build_corpora(cfg))
-    blob = json.dumps([record.losses, record.metrics], sort_keys=True).encode()
-    assert hashlib.sha256(blob).hexdigest() == BEHAVIOUR_FINGERPRINTS[mode]
+    blob = _losses_and_metrics(_fingerprint_cfg(mode)).encode()
+    assert hashlib.sha256(blob).hexdigest() == BEHAVIOUR_FINGERPRINTS[mode], \
+        f"pinned on OpenBLAS kernel SkylakeX, run on {openblas_kernel()}"
+
+
+def _widened(samples):
+    """Copies of ``samples`` with each image widened to float64 and each mask
+    to int64."""
+    return [replace(s, image=None if s.image is None else s.image.astype(np.float64),
+                    mask=None if s.mask is None else s.mask.astype(np.int64))
+            for s in samples]
+
+
+@pytest.mark.parametrize("mode", sorted(BEHAVIOUR_FINGERPRINTS))
+def test_widening_the_corpora_first_changes_no_bit(monkeypatch, mode):
+    """Corpora are stored narrow (float32 images, uint8 masks) and widened
+    where a batch becomes a Tensor. Widening every training and eval corpus
+    to float64/int64 before the run, which widens the augmented copies too,
+    changes no byte of the losses and metrics: no stage computes on a
+    narrow value."""
+    cfg = _fingerprint_cfg(mode)
+    narrow = _losses_and_metrics(cfg)
+    paired = build_corpora(cfg)["paired"]
+    assert pipeline._audit_content(_widened(paired)) == pipeline._audit_content(paired)
+
+    generate, generate_eval = pipeline.gen_shapeworld, pipeline.gen_single_shape_corpus
+    monkeypatch.setattr(pipeline, "gen_shapeworld", lambda world, names=CORPORA: {
+        name: _widened(corpus) for name, corpus in generate(world, names).items()})
+    monkeypatch.setattr(pipeline, "gen_single_shape_corpus",
+                        lambda *args, **kw: _widened(generate_eval(*args, **kw)))
+    assert build_corpora(cfg)["paired"][0].image.dtype == np.float64
+    assert _losses_and_metrics(cfg) == narrow
 
 
 def test_compare_rejects_non_pretrain_differences():

@@ -221,6 +221,20 @@ def test_apply_augmentation_preserves_shape_and_dtype():
         assert out_mask.dtype == mask.dtype
 
 
+def test_apply_augmentation_of_a_narrow_array_equals_that_of_its_widened_copy():
+    """Corpora store float32 images and uint8 masks: augmenting them keeps
+    their dtype and gives, widened, the augmentation of the widened copy."""
+    rng = np.random.default_rng(11)
+    img = rng.uniform(size=(16, 16, 3)).astype(np.float32)
+    mask = rng.integers(0, 9, size=(16, 16)).astype(np.uint8)
+    for scale in (0.8, 1.0, 1.19):
+        spec = AugSpec("x", scale, 0.3, 0.7)
+        for narrow, wide in ((img, np.float64), (mask, np.int64)):
+            out = apply_augmentation(narrow, spec)
+            assert out.dtype == narrow.dtype
+            assert np.array_equal(out.astype(wide), apply_augmentation(narrow.astype(wide), spec))
+
+
 def test_apply_augmentation_identity_at_unit_scale():
     rng = np.random.default_rng(10)
     img = rng.uniform(size=(8, 8, 3))

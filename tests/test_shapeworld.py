@@ -166,20 +166,29 @@ def test_generation_is_bit_deterministic():
     assert not np.array_equal(a["paired"][0].image, c["paired"][0].image)
 
 
+def _five_corpora(cfg):
+    """The three training corpora and the two eval corpora, by name."""
+    corpora = gen_shapeworld(cfg)
+    corpora["base-eval"] = gen_single_shape_corpus(cfg, cfg.base_shapes, 16, seed=11,
+                                                   prefix="base-eval")
+    corpora["novel-eval"] = gen_single_shape_corpus(cfg, cfg.novel_shapes, 16, seed=13,
+                                                    prefix="novel-eval")
+    return corpora
+
+
 def test_generated_corpora_do_not_drift():
     """Every id, pixel, label and string the generator emits for a small
-    config, pinned: a faster render must draw the same bits."""
-    cfg = tiny_config(samples_per_corpus=32)
-    corpora = gen_shapeworld(cfg)
-    samples = (corpora["paired"] + corpora["image-only"] + corpora["text-only"]
-               + gen_single_shape_corpus(cfg, cfg.base_shapes, 16, seed=11,
-                                         prefix="base-eval")
-               + gen_single_shape_corpus(cfg, cfg.novel_shapes, 16, seed=13,
-                                         prefix="novel-eval"))
+    config, pinned: a faster render must draw the same bits. Each image is
+    hashed widened to float64 and each mask to int64, the widths the pin was
+    taken at, so the pin holds every value whatever width stores it."""
+    corpora = _five_corpora(tiny_config(samples_per_corpus=32))
+    samples = [s for corpus in corpora.values() for s in corpus]
     h = hashlib.sha256()
     for s in samples:
         h.update(s.sample_id.encode() + b"\0")
-        for arr in (s.image, s.mask):
+        for arr, wide in ((s.image, np.float64), (s.mask, np.int64)):
+            if arr is not None:
+                arr = arr.astype(wide)
             h.update(b"none\0" if arr is None else
                      f"{arr.dtype.str}{arr.shape}".encode() + arr.tobytes())
         for text in (s.caption, s.question, s.answer):
@@ -187,6 +196,19 @@ def test_generated_corpora_do_not_drift():
     assert len(samples) == 104
     assert h.hexdigest() == \
         "95d18b7a6224a6def867a224693190dbeea829f6baae1120fa331d8fe29055dd"
+
+
+def test_corpora_store_float32_images_and_uint8_masks():
+    """The storage contract of all five corpora: float32 pixels, uint8
+    labels, read-only and C-contiguous; text-only scenes hold no arrays."""
+    corpora = _five_corpora(tiny_config())
+    assert all(s.image is None and s.mask is None for s in corpora.pop("text-only"))
+    for name, samples in corpora.items():
+        assert samples, name
+        for s in samples:
+            for arr, dtype in ((s.image, np.float32), (s.mask, np.uint8)):
+                assert arr.dtype == dtype, (name, s.sample_id)
+                assert not arr.flags.writeable and arr.flags.c_contiguous, (name, s.sample_id)
 
 
 def _same_samples(a, b):
