@@ -86,7 +86,7 @@ class AdamW:
             yield from plist
 
     def effective_lr(self, group: str) -> float:
-        plist, mult = self.groups[group]
+        _, mult = self.groups[group]
         factor = schedule_factor(self.step_count, self.total_steps, self.warmup_steps)
         return factor * self.peak_lr * mult
 

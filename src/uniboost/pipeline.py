@@ -119,7 +119,7 @@ def pretrain_stage(cfg: ExperimentConfig, seed: int, corpora: Mapping[str, list[
         targets = np.array([_label_of(s) for s in texts])
     else:
         targets = np.array([model.vocab.encode(s.caption) for s in texts])
-    return pretrain_run(mode, _stack_images(images), targets, model.image_encoder,
+    return pretrain_run(mode, [s.image for s in images], targets, model.image_encoder,
                         model.text_encoder, steps=cfg.pretrain_steps, seed=seed,
                         batch_size=cfg.pretrain_batch_size, peak_lr=cfg.pretrain_peak_lr)
 
@@ -152,23 +152,19 @@ def finetune_stage(cfg: ExperimentConfig, seed: int, corpora: Mapping[str, list[
     store: dict[str, Sample] = {s.sample_id: s for s in corpora["paired"]}
     seg_classes = ["background", *world_config(cfg).base_shapes]
 
-    datasets = []
-    policy = RebalancePolicy(threshold=cfg.rebalance_threshold)
-    # The tasks' plans share their derived ids; the last task's spec for an
-    # id wins, and a derived sample is augmented once, when a batch first
-    # draws it.
-    merged_plan = {}
-    for spec in cfg.tasks:
-        ds = TaskDataset(spec.task_id, spec.route,
-                         tuple(s.sample_id for s in corpora["paired"]),
-                         spec.batch_size, _task_rng_seed(seed, spec.task_id))
-        ds, plan = rebalance(ds, policy)
-        merged_plan.update(plan)
-        datasets.append(ds)
+    # Every task draws from one augmented pool, planned under the last task's
+    # seed, and each task shuffles it under its own; a derived sample is
+    # augmented once, when a batch first draws it.
+    last = cfg.tasks[-1]
+    pool, plan = rebalance(TaskDataset(last.task_id, last.route, tuple(store),
+                                       last.batch_size, _task_rng_seed(seed, last.task_id)),
+                           RebalancePolicy(threshold=cfg.rebalance_threshold))
+    datasets = [TaskDataset(spec.task_id, spec.route, pool.sample_ids, spec.batch_size,
+                            _task_rng_seed(seed, spec.task_id)) for spec in cfg.tasks]
 
     def sample(sid: str) -> Sample:
         if sid not in store:
-            aug = merged_plan[sid]
+            aug = plan[sid]
             src = store[aug.source_id]
             store[sid] = Sample(sid, apply_augmentation(src.image, aug),
                                 apply_augmentation(src.mask, aug),
@@ -285,7 +281,7 @@ def eval_stage(cfg: ExperimentConfig, model: TaskModel, split: str,
     }
     if eval_vqa:
         records = [("other", answer, s.answer) for answer, s in zip(answers, corpus)]
-        per_type, mean = vqa_accuracy(records)
+        per_type, _ = vqa_accuracy(records)
         report["vqa_exact_match"] = per_type.get("other", 0.0)
     return report
 
@@ -428,14 +424,20 @@ def compare_streams(configs: dict[str, ExperimentConfig],
     return ComparisonReport([fold_label], rows, win_counts, stream_means)
 
 
+def _comparison_cells(report: ComparisonReport) -> list[list[str]]:
+    """The header, then one row per result: the cells both tables print."""
+    return [["stream", "seed", *report.fold_labels, "mean", "fb-iou"],
+            *([row.stream, str(row.seed),
+               *[f"{row.fold_scores[f]:.1f}" for f in report.fold_labels],
+               f"{row.mean:.1f}", f"{row.fb:.1f}"] for row in report.rows)]
+
+
 def comparison_csv(report: ComparisonReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["row-type", "stream", "seed", *report.fold_labels, "mean", "fb-iou"])
-    for row in report.rows:
-        writer.writerow(["result", row.stream, row.seed,
-                         *[f"{row.fold_scores[f]:.1f}" for f in report.fold_labels],
-                         f"{row.mean:.1f}", f"{row.fb:.1f}"])
+    header, *body = _comparison_cells(report)
+    writer.writerow(["row-type", *header])
+    writer.writerows(["result", *cells] for cells in body)
     for stream in sorted(report.win_counts):
         writer.writerow(["wins", stream, "", *[""] * len(report.fold_labels),
                          str(report.win_counts[stream]), ""])
@@ -443,17 +445,10 @@ def comparison_csv(report: ComparisonReport) -> str:
 
 
 def comparison_text(report: ComparisonReport) -> str:
-    header = ["stream", "seed", *report.fold_labels, "mean", "fb-iou"]
-    body = [[row.stream, str(row.seed),
-             *[f"{row.fold_scores[f]:.1f}" for f in report.fold_labels],
-             f"{row.mean:.1f}", f"{row.fb:.1f}"] for row in report.rows]
-    widths = [max(len(h), *(len(r[i]) for r in body)) if body else len(h)
-              for i, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for r in body:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)))
-    lines.append("")
+    cells = _comparison_cells(report)
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    rows = ["  ".join(v.ljust(w) for v, w in zip(r, widths)) for r in cells]
+    lines = [rows[0], "  ".join("-" * w for w in widths), *rows[1:], ""]
     for stream in sorted(report.win_counts):
         lines.append(f"wins[{stream}] = {report.win_counts[stream]}")
     return "\n".join(lines) + "\n"

@@ -2,8 +2,9 @@
 pair contrastive alignment, and masked unimodal modeling (masked patches
 for images, masked tokens for text).
 
-``pretrain_run`` takes the arrays its regime reads; ``pipeline.pretrain_stage``
-alone chooses the corpus that fills them.
+``pretrain_run`` takes the images and targets its regime reads and stacks
+each image batch as it draws it; ``pipeline.pretrain_stage`` alone chooses
+the corpus that fills them.
 
 Masked losses are computed over masked positions only, from one [B, N] 0/1
 mask per step; gradients with respect to reconstruction targets at unmasked
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -185,18 +186,20 @@ def _batch_indices(rng: np.random.Generator, n: int, batch_size: int) -> np.ndar
     return rng.choice(n, size=min(batch_size, n), replace=False)
 
 
-def pretrain_run(mode: PretrainMode, images: np.ndarray, targets: np.ndarray,
+def pretrain_run(mode: PretrainMode, images: Sequence[np.ndarray], targets: np.ndarray,
                  image_encoder: ImageEncoder, text_encoder: TextEncoder, steps: int,
                  seed: int, batch_size: int = 8,
                  peak_lr: float = 1e-3) -> dict[str, list[float]]:
     """Train the given encoders in place under one regime; return the
     per-step loss traces by name.
 
-    What ``images`` and ``targets`` hold, by mode:
-      supervised       — images [N,H,W,3], class labels [N], each an index
-                         into shapeworld.SHAPES (the head has len(SHAPES) outputs)
-      pair-contrastive — images [N,H,W,3], token ids [N,T] (aligned pairs)
-      masked-unimodal  — images [N,H,W,3], token ids [M,T] (independent)
+    ``images`` is any sequence of N [H,W,3] images, such as a list of a
+    corpus's arrays or one stacked [N,H,W,3] array; each step stacks the
+    batch it draws. What ``targets`` holds, by mode:
+      supervised       — class labels [N], each an index into
+                         shapeworld.SHAPES (the head has len(SHAPES) outputs)
+      pair-contrastive — token ids [N,T] (aligned with the images)
+      masked-unimodal  — token ids [M,T] (independent of the images)
     """
     config = image_encoder.config
     rng = np.random.default_rng(seed)
@@ -211,8 +214,8 @@ def pretrain_run(mode: PretrainMode, images: np.ndarray, targets: np.ndarray,
 
         def supervised(step):
             idx = _batch_indices(rng, len(targets), batch_size)
-            return "supervised", supervised_cls_loss(image_encoder, head, images[idx],
-                                                     targets[idx])
+            return "supervised", supervised_cls_loss(
+                image_encoder, head, np.stack([images[i] for i in idx]), targets[idx])
 
         objectives = [(supervised, make_opt(image_encoder, head))]
 
@@ -226,8 +229,8 @@ def pretrain_run(mode: PretrainMode, images: np.ndarray, targets: np.ndarray,
 
         def contrastive(step):
             idx = _batch_indices(rng, len(images), bs)
-            return "contrastive", contrastive_loss(image_encoder, text_encoder, images[idx],
-                                                   targets[idx])
+            return "contrastive", contrastive_loss(
+                image_encoder, text_encoder, np.stack([images[i] for i in idx]), targets[idx])
 
         objectives = [(contrastive, make_opt(image_encoder, text_encoder))]
 
@@ -239,7 +242,7 @@ def pretrain_run(mode: PretrainMode, images: np.ndarray, targets: np.ndarray,
 
         def mim(step):
             idx = _batch_indices(rng, len(images), batch_size)
-            return "mim", mim_loss(image_encoder, mim_head, images[idx],
+            return "mim", mim_loss(image_encoder, mim_head, np.stack([images[i] for i in idx]),
                                    seed=seed * 100003 + step)
 
         def mlm(step):

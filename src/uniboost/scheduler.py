@@ -12,7 +12,7 @@ augmented duplicates until a minimum size is met.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,8 +1,9 @@
 """Every name a ``uniboost`` module exports through ``__all__`` exists,
 every name the benchmark's span tracer patches still resolves, every op
-tag a training loss tapes is one the tracer knows, and the command line
-does not import scipy."""
+tag a training loss tapes is one the tracer knows, the command line
+does not import scipy, and no module imports a name it never uses."""
 
+import ast
 import importlib
 import json
 import os
@@ -33,6 +34,20 @@ def test_every_all_entry_resolves():
     missing = [f"{m.__name__}.{name}" for m in modules
                for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
     assert missing == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted((ROOT / "src" / "uniboost").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []
 
 
 def test_traced_import_resolves_every_hook(tmp_path):

@@ -162,6 +162,24 @@ def test_pretrain_stage_all_modes(corpus_and_vocab):
             assert np.array_equal(p.values, values) != name.startswith(trained), (mode, name)
 
 
+@pytest.mark.parametrize("mode, corpus", [("masked-unimodal", "image-only"),
+                                         ("pair-contrastive", "paired"),
+                                         ("supervised", "paired")])
+def test_pretrain_stage_passes_the_corpus_own_image_arrays(corpus_and_vocab, monkeypatch,
+                                                          mode, corpus):
+    """Pretraining holds no stacked copy of its corpus: it reads the
+    corpus's own read-only arrays and stacks each batch as it draws it."""
+    cfg, corpora, vocab = corpus_and_vocab
+    mode_cfg = replace(cfg, pretrain_mode=mode)
+    passed = []
+    monkeypatch.setattr(pipeline, "pretrain_run",
+                        lambda mode, images, *args, **kw: passed.append(images) or {})
+    pretrain_stage(mode_cfg, 0, corpora, TaskModel(mode_cfg, vocab, seed=0))
+    [images] = passed
+    assert len(images) == len(corpora[corpus])
+    assert all(image is s.image for image, s in zip(images, corpora[corpus]))
+
+
 def test_finetune_stage_trains_and_tracks_tokens(corpus_and_vocab):
     cfg, corpora, vocab = corpus_and_vocab
     model = TaskModel(cfg, vocab, seed=0)
@@ -214,18 +232,51 @@ def test_multihead_roster_smoke(corpus_and_vocab):
     assert sum(len(v) for v in fin.losses.values()) == 4
 
 
-def test_each_derived_sample_is_augmented_once(corpus_and_vocab, monkeypatch):
-    """A derived sample is augmented, image and mask once each, when a batch
-    first draws it, with the last task's spec for its id; an undrawn one
-    never is."""
+def test_every_task_draws_from_one_augmented_pool(corpus_and_vocab, monkeypatch):
+    """A four-task roster rebalances once, under the last task's id, route,
+    batch size and seed, and every task's dataset holds that pool's ids with
+    the task's own seed."""
     cfg, corpora, vocab = corpus_and_vocab
-    roster = tiny_cfg(steps=6, tasks=FOUR_TASKS)
-    plan, calls = {}, []
+    roster = tiny_cfg(steps=2, tasks=FOUR_TASKS)
+    calls, queued = [], []
 
     def planning(ds, policy):
-        ds, task_plan = rebalance(ds, policy)
-        plan.update(task_plan)
-        return ds, task_plan
+        pool, plan = rebalance(ds, policy)
+        calls.append((ds, pool))
+        return pool, plan
+
+    class RecordingQueue(pipeline.DataQueue):
+        def __init__(self, datasets, seed):
+            queued.extend(datasets)
+            super().__init__(datasets, seed)
+
+    monkeypatch.setattr(pipeline, "rebalance", planning)
+    monkeypatch.setattr(pipeline, "DataQueue", RecordingQueue)
+    finetune_stage(roster, 0, corpora, TaskModel(roster, vocab, seed=0))
+    last = FOUR_TASKS[-1]
+    [(planned, pool)] = calls
+    assert (planned.task_id, planned.route_kind, planned.batch_size, planned.rng_seed) == (
+        last.task_id, last.route, last.batch_size, pipeline._task_rng_seed(0, last.task_id))
+    assert planned.sample_ids == tuple(s.sample_id for s in corpora["paired"])
+    assert len(pool.sample_ids) == 16
+    assert [(ds.task_id, ds.route_kind, ds.batch_size, ds.rng_seed) for ds in queued] == [
+        (t.task_id, t.route, t.batch_size, pipeline._task_rng_seed(0, t.task_id))
+        for t in FOUR_TASKS]
+    assert all(ds.sample_ids == pool.sample_ids for ds in queued)
+
+
+def test_each_derived_sample_is_augmented_once(corpus_and_vocab, monkeypatch):
+    """A derived sample is augmented, image and mask once each, when a batch
+    first draws it, with the pool's spec for its id; an undrawn one never
+    is."""
+    cfg, corpora, vocab = corpus_and_vocab
+    roster = tiny_cfg(steps=6, tasks=FOUR_TASKS)
+    plans, calls = [], []
+
+    def planning(ds, policy):
+        ds, plan = rebalance(ds, policy)
+        plans.append(plan)
+        return ds, plan
 
     def counting(arr, spec):
         calls.append((spec, arr.ndim))
@@ -234,8 +285,9 @@ def test_each_derived_sample_is_augmented_once(corpus_and_vocab, monkeypatch):
     monkeypatch.setattr(pipeline, "rebalance", planning)
     monkeypatch.setattr(pipeline, "apply_augmentation", counting)
     fin = finetune_stage(roster, 0, corpora, TaskModel(roster, vocab, seed=0))
-    # every task doubles the 8 paired samples under the same 8 derived ids
+    # one pool doubles the 8 paired samples under 8 derived ids
     assert len(corpora["paired"]) == 8 and roster.rebalance_threshold == 16
+    [plan] = plans
     assert len(plan) == 8
     drawn = {sid for line in fin.trace for sid in line.split("\t")[3].split(",")
              if sid in plan}

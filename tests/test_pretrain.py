@@ -273,6 +273,26 @@ def test_pretrain_masked_learns():
     assert _drop(losses["mlm"]) > 0.3
 
 
+@pytest.mark.parametrize("mode, corpus", [
+    (PretrainMode.SUPERVISED, _supervised_corpus),
+    (PretrainMode.PAIR_CONTRASTIVE, _pair_corpus),
+    (PretrainMode.MASKED_UNIMODAL, _masked_corpus)])
+def test_pretrain_on_a_list_of_images_equals_the_stacked_array(mode, corpus):
+    """Each step stacks the batch it draws, so a list of per-sample arrays
+    trains the same bits as the stacked [N, H, W, 3] array."""
+    images, targets = corpus()
+
+    def run(imgs):
+        img, txt = encoders()
+        losses = pretrain_run(mode, imgs, targets, img, txt, steps=3, seed=4)
+        return losses, {**img.state_dict(), **txt.state_dict()}
+
+    (stacked_losses, stacked_state), (list_losses, list_state) = run(images), run(list(images))
+    assert list_losses == stacked_losses
+    assert stacked_state.keys() == list_state.keys()
+    assert all(list_state[k].tobytes() == v.tobytes() for k, v in stacked_state.items())
+
+
 def test_train_runs_objectives_in_list_order_and_clears_grads():
     calls = []
     weights = {name: Parameter(np.full(3, value), name=name)
