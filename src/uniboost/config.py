@@ -98,6 +98,7 @@ class ExperimentConfig:
     color_affinity: float = 0.6
     data_seed: int = 0
     peak_lr: float = _opens("optimizer", 1e-3)
+    # fine-tuning warms up for min(warmup_steps, max(steps, 1) // 5) steps
     warmup_steps: int = 50
     steps: int = _opens("run", 300)
     batch_size: int = 8
@@ -115,6 +116,10 @@ class ExperimentConfig:
         for name, low in _MINIMUMS.items():
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} {getattr(self, name)} must be >= {low}")
+        if (self.pretrain_mode == PretrainMode.PAIR_CONTRASTIVE.value
+                and self.pretrain_batch_size < 2):
+            raise ConfigError(f"[pretrain] batch_size {self.pretrain_batch_size} must be >= 2 "
+                              f"in {self.pretrain_mode} mode, which contrasts a batch's pairs")
         for name in ("peak_lr", "pretrain_peak_lr"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} {getattr(self, name)} must be positive")

@@ -46,8 +46,9 @@ def patch_majority_labels(masks: np.ndarray, patch_size: int) -> np.ndarray:
 
 class TaskModel(Module):
     """Everything trainable, from pretraining through evaluation. The
-    model is the one place that builds, seeds and names the encoder pair;
-    pretraining trains ``image_encoder`` and ``text_encoder`` in place."""
+    model is the one place that builds and seeds the encoder pair;
+    pretraining trains ``image_encoder`` and ``text_encoder`` in place.
+    A parameter is named by its module path, as in ``neck.lm_head.weight``."""
 
     def __init__(self, cfg: ExperimentConfig, vocab: Vocabulary, seed: int):
         super().__init__()
@@ -57,7 +58,6 @@ class TaskModel(Module):
         self.text_encoder = TextEncoder(encoder_config(cfg), seed=f"txt:{seed}")
         self.neck = Neck(neck_config(cfg), seed=f"neck:{seed}")
         self.cls_head = Linear(init_rng(f"cls:{seed}"), cfg.common_width, len(SHAPES))
-        self.rename_parameters()
 
     # -- shared pieces -------------------------------------------------------
 
@@ -76,12 +76,6 @@ class TaskModel(Module):
 
     def _name_ids(self, class_names: list[str]) -> np.ndarray:
         return np.array([self.vocab.encode(name) for name in class_names])
-
-    def encoder_parameters(self):
-        return list(self.image_encoder.parameters()) + list(self.text_encoder.parameters())
-
-    def head_parameters(self):
-        return list(self.neck.parameters()) + list(self.cls_head.parameters())
 
     # -- segmentation (language-guided vision) -------------------------------
 

@@ -2,8 +2,9 @@
 
 Initialization follows standard transformer practice: truncated normal
 (std ``INIT_STD``, clipped at two standard deviations) for weights, zeros for
-biases and shifts, ones for layer-norm scales. Each parameter carries a
-dotted name so checkpoints and optimizer groups can address it.
+biases and shifts, ones for layer-norm scales. A parameter is named only by
+its dotted module path (``Module.named_parameters``), the name that
+checkpoints and optimizer groups address it by.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ def trunc_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray
     return out
 
 
-def Parameter(values: np.ndarray, name: str = "") -> Tensor:
-    return Tensor(values, requires_grad=True, name=name)
+def Parameter(values: np.ndarray) -> Tensor:
+    return Tensor(values, requires_grad=True)
 
 
 class Module:
@@ -80,11 +81,6 @@ class Module:
             if arr.shape != p.values.shape:
                 raise ValueError(f"{name}: shape {arr.shape} != parameter {p.values.shape}")
             p.values[...] = arr
-
-    def rename_parameters(self, prefix: str = "") -> None:
-        """Stamp dotted path names onto every parameter (for diagnostics)."""
-        for name, p in self.named_parameters(prefix=prefix):
-            p.name = name
 
 
 class ModuleList(Module):

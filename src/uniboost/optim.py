@@ -2,15 +2,17 @@
 
 The step size for a group at step ``t`` is ``schedule(t) * peak_lr *
 group_multiplier``; warmup is linear from zero over the first
-``warmup_steps`` steps, after which a half cosine decays to zero over the
-remaining horizon. Weight decay (``WEIGHT_DECAY``) is applied directly to the
-parameter values (not folded into the gradient), scaled by the same rate.
+``warmup_steps`` steps (fine-tuning passes at most a fifth of its steps:
+``min(warmup_steps, max(steps, 1) // 5)``), after which a half cosine decays
+to zero over the remaining horizon. Weight decay (``WEIGHT_DECAY``) is applied
+directly to the parameter values (not folded into the gradient), scaled by
+the same rate.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -55,35 +57,37 @@ def schedule_factor(step: int, total_steps: int, warmup_steps: int) -> float:
 class AdamW:
     """Decoupled-weight-decay Adam over named parameter groups.
 
-    ``groups`` maps a group name to ``(params, lr_multiplier)``; fine-tuning
-    puts the encoders at ``pipeline.ENCODER_LR_RATIO`` and everything else at
-    1.0. Gradients are consumed and cleared by each ``step`` call.
+    ``groups`` maps a group name to ``(params, lr_multiplier)``, where
+    ``params`` maps module paths to parameters; fine-tuning puts the encoders
+    at ``pipeline.ENCODER_LR_RATIO`` and everything else at 1.0. A group holds
+    ``(name, parameter, m, v)`` slots in ``params`` order, with the moment
+    buffers allocated here. Each ``step`` consumes and clears the gradients.
     """
 
-    def __init__(self, groups: dict[str, tuple[Sequence[Tensor], float]],
+    def __init__(self, groups: dict[str, tuple[Mapping[str, Tensor], float]],
                  peak_lr: float = 1e-3, total_steps: int = 1000, warmup_steps: int = 50):
         self.groups = {}
-        seen: set[int] = set()
+        seen: dict[int, str] = {}
         for gname, (params, mult) in groups.items():
-            plist = list(params)
-            for p in plist:
+            slots = []
+            for pname, p in params.items():
                 if not isinstance(p, Tensor) or not p.requires_grad:
-                    raise ValueError(f"group {gname!r} contains a non-trainable entry")
+                    raise ValueError(f"group {gname!r} contains a non-trainable entry: {pname}")
                 if id(p) in seen:
-                    raise ValueError(f"parameter appears in more than one group: {p.name}")
-                seen.add(id(p))
-            self.groups[gname] = (plist, float(mult))
+                    raise ValueError(f"parameter appears in more than one group: "
+                                     f"{seen[id(p)]} and {pname}")
+                seen[id(p)] = pname
+                slots.append((pname, p, np.zeros_like(p.values), np.zeros_like(p.values)))
+            self.groups[gname] = (slots, float(mult))
         self.peak_lr = float(peak_lr)
         self.total_steps = int(total_steps)
         self.warmup_steps = int(warmup_steps)
         schedule_factor(0, self.total_steps, self.warmup_steps)  # validate early
         self.step_count = 0
-        self._m: dict[int, np.ndarray] = {}
-        self._v: dict[int, np.ndarray] = {}
 
     def parameters(self) -> Iterable[Tensor]:
-        for plist, _ in self.groups.values():
-            yield from plist
+        for slots, _ in self.groups.values():
+            yield from (p for _, p, _, _ in slots)
 
     def effective_lr(self, group: str) -> float:
         _, mult = self.groups[group]
@@ -96,23 +100,17 @@ class AdamW:
         t = self.step_count + 1
         bc1 = 1.0 - b1 ** t
         bc2 = 1.0 - b2 ** t
-        for gname, (plist, mult) in self.groups.items():
+        for gname, (slots, mult) in self.groups.items():
             lr = factor * self.peak_lr * mult
-            for p in plist:
+            for pname, p, m, v in slots:
                 if p.grad is None:
                     raise MissingGradError(
-                        f"parameter {p.name or '<unnamed>'} in group {gname!r} has no gradient")
+                        f"parameter {pname} in group {gname!r} has no gradient")
                 g = p.grad
                 if not np.all(np.isfinite(g)):
                     raise NonFiniteGradError(
-                        f"non-finite gradient for {p.name or '<unnamed>'} in group {gname!r} "
+                        f"non-finite gradient for {pname} in group {gname!r} "
                         f"at step {self.step_count}")
-                key = id(p)
-                m = self._m.get(key)
-                if m is None:
-                    m = self._m[key] = np.zeros_like(p.values)
-                    self._v[key] = np.zeros_like(p.values)
-                v = self._v[key]
                 m *= b1
                 m += (1.0 - b1) * g
                 v *= b2

@@ -174,8 +174,11 @@ def finetune_stage(cfg: ExperimentConfig, seed: int, corpora: Mapping[str, list[
     queue = DataQueue(datasets, seed=_task_rng_seed(seed, "queue"))
     head_by_task = {spec.task_id: spec.head for spec in cfg.tasks}
 
-    opt = AdamW({"rest": (model.head_parameters(), 1.0),
-                 "encoders": (model.encoder_parameters(), ENCODER_LR_RATIO)},
+    named = dict(model.named_parameters())
+    encoders = {name: p for name, p in named.items()
+                if name.startswith(("image_encoder.", "text_encoder."))}
+    rest = {name: p for name, p in named.items() if name not in encoders}
+    opt = AdamW({"rest": (rest, 1.0), "encoders": (encoders, ENCODER_LR_RATIO)},
                 peak_lr=cfg.peak_lr, total_steps=max(cfg.steps, 1),
                 warmup_steps=min(cfg.warmup_steps, max(cfg.steps, 1) // 5))
 

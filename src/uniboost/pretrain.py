@@ -204,8 +204,9 @@ def pretrain_run(mode: PretrainMode, images: Sequence[np.ndarray], targets: np.n
     config = image_encoder.config
     rng = np.random.default_rng(seed)
 
-    def make_opt(*modules: Module) -> AdamW:
-        params = [p for m in modules for p in m.parameters()]
+    def make_opt(**modules: Module) -> AdamW:
+        params = {name: p for key, m in modules.items()
+                  for name, p in m.named_parameters(prefix=f"{key}.")}
         return AdamW({"model": (params, 1.0)}, peak_lr=peak_lr, total_steps=max(steps, 1),
                      warmup_steps=min(50, max(steps // 10, 1)))
 
@@ -217,7 +218,7 @@ def pretrain_run(mode: PretrainMode, images: Sequence[np.ndarray], targets: np.n
             return "supervised", supervised_cls_loss(
                 image_encoder, head, np.stack([images[i] for i in idx]), targets[idx])
 
-        objectives = [(supervised, make_opt(image_encoder, head))]
+        objectives = [(supervised, make_opt(image_encoder=image_encoder, head=head))]
 
     elif mode is PretrainMode.PAIR_CONTRASTIVE:
         if len(images) != len(targets):
@@ -225,20 +226,18 @@ def pretrain_run(mode: PretrainMode, images: Sequence[np.ndarray], targets: np.n
                 f"pair corpus misaligned: {len(images)} images vs {len(targets)} texts")
         if len(images) < 2:
             raise CorpusMismatchError("pair corpus needs >= 2 pairs")
-        bs = max(batch_size, 2)
 
         def contrastive(step):
-            idx = _batch_indices(rng, len(images), bs)
+            idx = _batch_indices(rng, len(images), batch_size)
             return "contrastive", contrastive_loss(
                 image_encoder, text_encoder, np.stack([images[i] for i in idx]), targets[idx])
 
-        objectives = [(contrastive, make_opt(image_encoder, text_encoder))]
+        objectives = [(contrastive, make_opt(image_encoder=image_encoder,
+                                             text_encoder=text_encoder))]
 
     else:
         mim_head = MimHead(config, seed=f"mim:{seed}")
         mlm_head = MlmHead(config.vocab_size)
-        mim_head.rename_parameters("mim_head.")
-        mlm_head.rename_parameters("mlm_head.")
 
         def mim(step):
             idx = _batch_indices(rng, len(images), batch_size)
@@ -250,8 +249,8 @@ def pretrain_run(mode: PretrainMode, images: Sequence[np.ndarray], targets: np.n
             return "mlm", mlm_loss(text_encoder, mlm_head, targets[tdx],
                                    seed=seed * 100019 + step)
 
-        objectives = [(mim, make_opt(image_encoder, mim_head)),
-                      (mlm, make_opt(text_encoder, mlm_head))]
+        objectives = [(mim, make_opt(image_encoder=image_encoder, mim_head=mim_head)),
+                      (mlm, make_opt(text_encoder=text_encoder, mlm_head=mlm_head))]
 
     # each loss function is named after the trace it reports
     losses = {fn.__name__: [] for fn, _ in objectives}

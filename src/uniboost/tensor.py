@@ -102,15 +102,14 @@ class Tensor:
     (the optimizer clears it after each step).
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "_node", "name")
+    __slots__ = ("values", "requires_grad", "grad", "_node")
 
-    def __init__(self, values, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64)
         self.values = arr if arr.ndim == 0 else np.ascontiguousarray(arr)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._node: _Node | None = None
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -130,8 +129,7 @@ class Tensor:
         return float(self.values.reshape(-1)[0])
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 class Tape:

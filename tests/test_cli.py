@@ -15,6 +15,7 @@ import pytest
 
 from uniboost import pipeline
 from uniboost.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INVARIANT, EXIT_OK, build_parser, main
+from uniboost.config import parse_config
 from uniboost.shapeworld import CORPORA, class_id
 from uniboost.tensorio import load_checkpoint, save_tensor
 
@@ -503,6 +504,26 @@ def test_vocab_size_below_the_vocabulary_exits_2(workspace):
         path.write_text(small.format(mode=mode))
         configs += ["--config", str(path)]
     assert main(["compare", *configs, "--seeds", "0"]) == EXIT_CONFIG
+
+
+def test_pair_contrastive_pretrain_batch_of_one_exits_2(workspace, capsys):
+    # one pair contrasts with nothing; the batch is refused, never widened to 2
+    tmp, out, cfg = workspace
+    text = BASE_CFG.replace("steps = 2", "steps = 2\nbatch_size = 1", 1)
+    one = tmp / "pc-b1.cfg"
+    one.write_text(text.format(mode="pair-contrastive"))
+    for command in ("pretrain", "finetune-multitask", "eval"):
+        capsys.readouterr()
+        assert main([command, "--config", str(one)]) == EXIT_CONFIG, command
+        assert capsys.readouterr().err == (
+            "config error: [pretrain] batch_size 1 must be >= 2 in pair-contrastive "
+            "mode, which contrasts a batch's pairs\n"), command
+    assert main(["compare", "--config", str(cfg), "--config", str(one),
+                 "--seeds", "0"]) == EXIT_CONFIG
+    assert not out.exists()
+    # the other modes train on a batch of one
+    for mode in ("masked-unimodal", "supervised"):
+        assert parse_config(text.format(mode=mode)).pretrain_batch_size == 1
 
 
 def test_out_flag_used_without_env(tmp_path, monkeypatch):

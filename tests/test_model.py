@@ -148,14 +148,14 @@ def test_seg_loss_decreases_under_training(eval_samples):
     names = ["background", "square", "circle"]
     images = np.stack([s.image for s in eval_samples])
     masks = np.stack([s.mask for s in eval_samples])
-    params = model.encoder_parameters() + model.head_parameters()
+    params = dict(model.named_parameters())
     opt = AdamW({"all": (params, 1.0)}, peak_lr=3e-3, total_steps=30,
                 warmup_steps=3)
     losses = []
     for _ in range(30):
         with Tape() as tape:
             loss = model.seg_loss(images, masks, names)
-        tape.backward(loss, params=params)
+        tape.backward(loss, params=list(params.values()))
         losses.append(loss.item())
         opt.step()
     assert losses[-1] < losses[0] * 0.9

@@ -65,14 +65,6 @@ def test_state_dict_round_trip_and_mismatch_errors():
         b.load_state_dict(bad)
 
 
-def test_rename_parameters_stamps_dotted_paths():
-    block = EncoderBlock(init_rng(0), 8, 2)
-    block.rename_parameters(prefix="enc.blocks.0.")
-    names = {p.name for _, p in block.named_parameters()}
-    assert "enc.blocks.0.attn.qkv.weight" in names
-    assert "enc.blocks.0.norm1.scale" in names
-
-
 def test_linear_matches_affine_formula():
     lin = Linear(init_rng(0), 4, 3)
     x = np.random.default_rng(1).standard_normal((2, 4))

@@ -11,8 +11,8 @@ from uniboost.optim import (WEIGHT_DECAY, AdamW, MissingGradError, NonFiniteGrad
 from uniboost.tensor import Tape, Tensor
 
 
-def param(values, name=None):
-    return Tensor(np.asarray(values, dtype=float), requires_grad=True, name=name)
+def param(values):
+    return Tensor(np.asarray(values, dtype=float), requires_grad=True)
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +45,7 @@ def test_schedule_validation():
 
 def test_first_warmup_step_is_a_no_op_on_values():
     p = param([1.0, -2.0])
-    opt = AdamW({"all": ([p], 1.0)}, total_steps=100, warmup_steps=10)
+    opt = AdamW({"all": ({"p": p}, 1.0)}, total_steps=100, warmup_steps=10)
     p.grad = np.array([0.5, 0.5])
     before = p.values.copy()
     opt.step()
@@ -60,7 +60,11 @@ def test_matches_reference_adamw_over_ten_steps():
     grads = [rng.standard_normal(5) for _ in range(10)]
 
     p = param(w0.copy())
-    opt = AdamW({"all": ([p], 1.0)}, peak_lr=1e-2, total_steps=10, warmup_steps=0)
+    opt = AdamW({"all": ({"p": p}, 1.0)}, peak_lr=1e-2, total_steps=10, warmup_steps=0)
+    # the group holds the parameter with moment buffers made at construction
+    [(name, held, m_held, v_held)] = opt.groups["all"][0]
+    assert name == "p" and held is p
+    assert not m_held.any() and not v_held.any() and m_held.shape == v_held.shape == (5,)
 
     # independent reference
     w = w0.copy()
@@ -79,12 +83,13 @@ def test_matches_reference_adamw_over_ten_steps():
         opt.step()
 
     assert np.allclose(p.values, w, atol=1e-14)
+    assert np.allclose(m_held, m, atol=1e-15) and np.allclose(v_held, v, atol=1e-15)
 
 
 def test_weight_decay_is_decoupled():
     # zero gradient still shrinks the parameter once past warmup
     p = param([4.0])
-    opt = AdamW({"all": ([p], 1.0)}, peak_lr=0.1, total_steps=10, warmup_steps=0)
+    opt = AdamW({"all": ({"p": p}, 1.0)}, peak_lr=0.1, total_steps=10, warmup_steps=0)
     p.grad = np.array([0.0])
     opt.step()
     assert p.values[0] < 4.0
@@ -92,8 +97,8 @@ def test_weight_decay_is_decoupled():
 
 
 def test_group_multiplier_scales_updates():
-    slow, fast = param([1.0], "slow"), param([1.0], "fast")
-    opt = AdamW({"enc": ([slow], 0.0), "head": ([fast], 1.0)},
+    slow, fast = param([1.0]), param([1.0])
+    opt = AdamW({"enc": ({"slow": slow}, 0.0), "head": ({"fast": fast}, 1.0)},
                 peak_lr=0.1, total_steps=10, warmup_steps=0)
     slow.grad = np.array([1.0])
     fast.grad = np.array([1.0])
@@ -105,7 +110,7 @@ def test_group_multiplier_scales_updates():
 
 def test_quadratic_descends_after_warmup():
     p = param(np.array([3.0, -2.0]))
-    opt = AdamW({"all": ([p], 1.0)}, peak_lr=5e-2, total_steps=200, warmup_steps=20)
+    opt = AdamW({"all": ({"p": p}, 1.0)}, peak_lr=5e-2, total_steps=200, warmup_steps=20)
     losses = []
     for _ in range(200):
         with Tape() as tape:
@@ -120,32 +125,33 @@ def test_quadratic_descends_after_warmup():
 
 
 def test_missing_grad_names_parameter():
-    p = param([1.0], name="neck.lm_head.weight")
-    opt = AdamW({"head": ([p], 1.0)}, total_steps=10, warmup_steps=0)
-    with pytest.raises(MissingGradError, match="neck.lm_head.weight"):
+    p = param([1.0])
+    opt = AdamW({"head": ({"neck.lm_head.weight": p}, 1.0)}, total_steps=10, warmup_steps=0)
+    with pytest.raises(MissingGradError, match=r"^parameter neck\.lm_head\.weight in group"):
         opt.step()
 
 
 def test_non_finite_grad_names_parameter():
-    p = param([1.0], name="enc.blocks.0.qkv.weight")
-    opt = AdamW({"enc": ([p], 1.0)}, total_steps=10, warmup_steps=0)
+    p = param([1.0])
+    opt = AdamW({"enc": ({"enc.blocks.0.qkv.weight": p}, 1.0)}, total_steps=10,
+                warmup_steps=0)
     p.grad = np.array([np.nan])
-    with pytest.raises(NonFiniteGradError, match="enc.blocks.0.qkv.weight"):
+    with pytest.raises(NonFiniteGradError, match=r"enc\.blocks\.0\.qkv\.weight in group"):
         opt.step()
 
 
 def test_duplicate_and_non_trainable_params_rejected():
-    p = param([1.0], name="shared")
-    with pytest.raises(ValueError, match="more than one group"):
-        AdamW({"a": ([p], 1.0), "b": ([p], 1.0)})
+    p = param([1.0])
+    with pytest.raises(ValueError, match="more than one group: shared and shared"):
+        AdamW({"a": ({"shared": p}, 1.0), "b": ({"shared": p}, 1.0)})
     frozen = Tensor(np.zeros(1))
-    with pytest.raises(ValueError, match="non-trainable"):
-        AdamW({"a": ([frozen], 1.0)})
+    with pytest.raises(ValueError, match="non-trainable entry: frozen"):
+        AdamW({"a": ({"frozen": frozen}, 1.0)})
 
 
 def test_effective_lr_reflects_schedule_and_multiplier():
     p, q = param([1.0]), param([1.0])
-    opt = AdamW({"enc": ([p], 0.1), "head": ([q], 1.0)}, peak_lr=1e-3,
+    opt = AdamW({"enc": ({"p": p}, 0.1), "head": ({"q": q}, 1.0)}, peak_lr=1e-3,
                 total_steps=100, warmup_steps=10)
     assert opt.effective_lr("enc") == 0.0
     for _ in range(10):

@@ -18,7 +18,7 @@ import pytest
 from uniboost.cli import main
 from uniboost.config import (ConfigError, ExperimentConfig, TaskSpec, config_fingerprint,
                              serialize_config, world_config)
-from uniboost import pipeline
+from uniboost import pipeline, pretrain
 from uniboost.metrics import round_half_up, vqa_accuracy
 from uniboost.model import TaskModel
 from uniboost.pipeline import (ENCODER_LR_RATIO, DataError, LeakageError, RunRecord,
@@ -33,6 +33,7 @@ FOUR_TASKS = [TaskSpec("seg", "language-guided-vision", "seg", 4),
               TaskSpec("cls", "image-only", "cls", 4),
               TaskSpec("cap", "image-to-text-gen", "caption", 4),
               TaskSpec("vqa", "deep-fusion", "vqa", 4)]
+ENCODERS = ("image_encoder.", "text_encoder.")
 
 
 def tiny_cfg(**kw):
@@ -162,6 +163,37 @@ def test_pretrain_stage_all_modes(corpus_and_vocab):
             assert np.array_equal(p.values, values) != name.startswith(trained), (mode, name)
 
 
+@pytest.mark.parametrize("mode, optimizers", [
+    ("supervised", [(("image_encoder.",), ["head.weight", "head.bias"])]),
+    ("pair-contrastive", [(ENCODERS, [])]),
+    ("masked-unimodal", [(("image_encoder.",),
+                          ["mim_head.mask_token", "mim_head.recon.weight",
+                           "mim_head.recon.bias"]),
+                         (("text_encoder.",), ["mlm_head.bias"])])])
+def test_pretraining_names_each_parameter_by_its_module_path(corpus_and_vocab, monkeypatch,
+                                                             mode, optimizers):
+    """Each optimizer that pretraining builds holds one group, ``model``,
+    whose names are the encoders' paths in the model and each head's path
+    under its role, so an optimizer error names the parameter."""
+    cfg, corpora, vocab = corpus_and_vocab
+    mode_cfg = replace(cfg, pretrain_mode=mode)
+    model = TaskModel(mode_cfg, vocab, seed=0)
+    named = dict(model.named_parameters())
+    built = []
+    monkeypatch.setattr(pretrain, "train",
+                        lambda objectives, steps, losses: built.extend(objectives))
+    pretrain_stage(mode_cfg, 0, corpora, model)
+    assert len(built) == len(optimizers)
+    for (_, opt), (encoders, heads) in zip(built, optimizers):
+        assert list(opt.groups) == ["model"]
+        slots, _ = opt.groups["model"]
+        names = [name for name, *_ in slots]
+        assert len(set(names)) == len(names)
+        own = [name for name in named if name.startswith(encoders)]
+        assert names == own + heads
+        assert all(p is named[name] for name, p, _, _ in slots[:len(own)])
+
+
 @pytest.mark.parametrize("mode, corpus", [("masked-unimodal", "image-only"),
                                          ("pair-contrastive", "paired"),
                                          ("supervised", "paired")])
@@ -201,8 +233,8 @@ def test_finetune_steps_the_encoders_at_the_encoder_lr_ratio(corpus_and_vocab, m
 
     def recording(objectives, steps, losses):
         [(loss_fn, opt)] = objectives
-        assert [p.name for p in opt.groups["encoders"][0]] == \
-            [p.name for p in model.encoder_parameters()]
+        assert [name for name, *_ in opt.groups["encoders"][0]] == \
+            [name for name, _ in model.named_parameters() if name.startswith(ENCODERS)]
         for _ in range(steps):
             ratios.append((opt.effective_lr("encoders"), opt.effective_lr("rest")))
             train([(loss_fn, opt)], 1, losses)
@@ -212,6 +244,60 @@ def test_finetune_steps_the_encoders_at_the_encoder_lr_ratio(corpus_and_vocab, m
     finetune_stage(cfg, 0, corpora, model)
     assert len(ratios) == cfg.steps and ratios[0][1] == cfg.peak_lr
     assert all(enc == ENCODER_LR_RATIO * rest for enc, rest in ratios)
+
+
+def test_finetune_groups_partition_the_model_parameters_by_name(corpus_and_vocab,
+                                                               monkeypatch):
+    """Fine-tuning holds every model parameter once, under its module path:
+    the encoders at ``ENCODER_LR_RATIO``, the rest at 1.0, each group in
+    module-tree order."""
+    cfg, corpora, vocab = corpus_and_vocab
+    model = TaskModel(cfg, vocab, seed=0)
+    built = []
+    monkeypatch.setattr(pipeline, "train",
+                        lambda objectives, steps, losses: built.extend(objectives))
+    finetune_stage(cfg, 0, corpora, model)
+    [(_, opt)] = built
+    named = dict(model.named_parameters())
+    assert {g: mult for g, (_, mult) in opt.groups.items()} == \
+        {"rest": 1.0, "encoders": ENCODER_LR_RATIO}
+    held = {}
+    for gname, (slots, _) in opt.groups.items():
+        names = [name for name, *_ in slots]
+        assert names == [name for name in named if name in names], gname
+        assert all(name.startswith(ENCODERS) == (gname == "encoders") for name in names)
+        held.update((name, p) for name, p, _, _ in slots)
+    assert sorted(held) == sorted(named)
+    assert sum(len(slots) for slots, _ in opt.groups.values()) == len(named)
+    assert all(p is named[name] for name, p in held.items())
+
+
+@pytest.mark.parametrize("mode", ["supervised", "pair-contrastive", "masked-unimodal"])
+def test_no_model_parameter_keeps_a_gradient_after_any_step(corpus_and_vocab, monkeypatch,
+                                                             mode):
+    """Invariant: a parameter that a loss reaches but no optimizer holds
+    would keep its ``grad``. After each optimizer step of pretraining and of
+    a four-task fine-tune, no model parameter has one."""
+    _, corpora, vocab = corpus_and_vocab
+    cfg = tiny_cfg(pretrain_mode=mode, tasks=FOUR_TASKS, steps=8)
+    model = TaskModel(cfg, vocab, seed=0)
+    kept = []
+
+    def checked(objectives, steps, losses):
+        for _ in range(steps):
+            for objective in objectives:
+                train([objective], 1, losses)
+                kept.append([name for name, p in model.named_parameters()
+                             if p.grad is not None])
+
+    train = pipeline.train
+    monkeypatch.setattr(pretrain, "train", checked)
+    monkeypatch.setattr(pipeline, "train", checked)
+    pretrain_stage(cfg, 0, corpora, model)
+    finetune_stage(cfg, 0, corpora, model)
+    per_step = 2 if mode == "masked-unimodal" else 1
+    assert len(kept) == per_step * cfg.pretrain_steps + cfg.steps
+    assert kept == [[]] * len(kept)
 
 
 def test_finetune_requires_tasks(corpus_and_vocab):

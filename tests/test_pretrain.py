@@ -76,7 +76,7 @@ def test_mim_gradient_touches_masked_targets_only():
     recon = head.recon(enc(images, mask=(head.mask_token, masked))).values
     want = np.mean((recon[masked] - flat[masked]) ** 2)
 
-    leaf = Tensor(recon, requires_grad=True, name="recon")
+    leaf = Tensor(recon, requires_grad=True)
     head.recon = lambda hidden: leaf  # the loss reads the reconstruction from here
     with Tape() as tape:
         loss = mim_loss(enc, head, images, seed=7)
@@ -295,7 +295,7 @@ def test_pretrain_on_a_list_of_images_equals_the_stacked_array(mode, corpus):
 
 def test_train_runs_objectives_in_list_order_and_clears_grads():
     calls = []
-    weights = {name: Parameter(np.full(3, value), name=name)
+    weights = {name: Parameter(np.full(3, value))
                for name, value in (("a", 1.0), ("b", -2.0))}
 
     def objective(name):
@@ -303,7 +303,7 @@ def test_train_runs_objectives_in_list_order_and_clears_grads():
             calls.append((step, name))
             w = weights[name]
             return name, T.sum_(T.mul(w, w))
-        return loss_fn, AdamW({"model": ([weights[name]], 1.0)}, total_steps=3,
+        return loss_fn, AdamW({"model": ({name: weights[name]}, 1.0)}, total_steps=3,
                               warmup_steps=0)
 
     losses = {"b": [], "a": []}
@@ -320,7 +320,8 @@ def test_train_step_graph_is_freed_without_the_cyclic_gc():
     cfg = small_config(patch_size=2)
     enc, head = ImageEncoder(cfg, seed=0), MimHead(cfg, seed=1)
     images = np.random.default_rng(4).uniform(size=(2, 8, 8, 3))
-    opt = AdamW({"model": (list(enc.parameters()) + list(head.parameters()), 1.0)},
+    opt = AdamW({"model": ({**dict(enc.named_parameters("enc.")),
+                            **dict(head.named_parameters("head."))}, 1.0)},
                 total_steps=1, warmup_steps=0)
     refs = []
 
