@@ -5,7 +5,10 @@ Generative tasks (captioning, VQA) train by masked recovery: a random
 subset of the generatable positions is replaced by MASK, the fused
 sequence runs under the generative attention mask (text also encodes
 causally), and the model predicts the original ids at the masked slots.
-Decoding then reproduces exactly this condition one slot at a time.
+Decoding then reproduces exactly this condition one slot at a time. Image
+rows never attend to text under that mask, so decoding reuses the fusion
+blocks' image keys and values from the segmentation pass over the same
+images (``seg_predict``'s ``keep_kv``) and runs only the text rows.
 
 Language-guided segmentation trains at patch resolution: the target for
 each patch is the majority pixel label inside it, and predictions are
@@ -88,9 +91,10 @@ class TaskModel(Module):
         return self._route_seg_logits(self.image_seq(images),
                                       self.text_seq(self._name_ids(class_names)))
 
-    def _route_seg_logits(self, img: Tensor, prompts: Tensor) -> Tensor:
+    def _route_seg_logits(self, img: Tensor, prompts: Tensor,
+                          keep_kv: list | None = None) -> Tensor:
         patch_emb, class_emb = self.neck.route_forward(
-            RouteKind.LANGUAGE_GUIDED_VISION, img, prompts)
+            RouteKind.LANGUAGE_GUIDED_VISION, img, prompts, keep_kv)
         return seg_logits(patch_emb, class_emb)
 
     def seg_loss(self, images: np.ndarray, masks: np.ndarray,
@@ -106,11 +110,13 @@ class TaskModel(Module):
         targets = np.argmax(per_patch[..., None] == labels, axis=-1)
         return cross_entropy(logits, targets)
 
-    def seg_predict(self, img: Tensor, prompts: Tensor,
-                    class_names: list[str]) -> np.ndarray:
+    def seg_predict(self, img: Tensor, prompts: Tensor, class_names: list[str],
+                    keep_kv: list | None = None) -> np.ndarray:
         """[B, H, W] predicted mask labels from the [B, n, width] image
-        sequence and the ``class_prompts`` of ``class_names``."""
-        idx = np.argmax(self._route_seg_logits(img, prompts).values, axis=-1)  # [B, P]
+        sequence and the ``class_prompts`` of ``class_names``. ``keep_kv``,
+        a list, gets each fusion block's keys and values over the image
+        rows, which ``generate_answer`` reuses."""
+        idx = np.argmax(self._route_seg_logits(img, prompts, keep_kv).values, axis=-1)  # [B, P]
         g = self.cfg.grid_size
         labels = np.array([class_id(name) for name in class_names])
         return upsample_patch_grid(labels[idx], g, g, self.cfg.patch_size)
@@ -158,10 +164,15 @@ class TaskModel(Module):
         return self._recovery_loss(RouteKind.DEEP_FUSION, images, qa_ids,
                                    prefix_len=prefix_len, seed=seed)
 
-    def generate_answer(self, img: Tensor, question_ids: np.ndarray) -> list[str]:
+    def generate_answer(self, img: Tensor, question_ids: np.ndarray,
+                        image_kv: list | None = None) -> list[str]:
         """Greedy answer of at most ``ANSWER_TOKENS`` tokens per row of the
         [B, n, width] image sequence, after that row's question in the
-        [B, p] ``question_ids``."""
+        [B, p] ``question_ids``. ``image_kv`` holds the fusion blocks' keys
+        and values over ``img``, as ``seg_predict`` keeps them, so the
+        image rows are not fused again; without it ``lm_generate`` fuses
+        them once."""
         out_ids = lm_generate(self.neck, img, question_ids,
-                              lambda ids: self.text_seq(ids, causal=True), self.vocab)
+                              lambda ids: self.text_seq(ids, causal=True), self.vocab,
+                              image_kv)
         return [self.vocab.decode(ids) for ids in out_ids]

@@ -128,19 +128,28 @@ class Neck(Module):
 
     # -- fusion -------------------------------------------------------------
 
-    def fusion_forward(self, x: Tensor, allow: np.ndarray | None = None) -> Tensor:
-        for block in self.blocks:
-            x = block(x, allow)
+    def fusion_forward(self, x: Tensor, allow: np.ndarray | None = None,
+                       prefix_kv: list | None = None, keep_kv: list | None = None) -> Tensor:
+        """The fusion blocks and the final norm over ``x``. ``prefix_kv``
+        holds one (k, v) prefix per block for ``x``'s rows to attend to
+        first; ``keep_kv``, a list, gets each block's (k, v) appended in
+        block order (``tensor.attention``)."""
+        for i, block in enumerate(self.blocks):
+            x = block(x, allow, None if prefix_kv is None else prefix_kv[i], keep_kv)
         return self.final_norm(x)
 
     def route_forward(self, route: RouteKind,
-                      image_seq: Tensor | None = None, text_seq: Tensor | None = None):
+                      image_seq: Tensor | None = None, text_seq: Tensor | None = None,
+                      keep_kv: list | None = None):
+        """The route's outputs (see the module docstring). ``keep_kv``, a
+        list, gets each fusion block's keys and values over the rows the
+        route fuses, in block order."""
         if route is RouteKind.IMAGE_ONLY:
             if text_seq is not None:
                 raise RouteInputError("route accepts image only")
             if image_seq is None:
                 raise RouteInputError("image-only route requires an image sequence")
-            fused = self.fusion_forward(image_seq)
+            fused = self.fusion_forward(image_seq, keep_kv=keep_kv)
             return T.mean(fused, axis=1)
 
         if route is RouteKind.TEXT_ONLY:
@@ -148,21 +157,21 @@ class Neck(Module):
                 raise RouteInputError("route accepts text only")
             if text_seq is None:
                 raise RouteInputError("text-only route requires a text sequence")
-            fused = self.fusion_forward(text_seq)
+            fused = self.fusion_forward(text_seq, keep_kv=keep_kv)
             return T.mean(fused, axis=1)
 
         if image_seq is None or text_seq is None:
             raise RouteInputError(f"route {route.value} requires both modalities")
 
         if route is RouteKind.LANGUAGE_GUIDED_VISION:
-            patch_emb = self.fusion_forward(image_seq)
+            patch_emb = self.fusion_forward(image_seq, keep_kv=keep_kv)
             class_emb = T.mean(text_seq, axis=1)
             return patch_emb, class_emb
 
         if route in GENERATIVE_ROUTES:
             fused = T.concat([image_seq, text_seq], axis=1)  # image tokens first
             allow = attention_mask(image_seq.shape[1], text_seq.shape[1])
-            return self.fusion_forward(fused, allow)
+            return self.fusion_forward(fused, allow, keep_kv=keep_kv)
 
         raise RouteInputError(f"unknown route {route!r}")
 
@@ -191,21 +200,27 @@ def upsample_patch_grid(per_patch: np.ndarray, height: int, width: int,
 
 
 def lm_generate(neck: Neck, image_seq: Tensor, prefix_ids, embed_text,
-                vocab: Vocabulary) -> list[list[int]]:
+                vocab: Vocabulary, image_kv: list | None = None) -> list[list[int]]:
     """Greedy mask-slot decoding of a batch; one token list per image row.
 
     ``image_seq`` is [B, n, width] and ``prefix_ids`` a [B, p] array of
-    equal-length prefixes. Each step appends a ``MASK_ID`` slot to every
-    live row's running text, re-embeds, runs the fused sequence under the
-    generative mask, and reads the LM head at the slot; the argmax over the
+    equal-length prefixes. Under the generative mask image rows never attend
+    to text, so they are fused once: ``image_kv`` holds each fusion block's
+    (k, v) over them, as ``route_forward``'s ``keep_kv`` keeps them in the
+    segmentation pass; without it, one image pass here keeps them. Each
+    step appends a ``MASK_ID`` slot to every live row's running text,
+    re-embeds it, and runs only the text rows through the blocks, attending
+    to the image keys and values and, causally, to their own. The slot's
+    LM-head logits are those of the whole fused sequence through
+    ``route_forward(DEEP_FUSION)``, bit for bit. Their argmax over the
     vocabulary's ids ``0..len(vocab)-1`` (ties to the lowest id) becomes the
     row's next token, so LM-head outputs past the vocabulary are never
     emitted. A row stops at ``vocab.eos_id`` or after ``ANSWER_TOKENS``
-    tokens and leaves the batch, so each step runs only the live rows, each
-    on exactly the sequence a one-row decode would see. Ragged prefixes are
-    refused, not padded: padding would change what each slot attends to.
-    ``embed_text`` maps a [b, m] id array to its projected [b, m, width]
-    text embeddings.
+    tokens and leaves the batch with its keys and values, so each step runs
+    only the live rows, each on exactly what a one-row decode would see.
+    Ragged prefixes are refused, not padded: padding would change what each
+    slot attends to. ``embed_text`` maps a [b, m] id array to its projected
+    [b, m, width] text embeddings.
     """
     try:
         prefix = np.asarray(prefix_ids, dtype=np.int64)
@@ -214,13 +229,17 @@ def lm_generate(neck: Neck, image_seq: Tensor, prefix_ids, embed_text,
     if prefix.ndim != 2 or len(prefix) != image_seq.shape[0]:
         raise ValueError(f"need a [{image_seq.shape[0]}, p] prefix array, one row per "
                          f"image row, got shape {prefix.shape}")
+    if image_kv is None:
+        image_kv = []
+        neck.fusion_forward(image_seq, keep_kv=image_kv)
+    n_image = image_seq.shape[1]
     out: list[list[int]] = [[] for _ in prefix]
     live = np.arange(len(prefix))
     ids = prefix
     for _ in range(ANSWER_TOKENS):
         ids = np.concatenate([ids, np.full((len(live), 1), MASK_ID)], axis=1)
-        img = Tensor(image_seq.values[live])
-        fused = neck.route_forward(RouteKind.DEEP_FUSION, img, embed_text(ids))
+        allow = attention_mask(n_image, ids.shape[1])[n_image:]
+        fused = neck.fusion_forward(embed_text(ids), allow, prefix_kv=image_kv)
         slot = fused.shape[1] - 1
         hidden = T.slice_(fused, (slice(None), slice(slot, slot + 1)))
         logits = neck.lm_head(hidden)
@@ -231,6 +250,8 @@ def lm_generate(neck: Neck, image_seq: Tensor, prefix_ids, embed_text,
         live = live[go]
         if not len(live):
             break
+        if not go.all():
+            image_kv = [(k[go], v[go]) for k, v in image_kv]
         ids = ids[go]
         ids[:, -1] = next_ids[go]
     return out

@@ -131,7 +131,8 @@ class LayerNorm(Module):
 
 
 class MultiHeadSelfAttention(Module):
-    """Self-attention over [B, T, D] with an optional boolean allow-mask."""
+    """Self-attention over [B, T, D] with an optional boolean allow-mask
+    (and ``tensor.attention``'s key/value ``prefix_kv`` and ``keep_kv``)."""
 
     def __init__(self, rng, width: int, heads: int):
         super().__init__()
@@ -141,8 +142,10 @@ class MultiHeadSelfAttention(Module):
         self.qkv = Linear(rng, width, 3 * width)
         self.out = Linear(rng, width, width)
 
-    def __call__(self, x: Tensor, allow: np.ndarray | None = None) -> Tensor:
-        return self.out(T.attention(self.qkv(x), self.heads, allow))
+    def __call__(self, x: Tensor, allow: np.ndarray | None = None,
+                 prefix_kv: tuple[np.ndarray, np.ndarray] | None = None,
+                 keep_kv: list | None = None) -> Tensor:
+        return self.out(T.attention(self.qkv(x), self.heads, allow, prefix_kv, keep_kv))
 
 
 class FeedForward(Module):
@@ -167,7 +170,9 @@ class EncoderBlock(Module):
         self.norm2 = LayerNorm(width)
         self.ffn = FeedForward(rng, width)
 
-    def __call__(self, x: Tensor, allow: np.ndarray | None = None) -> Tensor:
-        x = T.add(x, self.attn(self.norm1(x), allow))
+    def __call__(self, x: Tensor, allow: np.ndarray | None = None,
+                 prefix_kv: tuple[np.ndarray, np.ndarray] | None = None,
+                 keep_kv: list | None = None) -> Tensor:
+        x = T.add(x, self.attn(self.norm1(x), allow, prefix_kv, keep_kv))
         x = T.add(x, self.ffn(self.norm2(x)))
         return x

@@ -21,12 +21,10 @@ import csv
 import ctypes
 import io
 import json
-import multiprocessing
 import os
 import sys
 import time
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -268,11 +266,14 @@ def eval_stage(cfg: ExperimentConfig, model: TaskModel, split: str,
     for i in range(0, len(corpus), chunk):
         part = corpus[i:i + chunk]
         img = model.image_seq(_stack_images(part))  # shared by both heads
-        pred = model.seg_predict(img, prompts, class_names)
+        # the fusion blocks run over the image rows once; decoding reuses
+        # their keys and values
+        image_kv = [] if eval_vqa else None
+        pred = model.seg_predict(img, prompts, class_names, image_kv)
         counts.accumulate(pred, np.stack([s.mask for s in part]))
         if eval_vqa:
             questions = np.array([model.vocab.encode(s.question) for s in part])
-            answers += model.generate_answer(img, questions)
+            answers += model.generate_answer(img, questions, image_kv)
     report = {
         "split": split,
         "classes": classes,
@@ -382,6 +383,10 @@ def compare_streams(configs: dict[str, ExperimentConfig],
     one spawned worker per usable CPU; the table does not depend on the
     worker count, and a job's exception is raised with its own type.
     """
+    # Loaded here, not at import: no other command starts a process pool.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     check_comparison(configs, seeds)
     items = sorted(configs.items())
     main_file = getattr(sys.modules["__main__"], "__file__", None)

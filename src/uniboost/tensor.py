@@ -574,15 +574,26 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _emit("linear", (x, w, b), out, grad_fn)
 
 
-def attention(qkv: Tensor, heads: int, allow: np.ndarray | None = None) -> Tensor:
+def attention(qkv: Tensor, heads: int, allow: np.ndarray | None = None,
+              prefix_kv: tuple[np.ndarray, np.ndarray] | None = None,
+              keep_kv: list | None = None) -> Tensor:
     """Multi-head scaled dot-product self-attention.
 
     ``qkv`` is the fused [B, T, 3D] projection: queries, keys and values
     side by side on the last axis, each split into ``heads`` heads of
     D / heads. Returns the heads' outputs merged back to [B, T, D].
-    ``allow`` is an optional [T, T] boolean matrix, True where a query may
+    ``allow`` is an optional [T, S] boolean matrix, True where a query may
     attend to a key; other scores are set to ``MASK_FILL_VALUE`` before the
-    softmax, so they get zero weight and zero gradient.
+    softmax, so they get zero weight and zero gradient. S is T, or n + T
+    with a prefix.
+
+    ``prefix_kv`` is an optional (k, v) pair of [B, heads, n, D / heads]
+    keys and values of n earlier rows, which the T queries attend to before
+    their own keys. It is inference only: the prefix is a plain array with
+    no gradient, so under an active tape an input that requires grad is
+    refused rather than trained with the prefix's gradient dropped.
+    ``keep_kv``, a list, gets the (k, v) pair the queries attended to
+    appended, in the form ``prefix_kv`` takes.
 
     The values and gradients are those of the chain reshape, transposes,
     slices, ``matmul(q, transpose(k))``, ``scale``, mask, ``softmax``,
@@ -594,12 +605,20 @@ def attention(qkv: Tensor, heads: int, allow: np.ndarray | None = None) -> Tenso
             f"attention needs [B, T, 3D] with D divisible by {heads} heads, got {qkv.shape}")
     b, t, d3 = qkv.shape
     hd = d3 // (3 * heads)
-    if allow is not None:
-        allow = np.asarray(allow, dtype=bool)
-        if allow.shape != (t, t):
-            raise ShapeMismatchError(f"attention mask shape {allow.shape} != ({t}, {t})")
     # [3, B, H, T, hd]: q, k and v each contiguous, as the chain's slices were
     q, k, v = np.ascontiguousarray(qkv.values.reshape(b, t, 3, heads, hd).transpose(2, 0, 3, 1, 4))
+    if prefix_kv is not None:
+        if qkv.requires_grad and active_tape() is not None:
+            raise BackwardError("attention over a key/value prefix is inference only: "
+                                "the prefix would get no gradient")
+        k, v = (np.concatenate([prefix, own], axis=2) for prefix, own in zip(prefix_kv, (k, v)))
+    s = k.shape[2]
+    if allow is not None:
+        allow = np.asarray(allow, dtype=bool)
+        if allow.shape != (t, s):
+            raise ShapeMismatchError(f"attention mask shape {allow.shape} != ({t}, {s})")
+    if keep_kv is not None:
+        keep_kv.append((k, v))
     kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
     c = float(1.0 / np.sqrt(hd))
     y = np.matmul(q, kt)

@@ -75,6 +75,18 @@ def test_importing_the_cli_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    # Only compare starts a process pool, and it loads multiprocessing and
+    # concurrent.futures when it runs, so no other command pays for them.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys, uniboost.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 CHAIN_CFG = """
 [encoder]
 layers = 1

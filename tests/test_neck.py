@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from uniboost.encoders import Vocabulary
+from uniboost import tensor as T
+from uniboost.encoders import MASK_ID, Vocabulary
 from uniboost.neck import (ANSWER_TOKENS, Neck, NeckConfig, RouteInputError, RouteKind,
                            SEG_TEMPERATURE, attention_mask, causal_mask,
                            lm_generate, seg_logits, upsample_patch_grid)
@@ -305,3 +306,86 @@ def test_lm_generate_never_emits_an_id_past_the_vocabulary():
     _bias_only(neck, {9: 10.0, 4: 5.0})
     out = lm_generate(neck, img, [[3]], embed_text, _vocab(8))
     assert out == [[4] * ANSWER_TOKENS]
+
+
+def _causal_decoder(width, heads, n_image, layers, seed):
+    """A neck over six image rows of ``n_image`` tokens, its LM head drawn at
+    random, four-token prefixes, and a causal text embedding: a running mean
+    of table rows, so a slot depends on its row's earlier tokens even with no
+    fusion block."""
+    neck = Neck(NeckConfig(encoder_width=width, text_width=width, common_width=width,
+                           fusion_layers=layers, fusion_heads=heads, vocab_size=12), seed=seed)
+    rng = np.random.default_rng(seed)
+    table = rng.normal(size=(12, width))
+    img = Tensor(rng.normal(size=(6, n_image, width)))
+    neck.lm_head.weight.values[:] = rng.normal(size=(width, 12))
+    prefixes = rng.integers(3, 12, size=(6, 4))
+
+    def embed_text(ids):
+        x = np.cumsum(table[np.asarray(ids)], axis=1)
+        return neck.project_text(Tensor(x / np.arange(1, x.shape[1] + 1)[:, None]))
+
+    return neck, img, prefixes, embed_text
+
+
+def _full_sequence_slot_logits(neck, lm_head, img, prefixes, embed_text, out):
+    """Each decode step's slot logits, from the image rows and the text
+    fused together through ``route_forward(DEEP_FUSION)``, for the rows
+    still live at that step: the decode before image keys and values were
+    reused."""
+    steps = []
+    for step in range(ANSWER_TOKENS):
+        live = [row for row, tokens in enumerate(out) if len(tokens) >= step]
+        if not live:
+            break
+        ids = np.array([[*prefixes[row], *out[row][:step], MASK_ID] for row in live])
+        fused = neck.route_forward(RouteKind.DEEP_FUSION, Tensor(img.values[live]),
+                                   embed_text(ids))
+        steps.append(lm_head(T.slice_(fused, (slice(None), slice(-1, None)))).values)
+    return steps
+
+
+@pytest.mark.parametrize("layers", [0, 1, 2])
+@pytest.mark.parametrize("width, heads, n_image, seed, ragged_eos_bias",
+                         [(8, 2, 5, 4, 2.0), (32, 4, 64, 2, 1.0)],
+                         ids=["small", "eval-shaped"])
+def test_cached_decode_slot_logits_equal_the_full_fused_sequence(
+        layers, width, heads, n_image, seed, ragged_eos_bias):
+    # Text rows attending to the image rows' kept keys and values give the
+    # slot the same logits, bit for bit, as the whole fused sequence: in a
+    # one-step decode, in a three-step one, and when rows end at different
+    # steps and leave the batch with their keys and values. The keys and
+    # values come from a segmentation pass over the image rows, as in eval,
+    # or from lm_generate's own image pass.
+    neck, img, prefixes, embed_text = _causal_decoder(width, heads, n_image, layers, seed)
+    vocab = _vocab(12)
+    lm_head = neck.lm_head
+    for eos_bias in (50.0, -50.0, ragged_eos_bias):
+        lm_head.bias.values[vocab.eos_id] = eos_bias
+        kept = []
+        neck.route_forward(RouteKind.LANGUAGE_GUIDED_VISION, img, embed_text(prefixes),
+                           keep_kv=kept)
+        assert len(kept) == layers
+        for image_kv in (kept, None):
+            cached = []
+
+            def recording(hidden):
+                cached.append(lm_head(hidden))
+                return cached[-1]
+
+            neck.lm_head = recording
+            try:
+                out = lm_generate(neck, img, prefixes, embed_text, vocab, image_kv)
+            finally:
+                neck.lm_head = lm_head
+            lengths = {len(tokens) for tokens in out}
+            if eos_bias == 50.0:
+                assert lengths == {0}
+            elif eos_bias == -50.0:
+                assert lengths == {ANSWER_TOKENS}
+            else:  # EOS at the first step, at a later one, and rows at the cap
+                assert {0, ANSWER_TOKENS} < lengths, lengths
+            want = _full_sequence_slot_logits(neck, lm_head, img, prefixes, embed_text, out)
+            assert len(cached) == len(want) == min(max(lengths) + 1, ANSWER_TOKENS)
+            for got, full in zip(cached, want):
+                assert np.array_equal(got.values, full)

@@ -1,5 +1,6 @@
 """Pipeline stages: corpora, training stream, leakage audit, comparisons."""
 
+import concurrent.futures
 import ctypes
 import hashlib
 import importlib.util
@@ -7,7 +8,6 @@ import json
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,6 +21,8 @@ from uniboost.config import (ConfigError, ExperimentConfig, TaskSpec, config_fin
 from uniboost import pipeline, pretrain
 from uniboost.metrics import round_half_up, vqa_accuracy
 from uniboost.model import TaskModel
+from uniboost.neck import ANSWER_TOKENS
+from uniboost.nn import EncoderBlock
 from uniboost.pipeline import (ENCODER_LR_RATIO, DataError, LeakageError, RunRecord,
                                audit_leakage, build_corpora, compare_streams, comparison_csv,
                                emit_comparison, eval_stage, finetune_stage, load_model,
@@ -437,7 +439,8 @@ def test_eval_stage_oracle_predictor_scores_one(corpus_and_vocab, monkeypatch):
                                      prefix="novel-eval")
     truth = iter([s.mask for s in corpus])
 
-    def oracle(img, prompts, class_names):
+    def oracle(img, prompts, class_names, keep_kv):
+        assert keep_kv is None  # no decode follows, so no keys and values are kept
         return np.stack([next(truth) for _ in range(img.shape[0])])
 
     monkeypatch.setattr(model, "seg_predict", oracle)
@@ -453,8 +456,8 @@ def test_eval_stage_vqa_matches_one_image_decoding(corpus_and_vocab, monkeypatch
     model = TaskModel(cfg, vocab, seed=0)
     generate, batches = model.generate_answer, []
 
-    def recording(img, questions):
-        batches.append(generate(img, questions))
+    def recording(img, questions, image_kv):
+        batches.append(generate(img, questions, image_kv))
         return batches[-1]
 
     monkeypatch.setattr(model, "generate_answer", recording)
@@ -468,6 +471,43 @@ def test_eval_stage_vqa_matches_one_image_decoding(corpus_and_vocab, monkeypatch
     per_type, _ = vqa_accuracy([("other", a, s.answer) for a, s in zip(answers, corpus)])
     want = dict(eval_stage(cfg, model, "base"), vqa_exact_match=per_type.get("other", 0.0))
     assert report == want
+
+
+def test_eval_runs_each_fusion_block_over_the_image_rows_once_per_chunk(
+        corpus_and_vocab, monkeypatch):
+    # With VQA, the segmentation pass keeps each block's image keys and
+    # values, and every decode step runs the blocks over the text rows alone.
+    # Without VQA, as in compare's eval, the blocks run once per chunk and
+    # keep nothing.
+    cfg, _, vocab = corpus_and_vocab
+    cfg = replace(cfg, eval_samples=20, fusion_layers=2)  # chunks of 16 and 4
+    model = TaskModel(cfg, vocab, seed=0)  # decodes ANSWER_TOKENS per image
+    fusion = {id(block) for block in model.neck.blocks}
+    calls = []
+    block_call = EncoderBlock.__call__
+
+    def counting(block, x, allow=None, prefix_kv=None, keep_kv=None):
+        if id(block) in fusion:
+            calls.append((x.shape[:2], prefix_kv is not None, keep_kv is not None))
+        return block_call(block, x, allow, prefix_kv, keep_kv)
+
+    monkeypatch.setattr(EncoderBlock, "__call__", counting)
+    n_image = (cfg.grid_size // cfg.patch_size) ** 2
+    corpus = gen_single_shape_corpus(world_config(cfg), tuple(world_config(cfg).base_shapes),
+                                     cfg.eval_samples, seed=11, prefix="base-eval")
+    (n_question,) = {len(vocab.encode(s.question)) for s in corpus}
+
+    eval_stage(cfg, model, "base")
+    assert calls == [((rows, n_image), False, False) for rows in (16, 4) for _ in range(2)]
+
+    calls.clear()
+    eval_stage(cfg, model, "base", eval_vqa=True)
+    want = []
+    for rows in (16, 4):
+        want += [((rows, n_image), False, True)] * 2
+        for step in range(ANSWER_TOKENS):
+            want += [((rows, n_question + step + 1), True, False)] * 2
+    assert calls == want
 
 
 # ---------------------------------------------------------------- streams
@@ -607,12 +647,12 @@ def test_compare_output_does_not_depend_on_the_worker_count(tmp_path, monkeypatc
     seeds = [0, 1]
     pool_sizes = []
 
-    class RecordingPool(ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers, **kwargs):
             pool_sizes.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     reports = []
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)

@@ -426,6 +426,25 @@ def test_attention_rejects_bad_shapes():
         T.attention(Tensor(np.zeros((1, 4, 12))), 2, np.ones((3, 3), dtype=bool))
 
 
+def test_attention_over_a_key_value_prefix_fails_closed_under_a_tape():
+    # The prefix is a plain array: training through it would drop its
+    # gradient, so a taped input that requires grad is refused.
+    rng = np.random.default_rng(23)
+    own = rng.standard_normal((2, 3, 12))
+    prefix = []
+    T.attention(Tensor(rng.standard_normal((2, 4, 12))), 2, keep_kv=prefix)
+    (kv,) = prefix
+    assert [a.shape for a in kv] == [(2, 2, 4, 2)] * 2
+    with Tape() as tape:
+        with pytest.raises(BackwardError, match="inference only"):
+            T.attention(Tensor(own, requires_grad=True), 2, prefix_kv=kv)
+        T.attention(Tensor(own), 2, prefix_kv=kv)  # nothing to train
+    assert tape.nodes == []
+    T.attention(Tensor(own, requires_grad=True), 2, prefix_kv=kv)  # no tape
+    with pytest.raises(ShapeMismatchError, match=r"mask shape \(3, 3\) != \(3, 7\)"):
+        T.attention(Tensor(own), 2, np.ones((3, 3), dtype=bool), prefix_kv=kv)
+
+
 @pytest.mark.parametrize("x_shape", [(5, 4), (2, 5, 4)])
 def test_linear_is_bit_identical_to_matmul_plus_add(x_shape):
     rng = np.random.default_rng(22)
