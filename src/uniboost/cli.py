@@ -114,9 +114,11 @@ def _read_audit(path: Path) -> tuple[set[str], set[int]]:
         raise LeakageError(f"{path} is not valid UTF-8 JSON ({exc}); novel eval refused") from exc
     tokens = audit.get("tokens") if isinstance(audit, dict) else None
     labels = audit.get("mask_labels") if isinstance(audit, dict) else None
+    # type(l) is int: to isinstance, a JSON true or false is an int too
     if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)
-            and isinstance(labels, list) and all(isinstance(l, int) for l in labels)):
-        raise LeakageError(f"{path} lacks 'tokens' or 'mask_labels' lists; novel eval refused")
+            and isinstance(labels, list) and all(type(l) is int for l in labels)):
+        raise LeakageError(f"{path} lacks a 'tokens' list of strings or a 'mask_labels' "
+                           f"list of integers; novel eval refused")
     return set(tokens), set(labels)
 
 

@@ -165,13 +165,12 @@ class TaskModel(Module):
                                    prefix_len=prefix_len, seed=seed)
 
     def generate_answer(self, img: Tensor, question_ids: np.ndarray,
-                        image_kv: list | None = None) -> list[str]:
+                        image_kv: list) -> list[str]:
         """Greedy answer of at most ``ANSWER_TOKENS`` tokens per row of the
         [B, n, width] image sequence, after that row's question in the
         [B, p] ``question_ids``. ``image_kv`` holds the fusion blocks' keys
         and values over ``img``, as ``seg_predict`` keeps them, so the
-        image rows are not fused again; without it ``lm_generate`` fuses
-        them once."""
+        image rows are not fused again."""
         out_ids = lm_generate(self.neck, img, question_ids,
                               lambda ids: self.text_seq(ids, causal=True), self.vocab,
                               image_kv)

@@ -200,27 +200,26 @@ def upsample_patch_grid(per_patch: np.ndarray, height: int, width: int,
 
 
 def lm_generate(neck: Neck, image_seq: Tensor, prefix_ids, embed_text,
-                vocab: Vocabulary, image_kv: list | None = None) -> list[list[int]]:
+                vocab: Vocabulary, image_kv: list) -> list[list[int]]:
     """Greedy mask-slot decoding of a batch; one token list per image row.
 
     ``image_seq`` is [B, n, width] and ``prefix_ids`` a [B, p] array of
     equal-length prefixes. Under the generative mask image rows never attend
     to text, so they are fused once: ``image_kv`` holds each fusion block's
     (k, v) over them, as ``route_forward``'s ``keep_kv`` keeps them in the
-    segmentation pass; without it, one image pass here keeps them. Each
-    step appends a ``MASK_ID`` slot to every live row's running text,
-    re-embeds it, and runs only the text rows through the blocks, attending
-    to the image keys and values and, causally, to their own. The slot's
-    LM-head logits are those of the whole fused sequence through
-    ``route_forward(DEEP_FUSION)``, bit for bit. Their argmax over the
-    vocabulary's ids ``0..len(vocab)-1`` (ties to the lowest id) becomes the
-    row's next token, so LM-head outputs past the vocabulary are never
-    emitted. A row stops at ``vocab.eos_id`` or after ``ANSWER_TOKENS``
-    tokens and leaves the batch with its keys and values, so each step runs
-    only the live rows, each on exactly what a one-row decode would see.
-    Ragged prefixes are refused, not padded: padding would change what each
-    slot attends to. ``embed_text`` maps a [b, m] id array to its projected
-    [b, m, width] text embeddings.
+    segmentation pass. Each step appends a ``MASK_ID`` slot to every live
+    row's running text, re-embeds it, and runs only the text rows through
+    the blocks, attending to the image keys and values and, causally, to
+    their own. The slot's LM-head logits are those of the whole fused
+    sequence through ``route_forward(DEEP_FUSION)``, bit for bit. Their
+    argmax over the vocabulary's ids ``0..len(vocab)-1`` (ties to the lowest
+    id) becomes the row's next token, so LM-head outputs past the vocabulary
+    are never emitted. A row stops at ``vocab.eos_id`` or after
+    ``ANSWER_TOKENS`` tokens and leaves the batch with its keys and values,
+    so each step runs only the live rows, each on exactly what a one-row
+    decode would see. Ragged prefixes are refused, not padded: padding would
+    change what each slot attends to. ``embed_text`` maps a [b, m] id array
+    to its projected [b, m, width] text embeddings.
     """
     try:
         prefix = np.asarray(prefix_ids, dtype=np.int64)
@@ -229,9 +228,6 @@ def lm_generate(neck: Neck, image_seq: Tensor, prefix_ids, embed_text,
     if prefix.ndim != 2 or len(prefix) != image_seq.shape[0]:
         raise ValueError(f"need a [{image_seq.shape[0]}, p] prefix array, one row per "
                          f"image row, got shape {prefix.shape}")
-    if image_kv is None:
-        image_kv = []
-        neck.fusion_forward(image_seq, keep_kv=image_kv)
     n_image = image_seq.shape[1]
     out: list[list[int]] = [[] for _ in prefix]
     live = np.arange(len(prefix))

@@ -93,12 +93,6 @@ class ModuleList(Module):
     def __iter__(self):
         return iter(self.items)
 
-    def __len__(self):
-        return len(self.items)
-
-    def __getitem__(self, i):
-        return self.items[i]
-
 
 class Linear(Module):
     def __init__(self, rng, in_dim: int, out_dim: int):

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (ConfigError, ExperimentConfig, config_fingerprint,
-                     diff_configs, serialize_config, world_config)
+                     diff_configs, parse_config, serialize_config, world_config)
 from .metrics import ConfusionCounts, fb_iou, fold_mean, round_half_up, vqa_accuracy
 from .model import TaskModel
 from .optim import AdamW
@@ -486,9 +486,22 @@ def save_model(model: TaskModel, cfg: ExperimentConfig, directory: str | Path,
 
 
 def load_model(cfg: ExperimentConfig, directory: str | Path) -> TaskModel:
+    """The model saved at ``directory``, refused unless its ``config.txt``
+    is ``cfg``'s serialization."""
     d = Path(directory)
     if not (d / "manifest.tsv").exists():
         raise DataError(f"missing checkpoint at {d}")
+    saved_at = d / "config.txt"
+    if not saved_at.is_file():
+        raise DataError(f"checkpoint at {d} has no config.txt")
+    try:
+        saved = saved_at.read_text(encoding="utf-8")
+        if saved != serialize_config(cfg):
+            fields = diff_configs(parse_config(saved), cfg) or "its text alone"
+            raise DataError(f"checkpoint at {d} was saved under another config; it "
+                            f"differs in {fields}")
+    except (UnicodeDecodeError, ConfigError) as exc:
+        raise DataError(f"{saved_at} is not a config: {exc}") from None
     state = load_checkpoint(d)
     model = TaskModel(cfg, build_vocabulary(), 0)  # every entry comes from disk
     try:

@@ -41,7 +41,7 @@ from .encoders import Vocabulary
 
 __all__ = ["ShapeWorldConfig", "Sample", "SHAPES", "COLORS", "CORPORA",
            "RELATIONS", "FAMILIES", "gen_shapeworld", "gen_single_shape_corpus",
-           "build_vocabulary", "shape_stencil", "analytic_area", "class_id"]
+           "build_vocabulary", "shape_stencil", "class_id"]
 
 SHAPES = ("square", "circle", "triangle", "cross", "bar", "pole", "ring", "diamond")
 COLORS = {
@@ -112,20 +112,6 @@ def shape_stencil(shape: str) -> np.ndarray:
         raise ValueError(f"unknown shape {shape!r}")
     stencil.flags.writeable = False
     return stencil
-
-
-def analytic_area(shape: str) -> float:
-    side = float(STENCIL)
-    return {
-        "square": side * side,
-        "circle": np.pi * _OUTER_R ** 2,
-        "triangle": side * side / 2.0,
-        "cross": 3 * side * 2 - 9,
-        "bar": 3 * side,
-        "pole": 3 * side,
-        "ring": np.pi * (_OUTER_R ** 2 - _INNER_R ** 2),
-        "diamond": side * side / 2.0,
-    }[shape]
 
 
 @dataclass(frozen=True)

@@ -119,17 +119,10 @@ class Tensor:
     def ndim(self) -> int:
         return self.values.ndim
 
-    @property
-    def size(self) -> int:
-        return self.values.size
-
     def item(self) -> float:
         if self.values.size != 1:
             raise ValueError(f"item() on tensor of shape {self.shape}")
         return float(self.values.reshape(-1)[0])
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 class Tape:

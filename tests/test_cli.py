@@ -15,7 +15,7 @@ import pytest
 
 from uniboost import pipeline
 from uniboost.cli import EXIT_CONFIG, EXIT_DATA, EXIT_INVARIANT, EXIT_OK, build_parser, main
-from uniboost.config import parse_config
+from uniboost.config import parse_config, serialize_config
 from uniboost.shapeworld import CORPORA, class_id
 from uniboost.tensorio import load_checkpoint, save_tensor
 
@@ -428,6 +428,17 @@ def test_unreadable_audit_exits_4(workspace):
     assert not (out / "eval-novel.json").exists()
 
 
+def test_boolean_mask_labels_in_the_audit_exit_4(workspace):
+    tmp, out, cfg = workspace
+    assert main(["pretrain", "--config", str(cfg)]) == EXIT_OK
+    assert main(["finetune-multitask", "--config", str(cfg)]) == EXIT_OK
+    audit_path = out / "model-masked-unimodal-seed0" / "training_audit.json"
+    audit = json.loads(audit_path.read_text())
+    audit_path.write_text(json.dumps(dict(audit, mask_labels=[True, False])))
+    assert main(["eval", "--config", str(cfg), "--split", "novel"]) == EXIT_INVARIANT
+    assert not (out / "eval-novel.json").exists()
+
+
 def test_checkpoint_that_does_not_fit_the_config_exits_3(workspace, capsys):
     tmp, out, cfg = workspace
     assert main(["pretrain", "--config", str(cfg)]) == EXIT_OK
@@ -441,6 +452,14 @@ def test_checkpoint_that_does_not_fit_the_config_exits_3(workspace, capsys):
     deeper.write_text(BASE_CFG.format(mode="masked-unimodal").replace(
         "layers = 1", "layers = 2"))
     assert main(["eval", "--config", str(deeper), "--split", "base"]) == EXIT_DATA
+    # a config.txt that claims the deeper config: its parameters still do not fit
+    saved_config = out / "model-masked-unimodal-seed0" / "config.txt"
+    good_config = saved_config.read_text()
+    saved_config.write_text(serialize_config(parse_config(deeper.read_text())))
+    capsys.readouterr()
+    assert main(["eval", "--config", str(deeper), "--split", "base"]) == EXIT_DATA
+    assert "does not fit the config" in capsys.readouterr().err
+    saved_config.write_text(good_config)
     manifest = out / "model-masked-unimodal-seed0" / "manifest.tsv"
     good = manifest.read_bytes()
     rows = good.decode().splitlines(keepends=True)
@@ -467,6 +486,44 @@ def test_checkpoint_that_does_not_fit_the_config_exits_3(workspace, capsys):
     payload.mkdir()
     assert main(["eval", "--config", str(cfg), "--split", "base"]) == EXIT_DATA
     assert "params.ubtn: is a directory" in capsys.readouterr().err
+
+
+def test_checkpoint_is_read_only_under_the_config_it_was_saved_with(workspace, capsys):
+    # A pair-contrastive model pretrained with ring and diamond held out,
+    # then fine-tuned and scored with circle and square held out: circle
+    # and square were in its pretraining pairs.
+    tmp, out, _ = workspace
+    held_out = BASE_CFG.format(mode="pair-contrastive")
+    other = held_out.replace("paired_fraction = 0.5",
+                             "paired_fraction = 0.5\nnovel_shapes = circle, square")
+    cfg, other_cfg = tmp / "pc.cfg", tmp / "pc-other.cfg"
+    cfg.write_text(held_out)
+    other_cfg.write_text(other)
+    assert main(["pretrain", "--config", str(cfg)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["finetune-multitask", "--config", str(other_cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "differs in ['novel_shapes']" in err
+    assert not (out / "model-pair-contrastive-seed0").exists()
+    assert main(["finetune-multitask", "--config", str(cfg)]) == EXIT_OK
+    for split in ("novel", "base"):
+        capsys.readouterr()
+        assert main(["eval", "--config", str(other_cfg), "--split", split]) == EXIT_DATA
+        assert "differs in ['novel_shapes']" in capsys.readouterr().err
+    assert not list(out.glob("eval-*.json"))
+    # so is one whose config.txt reads as the same config in other text, one
+    # whose config.txt is not a config, and one without a config.txt
+    saved = out / "model-pair-contrastive-seed0" / "config.txt"
+    for text, says in [(saved.read_text() + "# a note\n", "differs in its text alone"),
+                       ("[run]\nsteps = x\n", "config.txt is not a config"),
+                       (None, "has no config.txt")]:
+        if text is None:
+            saved.unlink()
+        else:
+            saved.write_text(text)
+        assert main(["eval", "--config", str(cfg), "--split", "base"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and says in err and "Traceback" not in err
 
 
 def test_checkpoint_in_the_per_parameter_layout_exits_3(workspace, capsys):

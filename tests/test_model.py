@@ -200,12 +200,19 @@ def test_recovery_prefix_must_leave_targets(model, eval_samples):
     assert 0.0 < MASK_RECOVERY_PROB < 1.0
 
 
+def _image_kv(model, img):
+    """Each fusion block's keys and values over the image rows ``img``."""
+    kept = []
+    model.neck.fusion_forward(img, keep_kv=kept)
+    return kept
+
+
 def test_generate_answer_is_deterministic_text(model, eval_samples):
     s = eval_samples[0]
     img = model.image_seq(s.image[None])
     q_ids = np.array([model.vocab.encode(s.question)])
-    a = model.generate_answer(img, q_ids)
-    b = model.generate_answer(img, q_ids)
+    a = model.generate_answer(img, q_ids, _image_kv(model, img))
+    b = model.generate_answer(img, q_ids, _image_kv(model, img))
     assert a == b
     assert len(a) == 1 and isinstance(a[0], str)
     for word in a[0].split():
@@ -220,6 +227,7 @@ def test_generate_answer_decodes_when_the_lm_head_favours_an_id_past_the_vocabul
     model.neck.lm_head.bias.values[:] = 0.0
     model.neck.lm_head.bias.values[40] = 10.0
     s = eval_samples[0]
-    answer = model.generate_answer(model.image_seq(s.image[None]),
-                                   np.array([vocab.encode(s.question)]))
+    img = model.image_seq(s.image[None])
+    answer = model.generate_answer(img, np.array([vocab.encode(s.question)]),
+                                   _image_kv(model, img))
     assert answer == [" ".join([vocab.id_to_word[0]] * ANSWER_TOKENS)]

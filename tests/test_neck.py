@@ -232,6 +232,13 @@ def _decoder_fixture(seed=9, rows=1):
     return neck, img, embed_text
 
 
+def _image_kv(neck, img):
+    """Each fusion block's keys and values over the image rows ``img``."""
+    kept = []
+    neck.fusion_forward(img, keep_kv=kept)
+    return kept
+
+
 def _bias_only(neck, bias=None):
     """Make the LM head's logits its bias: ``bias[id]`` at each listed id, 0
     elsewhere."""
@@ -245,28 +252,28 @@ def test_lm_generate_stops_at_eos():
     neck, img, embed_text = _decoder_fixture()
     vocab = _vocab(12)
     _bias_only(neck, {vocab.eos_id: 10.0})
-    assert lm_generate(neck, img, [[3]], embed_text, vocab) == [[]]
+    assert lm_generate(neck, img, [[3]], embed_text, vocab, _image_kv(neck, img)) == [[]]
 
 
 def test_lm_generate_caps_at_answer_tokens():
     neck, img, embed_text = _decoder_fixture()
     _bias_only(neck, {5: 10.0})
-    out = lm_generate(neck, img, [[3]], embed_text, _vocab(12))
+    out = lm_generate(neck, img, [[3]], embed_text, _vocab(12), _image_kv(neck, img))
     assert out == [[5] * ANSWER_TOKENS]
 
 
 def test_lm_generate_ties_break_to_lowest_id():
     neck, img, embed_text = _decoder_fixture()
     _bias_only(neck)
-    out = lm_generate(neck, img, [[3]], embed_text, _vocab(12))
+    out = lm_generate(neck, img, [[3]], embed_text, _vocab(12), _image_kv(neck, img))
     assert out == [[0] * ANSWER_TOKENS]
 
 
 def test_lm_generate_is_deterministic():
     neck, img, embed_text = _decoder_fixture()
     vocab = _vocab(12)
-    a = lm_generate(neck, img, [[3, 4]], embed_text, vocab)
-    b = lm_generate(neck, img, [[3, 4]], embed_text, vocab)
+    a = lm_generate(neck, img, [[3, 4]], embed_text, vocab, _image_kv(neck, img))
+    b = lm_generate(neck, img, [[3, 4]], embed_text, vocab, _image_kv(neck, img))
     assert a == b
     assert all(0 <= t < len(vocab) for t in a[0])
 
@@ -282,29 +289,30 @@ def test_batched_lm_generate_matches_one_row_decoding():
     neck.lm_head.weight.values[:] = 3.0 * rng.normal(size=(8, 12))
     neck.lm_head.bias.values[vocab.eos_id] = 2.5
     prefixes = rng.integers(3, 12, size=(6, 2))
-    out = lm_generate(neck, img, prefixes, embed_text, vocab)
+    out = lm_generate(neck, img, prefixes, embed_text, vocab, _image_kv(neck, img))
     assert out == [[4, 4, 4], [4, 4, 4], [10, 10], [4, 4, 4], [10, 10, 10], []]
     for row in range(6):
-        one = lm_generate(neck, Tensor(img.values[row:row + 1]), prefixes[row:row + 1],
-                          embed_text, vocab)
+        one_img = Tensor(img.values[row:row + 1])
+        one = lm_generate(neck, one_img, prefixes[row:row + 1], embed_text, vocab,
+                          _image_kv(neck, one_img))
         assert one == [out[row]], row
 
 
 def test_lm_generate_validation():
     neck, img, embed_text = _decoder_fixture(rows=2)
-    vocab = _vocab(12)
+    vocab, image_kv = _vocab(12), _image_kv(neck, img)
     with pytest.raises(ValueError, match="same length"):
-        lm_generate(neck, img, [[3], [3, 4]], embed_text, vocab)
+        lm_generate(neck, img, [[3], [3, 4]], embed_text, vocab, image_kv)
     for prefixes in ([[3]], [[3], [3], [3]], [3, 3]):
         with pytest.raises(ValueError, match="one row per image row"):
-            lm_generate(neck, img, prefixes, embed_text, vocab)
+            lm_generate(neck, img, prefixes, embed_text, vocab, image_kv)
 
 
 def test_lm_generate_never_emits_an_id_past_the_vocabulary():
     # The LM head has 12 outputs; an 8-entry vocabulary never emits ids 8..11.
     neck, img, embed_text = _decoder_fixture()
     _bias_only(neck, {9: 10.0, 4: 5.0})
-    out = lm_generate(neck, img, [[3]], embed_text, _vocab(8))
+    out = lm_generate(neck, img, [[3]], embed_text, _vocab(8), _image_kv(neck, img))
     assert out == [[4] * ANSWER_TOKENS]
 
 
@@ -356,7 +364,7 @@ def test_cached_decode_slot_logits_equal_the_full_fused_sequence(
     # one-step decode, in a three-step one, and when rows end at different
     # steps and leave the batch with their keys and values. The keys and
     # values come from a segmentation pass over the image rows, as in eval,
-    # or from lm_generate's own image pass.
+    # or from a pass of the image rows alone through the fusion blocks.
     neck, img, prefixes, embed_text = _causal_decoder(width, heads, n_image, layers, seed)
     vocab = _vocab(12)
     lm_head = neck.lm_head
@@ -366,7 +374,7 @@ def test_cached_decode_slot_logits_equal_the_full_fused_sequence(
         neck.route_forward(RouteKind.LANGUAGE_GUIDED_VISION, img, embed_text(prefixes),
                            keep_kv=kept)
         assert len(kept) == layers
-        for image_kv in (kept, None):
+        for image_kv in (kept, _image_kv(neck, img)):
             cached = []
 
             def recording(hidden):

